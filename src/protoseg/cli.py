@@ -1,7 +1,8 @@
 """Command-line pipeline: generate, train, segment, eval, recognize.
 
-One JSON config file drives every stage; flags override single values and
-the effective config is echoed into the output directory.  Exit status 2
+One JSON config file drives every stage; each stage's flags override the
+config values that stage reads, and the effective config is echoed into the
+output directory, where it is itself a valid --config.  Exit status 2
 flags usage/config problems, 1 runtime failures, each with a one-line
 machine-parsable error on stderr.
 """
@@ -13,6 +14,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,23 +30,11 @@ DEFAULT_CONFIG = {
     "model": {"n_prototypes": 50, "embed_dim": None, "distance": "euclidean"},
     "loss": {"alpha": 0.5, "lambda": 0.15, "tau": 4.0},
     "train": {"lr": 0.001, "epochs": 240, "batch_size": 8, "seed": 0},
-    "infer": {"sigma": 5.0, "nprime_mode": "gt", "nprime": 5, "eta": 0.0},
+    # nprime: "gt" (true action count per activity) or an integer
+    "infer": {"sigma": 5.0, "nprime": "gt", "eta": 0.0, "smooth": True, "decode": True},
     "eval": {"scope": "global", "kl": False, "f1": False},
     "recognize": {"wp": 0.5, "wg": 0.5},
-    "corpus": {
-        "n_activities": 4,
-        "n_actions": 10,
-        "shared_actions": 3,
-        "actions_per_activity": [2, 8],
-        "videos_per_activity": 25,
-        "frames_range": [100, 300],
-        "feature_dim": 32,
-        "cluster_separation": 6.0,
-        "noise": 1.0,
-        "drop_prob": 0.2,
-        "background_ratio": 0.0,
-        "seed": 0,
-    },
+    "corpus": asdict(CorpusSpec()),
     "paths": {"manifest": None, "out_dir": "out", "checkpoint": None},
     "threads": 1,
 }
@@ -60,27 +50,52 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _nprime(value: str):
+    if value == "gt":
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer or 'gt', got {value!r}") from None
+
+
+# flag -> (config keys it sets, argparse keywords)
+_FLAGS = {
+    "--manifest": (["paths.manifest"], {}),
+    "--out-dir": (["paths.out_dir"], {}),
+    "--checkpoint": (["paths.checkpoint"], {}),
+    "--seed": (["train.seed", "corpus.seed"], {"type": int}),
+    "--threads": (["threads"], {"type": int}),
+    "--alpha": (["loss.alpha"], {"type": float}),
+    "--lambda": (["loss.lambda"], {"type": float}),
+    "--scope": (["eval.scope"], {"choices": ["video", "activity", "global"]}),
+    "--sigma": (["infer.sigma"], {"type": float}),
+    "--nprime": (["infer.nprime"], {"type": _nprime}),
+    "--eta": (["infer.eta"], {"type": float}),
+    "--no-smooth": (["infer.smooth"], {"action": "store_const", "const": False}),
+    "--no-decode": (["infer.decode"], {"action": "store_const", "const": False}),
+    "--wp": (["recognize.wp"], {"type": float}),
+    "--wg": (["recognize.wg"], {"type": float}),
+}
+_SHARED_FLAGS = ["--manifest", "--out-dir", "--checkpoint", "--seed", "--threads"]
+_STAGE_FLAGS = {
+    "generate": [],
+    "train": ["--alpha", "--lambda"],
+    "segment": ["--scope", "--sigma", "--nprime", "--eta", "--no-smooth", "--no-decode"],
+    "eval": ["--scope"],
+    "recognize": ["--wp", "--wg"],
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="protoseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("generate", "train", "segment", "eval", "recognize"):
+    for name, own_flags in _STAGE_FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--scope", choices=["video", "activity", "global"])
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--nprime", help="integer, or 'gt' for per-activity truth")
-        p.add_argument("--eta", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--lambda", dest="lambda_", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--no-decode", action="store_true")
-        p.add_argument("--no-smooth", action="store_true")
-        p.add_argument("--wp", type=float)
-        p.add_argument("--wg", type=float)
-        p.add_argument("--manifest", help="override paths.manifest")
-        p.add_argument("--out-dir", help="override paths.out_dir")
-        p.add_argument("--checkpoint", help="override paths.checkpoint")
+        for flag in _SHARED_FLAGS + own_flags:
+            keys, kwargs = _FLAGS[flag]
+            p.add_argument(flag, help="sets " + ", ".join(keys), **kwargs)
     return parser
 
 
@@ -107,45 +122,28 @@ def _load_config(args) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"unparseable config {path}: {exc}") from exc
         cfg = _merge(cfg, from_file)
-    if args.scope is not None:
-        cfg["eval"]["scope"] = args.scope
-    if args.sigma is not None:
-        cfg["infer"]["sigma"] = args.sigma
-    if args.nprime is not None:
-        if args.nprime == "gt":
-            cfg["infer"]["nprime_mode"] = "gt"
-        else:
-            try:
-                cfg["infer"]["nprime"] = int(args.nprime)
-            except ValueError:
-                raise ConfigError(f"--nprime must be an integer or 'gt', got {args.nprime!r}")
-            cfg["infer"]["nprime_mode"] = "fixed"
-    if args.eta is not None:
-        cfg["infer"]["eta"] = args.eta
-    if args.alpha is not None:
-        cfg["loss"]["alpha"] = args.alpha
-    if args.lambda_ is not None:
-        cfg["loss"]["lambda"] = args.lambda_
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
-        cfg["corpus"]["seed"] = args.seed
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        cfg["threads"] = args.threads
-    if args.wp is not None:
-        cfg["recognize"]["wp"] = args.wp
-    if args.wg is not None:
-        cfg["recognize"]["wg"] = args.wg
-    if args.manifest is not None:
-        cfg["paths"]["manifest"] = args.manifest
-    if args.out_dir is not None:
-        cfg["paths"]["out_dir"] = args.out_dir
-    if args.checkpoint is not None:
-        cfg["paths"]["checkpoint"] = args.checkpoint
-    cfg["no_decode"] = bool(args.no_decode)
-    cfg["no_smooth"] = bool(args.no_smooth)
+    for flag, (keys, _) in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
+        if value is not None:
+            for key in keys:
+                section, _, name = key.rpartition(".")
+                (cfg[section] if section else cfg)[name] = value
+    if type(cfg["threads"]) is not int or cfg["threads"] < 1:
+        raise ConfigError("threads must be an integer >= 1")
+    nprime = cfg["infer"]["nprime"]
+    if nprime != "gt" and type(nprime) is not int:
+        raise ConfigError(f"infer: nprime must be 'gt' or an integer, got {nprime!r}")
+    if not all(type(cfg["infer"][key]) is bool for key in ("smooth", "decode")):
+        raise ConfigError("infer: smooth and decode must be true or false")
     return cfg
+
+
+def _build(section: str, cls, **fields):
+    """`cls(**fields)`, with a value the dataclass rejects as a config error."""
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -171,31 +169,14 @@ def _require_path(cfg: dict, key: str, must_exist: bool = True) -> Path:
 
 
 def _loss_config(cfg: dict) -> LossConfig:
+    # the config names the paper's symbols; checkpoints store LossConfig's fields
     section = cfg["loss"]
-    return LossConfig(
+    return _build(
+        "loss",
+        LossConfig,
         alpha=section["alpha"],
         smooth_weight=section["lambda"],
         truncation=section["tau"],
-    )
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    section = cfg["train"]
-    return TrainConfig(
-        lr=section["lr"],
-        epochs=section["epochs"],
-        batch_size=section["batch_size"],
-        seed=section["seed"],
-    )
-
-
-def _model_config(cfg: dict, corpus: Corpus) -> ModelConfig:
-    return ModelConfig(
-        input_dim=corpus.videos[0].features.shape[1],
-        n_activities=corpus.n_activities,
-        n_prototypes=cfg["model"]["n_prototypes"],
-        embed_dim=cfg["model"]["embed_dim"],
-        distance=cfg["model"]["distance"],
     )
 
 
@@ -227,22 +208,9 @@ def _affinities(corpus: Corpus, ckpt: Checkpoint, threads: int):
 
 
 def _cmd_generate(cfg: dict) -> int:
+    spec = _build("corpus", CorpusSpec, **cfg["corpus"])
     out = _out_dir(cfg)
     _echo_config(cfg, out)
-    spec = CorpusSpec(
-        n_activities=cfg["corpus"]["n_activities"],
-        n_actions=cfg["corpus"]["n_actions"],
-        shared_actions=cfg["corpus"]["shared_actions"],
-        actions_per_activity=tuple(cfg["corpus"]["actions_per_activity"]),
-        videos_per_activity=cfg["corpus"]["videos_per_activity"],
-        frames_range=tuple(cfg["corpus"]["frames_range"]),
-        feature_dim=cfg["corpus"]["feature_dim"],
-        cluster_separation=cfg["corpus"]["cluster_separation"],
-        noise=cfg["corpus"]["noise"],
-        drop_prob=cfg["corpus"]["drop_prob"],
-        background_ratio=cfg["corpus"]["background_ratio"],
-        seed=cfg["corpus"]["seed"],
-    )
     manifest_cfg = cfg["paths"]["manifest"]
     if manifest_cfg:
         manifest_path = Path(manifest_cfg)
@@ -259,12 +227,18 @@ def _cmd_generate(cfg: dict) -> int:
 
 def _cmd_train(cfg: dict) -> int:
     manifest = _require_path(cfg, "manifest")
+    train_cfg = _build("train", TrainConfig, **cfg["train"])
+    loss_cfg = _loss_config(cfg)
     out = _out_dir(cfg)
     _echo_config(cfg, out)
     corpus = read_corpus(manifest)
-    model_cfg = _model_config(cfg, corpus)
-    train_cfg = _train_config(cfg)
-    loss_cfg = _loss_config(cfg)
+    model_cfg = _build(
+        "model",
+        ModelConfig,
+        input_dim=corpus.videos[0].features.shape[1],
+        n_activities=corpus.n_activities,
+        **cfg["model"],
+    )
     result = trainer_mod.train(corpus.videos, model_cfg, train_cfg, loss_cfg)
     ckpt_path = cfg["paths"]["checkpoint"] or str(out / "model.ckpt")
     save_checkpoint(
@@ -293,16 +267,12 @@ def _cmd_train(cfg: dict) -> int:
 
 
 def _nprime_by_activity(cfg: dict, corpus: Corpus):
-    if cfg["infer"]["nprime_mode"] == "fixed":
-        return int(cfg["infer"]["nprime"])
-    if cfg["infer"]["nprime_mode"] != "gt":
-        raise ConfigError(f"unknown nprime_mode {cfg['infer']['nprime_mode']!r}")
+    if cfg["infer"]["nprime"] != "gt":
+        return cfg["infer"]["nprime"]
     counts = {}
     for video in corpus.videos:
         if video.gt_actions is None:
-            raise ConfigError(
-                "nprime_mode 'gt' needs ground truth; use a fixed --nprime instead"
-            )
+            raise ConfigError("nprime 'gt' needs ground truth; use a fixed --nprime instead")
         actions = counts.setdefault(video.activity, set())
         actions.update(int(a) for a in np.unique(video.gt_actions) if a != 0)
     return {activity: len(actions) for activity, actions in counts.items()}
@@ -326,8 +296,8 @@ def _cmd_segment(cfg: dict) -> int:
         manifest_sha256, checkpoint_sha256 = digests
     affinity_only = {vid: a for vid, (a, _, _) in affinities.items()}
     activities = {v.video_id: v.activity for v in corpus.videos}
-    smooth = scope == "activity" and not cfg["no_smooth"]
-    decode = scope == "activity" and not cfg["no_decode"]
+    smooth = scope == "activity" and cfg["infer"]["smooth"]
+    decode = scope == "activity" and cfg["infer"]["decode"]
     labelings = inference.segment_corpus(
         affinity_only,
         activities,

@@ -140,22 +140,6 @@ def hungarian_solve(counts: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     return pairs, total
 
 
-def brute_force_assignment_value(counts: np.ndarray) -> float:
-    """Oracle: max total over all one-to-one injections (small matrices only)."""
-    from itertools import permutations
-
-    counts = np.asarray(counts, dtype=np.float64)
-    n, m = counts.shape
-    best = -np.inf
-    if n <= m:
-        for cols in permutations(range(m), n):
-            best = max(best, sum(counts[i, c] for i, c in enumerate(cols)))
-    else:
-        for rows in permutations(range(n), m):
-            best = max(best, sum(counts[r, j] for j, r in enumerate(rows)))
-    return float(best)
-
-
 # ---------------------------------------------------------------------------
 # matching scopes and metrics
 

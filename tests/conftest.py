@@ -1,4 +1,5 @@
-"""Shared gradient-check scenarios used by unit and acceptance tests."""
+"""Shared gradient-check scenarios and the assignment oracle used by unit and
+acceptance tests."""
 from __future__ import annotations
 
 import numpy as np
@@ -119,3 +120,19 @@ def run_gradcheck_case(name: str, seeds) -> float:
         inputs = make_inputs(rng)
         worst = max(worst, ad.finite_diff_check(fn, inputs))
     return worst
+
+
+def brute_force_assignment_value(counts: np.ndarray) -> float:
+    """Oracle: max total over all one-to-one injections (small matrices only)."""
+    from itertools import permutations
+
+    counts = np.asarray(counts, dtype=np.float64)
+    n, m = counts.shape
+    best = -np.inf
+    if n <= m:
+        for cols in permutations(range(m), n):
+            best = max(best, sum(counts[i, c] for i, c in enumerate(cols)))
+    else:
+        for rows in permutations(range(n), m):
+            best = max(best, sum(counts[r, j] for j, r in enumerate(rows)))
+    return float(best)

@@ -15,7 +15,6 @@ from protoseg.inference import gaussian_smooth, naive_labels, segment_corpus, vi
 from protoseg.losses import LossConfig
 from protoseg.matching import (
     VideoEval,
-    brute_force_assignment_value,
     hungarian_solve,
     kl_prototype_sharing,
     match_at_level,
@@ -25,7 +24,7 @@ from protoseg.trainer import TrainConfig, train
 from protoseg.autodiff import Tape, finite_diff_check
 from protoseg import autodiff as ad
 
-from conftest import GRADCHECK_CASES, run_gradcheck_case
+from conftest import GRADCHECK_CASES, brute_force_assignment_value, run_gradcheck_case
 from test_model import full_loss_gradient_error
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,46 @@ class TestErrors:
                 "--checkpoint", ckpt]
         assert run(["segment", *base, "--scope", "video"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("generate", ["--wp", "3"]), ("train", ["--scope", "video"]),
+         ("recognize", ["--sigma", "1"])],
+    )
+    def test_flag_of_another_stage_is_usage_error(self, workdir, capsys, command, flag):
+        tmp_path, cfg_path = workdir
+        code = run([command, "--config", cfg_path, "--out-dir", tmp_path / "out", *flag])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: usage:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, args, override, section",
+        [
+            ("train", ["--alpha", "2"], {}, "loss"),
+            ("train", [], {"train": {"epochs": 0}}, "train"),
+            ("train", [], {"model": {"n_prototypes": 0}}, "model"),
+            ("generate", [], {"corpus": {"drop_prob": 1.5}}, "corpus"),
+            ("segment", [], {"infer": {"nprime": "many"}}, "infer"),
+            ("segment", [], {"infer": {"smooth": "false"}}, "infer"),
+        ],
+    )
+    def test_bad_config_value_is_config_error(
+        self, workdir, capsys, command, args, override, section
+    ):
+        tmp_path, cfg_path = workdir
+        manifest = tmp_path / "corpus" / "manifest.json"
+        assert run(["generate", "--config", cfg_path, "--manifest", manifest,
+                    "--out-dir", tmp_path / "gen"]) == 0
+        capsys.readouterr()
+        cfg = {**TINY_CONFIG, **{k: {**TINY_CONFIG.get(k, {}), **v} for k, v in override.items()}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = run([command, "--config", bad, "--manifest", manifest,
+                    "--out-dir", tmp_path / "out", "--checkpoint", tmp_path / "m.ckpt", *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {section}: ") and err.count("\n") == 1
+
     def test_bad_nprime_value(self, workdir):
         tmp_path, cfg_path = workdir
         code = run(["segment", "--config", cfg_path, "--nprime", "many",
@@ -157,6 +198,33 @@ class TestConfigHandling:
         assert effective["corpus"]["seed"] == 7
         assert effective["train"]["seed"] == 7
         assert effective["model"]["n_prototypes"] == 4  # from config file
+
+    @pytest.mark.parametrize("command", ["generate", "train", "segment", "eval", "recognize"])
+    def test_help_lists_only_the_stage_flags(self, capsys, command):
+        shared = {"--config", "--manifest", "--out-dir", "--checkpoint", "--seed", "--threads"}
+        own = {
+            "generate": set(),
+            "train": {"--alpha", "--lambda"},
+            "segment": {"--scope", "--sigma", "--nprime", "--eta", "--no-smooth", "--no-decode"},
+            "eval": {"--scope"},
+            "recognize": {"--wp", "--wg"},
+        }[command]
+        assert run([command, "--help"]) == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help"} | shared | own
+
+    def test_echoed_config_reads_back(self, workdir):
+        tmp_path, cfg_path = workdir
+        out_dir, manifest, ckpt = _pipeline(tmp_path, cfg_path)
+        assert run(["segment", "--config", cfg_path, "--manifest", manifest,
+                    "--out-dir", out_dir, "--checkpoint", ckpt, "--scope", "activity",
+                    "--nprime", "3", "--no-smooth", "--seed", "5"]) == 0
+        echoed = tmp_path / "echoed.json"
+        echoed.write_bytes((out_dir / "effective_config.json").read_bytes())
+        effective = json.loads(echoed.read_text())
+        assert effective["infer"]["nprime"] == 3 and effective["infer"]["smooth"] is False
+        assert run(["segment", "--config", echoed]) == 0
+        assert (out_dir / "effective_config.json").read_bytes() == echoed.read_bytes()
 
     def test_rerun_overwrites_identically(self, workdir):
         tmp_path, cfg_path = workdir

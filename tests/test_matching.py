@@ -8,7 +8,6 @@ from protoseg.matching import (
     VideoEval,
     apply_assignment,
     bow_pseudo_activities,
-    brute_force_assignment_value,
     build_contingency,
     corpus_f1,
     f1_segments,
@@ -20,6 +19,8 @@ from protoseg.matching import (
     mean_over_videos,
     smoothed_distribution,
 )
+
+from conftest import brute_force_assignment_value
 
 
 class TestContingency:
