@@ -57,7 +57,10 @@ class Tape:
     """Ordered record of primitive applications (a Wengert list).
 
     Single-writer: a tape must not be shared across concurrent forward
-    passes.  Call backward() at most once per tape.
+    passes.  backward() consumes the records, so it runs once per tape.
+    Each record's closure refers back to Vars that refer to the tape, so
+    a tape that is never run must be cleared to free its graph without
+    the cyclic garbage collector.
     """
 
     def __init__(self):
@@ -76,8 +79,13 @@ class Tape:
         if out.value.shape != ():
             raise ValueError("backward requires a scalar output")
         out.grad = np.ones_like(out.value)
-        for var, bw in reversed(self._records):
+        while self._records:
+            var, bw = self._records.pop()
             bw(var.grad)
+
+    def clear(self) -> None:
+        """Drop every record without running it."""
+        self._records.clear()
 
 
 def _coerce(x, tape: Tape) -> Var:
@@ -276,12 +284,11 @@ def time_diff(a: Var) -> Var:
 # affinity-specific primitives
 
 
-def pairwise_distance(f: Var, p: Var, squared: bool = False) -> Var:
-    """Distance between every row of `f` (TxD) and every row of `p` (NxD).
+def pairwise_distance(f: Var, p: Var) -> Var:
+    """Euclidean distance between every row of `f` (TxD) and every row of `p` (NxD).
 
-    Euclidean by default, with a small epsilon inside the square root so
-    the gradient stays finite at coincident points; `squared=True` drops
-    the root.
+    A small epsilon inside the square root keeps the gradient finite at
+    coincident points.
     """
     if f.value.ndim != 2 or p.value.ndim != 2:
         raise ValueError("pairwise_distance expects 2D operands")
@@ -290,23 +297,13 @@ def pairwise_distance(f: Var, p: Var, squared: bool = False) -> Var:
             f"pairwise_distance dimension mismatch: {f.value.shape} vs {p.value.shape}"
         )
     diff = f.value[:, None, :] - p.value[None, :, :]
-    sq = np.einsum("tnk,tnk->tn", diff, diff) + DISTANCE_EPS
-    if squared:
-        out = Var(_checked("pairwise_distance", sq), f.tape)
+    dist = np.sqrt(np.einsum("tnk,tnk->tn", diff, diff) + DISTANCE_EPS)
+    out = Var(_checked("pairwise_distance", dist), f.tape)
 
-        def bw(g):
-            w = 2.0 * g
-            f.grad += np.einsum("tn,tnk->tk", w, diff)
-            p.grad -= np.einsum("tn,tnk->nk", w, diff)
-
-    else:
-        dist = np.sqrt(sq)
-        out = Var(_checked("pairwise_distance", dist), f.tape)
-
-        def bw(g):
-            w = g / dist
-            f.grad += np.einsum("tn,tnk->tk", w, diff)
-            p.grad -= np.einsum("tn,tnk->nk", w, diff)
+    def bw(g):
+        w = g / dist
+        f.grad += np.einsum("tn,tnk->tk", w, diff)
+        p.grad -= np.einsum("tn,tnk->nk", w, diff)
 
     return f.tape._record(out, bw)
 

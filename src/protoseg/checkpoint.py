@@ -10,8 +10,9 @@ Layout (all integers little-endian u32):
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +23,19 @@ from .trainer import TrainConfig
 
 MAGIC = b"CADC"
 FORMAT_VERSION = 1
+_META_OFFSET = 12  # metadata JSON starts after magic, version and length
+_META_KEYS = ("model", "train", "loss", "epoch", "rng_digest", "tensors")
+_META_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossConfig}
 
 
 class CheckpointError(Exception):
-    """Malformed checkpoint file; carries the failing byte offset."""
+    """Malformed checkpoint file; names the file and the failing byte offset."""
 
-    def __init__(self, message: str, offset: int | None = None):
+    def __init__(self, path, message: str, offset: int | None = None):
         if offset is not None:
             message = f"{message} (byte offset {offset})"
-        super().__init__(message)
+        super().__init__(f"{path}: {message}")
+        self.path = path
         self.offset = offset
 
 
@@ -74,71 +79,87 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             f.write(arr.astype("<f8").tobytes())
 
 
-def _read_exact(f, n: int, offset: int, what: str) -> bytes:
-    data = f.read(n)
+def _read_exact(f, n: int, path: Path, what: str) -> bytes:
+    """`n` bytes, or a CheckpointError when the file holds fewer."""
+    offset = f.tell()
+    left = os.fstat(f.fileno()).st_size - offset
+    data = f.read(n) if n <= left else b""
     if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}", offset)
+        raise CheckpointError(path, f"truncated checkpoint while reading {what}", offset)
     return data
+
+
+def _check_keys(path: Path, found, expected, what: str) -> None:
+    """`found` must be a JSON object holding exactly the `expected` keys."""
+    if not isinstance(found, dict):
+        raise CheckpointError(path, f"{what} is not a JSON object", _META_OFFSET)
+    missing = sorted(set(expected) - set(found))
+    unknown = sorted(set(found) - set(expected))
+    if missing or unknown:
+        raise CheckpointError(
+            path, f"{what} has missing keys {missing}, unknown keys {unknown}", _META_OFFSET
+        )
 
 
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     with open(path, "rb") as f:
-        offset = 0
-        magic = _read_exact(f, 4, offset, "magic")
+        magic = _read_exact(f, 4, path, "magic")
         if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-        offset += 4
-        (version,) = struct.unpack("<I", _read_exact(f, 4, offset, "version"))
+            raise CheckpointError(path, f"bad magic {magic!r}, expected {MAGIC!r}", 0)
+        (version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
         if version != FORMAT_VERSION:
             raise CheckpointError(
+                path,
                 f"incompatible checkpoint format version {version}, "
                 f"this build reads version {FORMAT_VERSION}",
-                offset,
+                4,
             )
-        offset += 4
-        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, offset, "metadata length"))
-        offset += 4
-        meta_bytes = _read_exact(f, meta_len, offset, "metadata")
+        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, path, "metadata length"))
+        meta_bytes = _read_exact(f, meta_len, path, "metadata")
         try:
             meta = json.loads(meta_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"unparseable metadata: {exc}", offset) from exc
-        offset += meta_len
+            raise CheckpointError(path, f"unparseable metadata: {exc}", _META_OFFSET) from exc
+        _check_keys(path, meta, _META_KEYS, "metadata")
+        for section, cls in _META_SECTIONS.items():
+            names = [x.name for x in fields(cls)]
+            _check_keys(path, meta[section], names, f"metadata section {section!r}")
 
-        shapes = {entry["name"]: tuple(entry["shape"]) for entry in meta["tensors"]}
+        try:
+            shapes = {entry["name"]: tuple(entry["shape"]) for entry in meta["tensors"]}
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(path, f"malformed tensor list: {exc!r}", _META_OFFSET) from exc
         tensors = {}
-        for entry in meta["tensors"]:
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4, offset, "tensor name length"))
-            offset += 4
-            name = _read_exact(f, name_len, offset, "tensor name").decode("utf-8")
-            offset += name_len
-            rows, cols = struct.unpack("<II", _read_exact(f, 8, offset, f"{name} shape"))
-            offset += 8
-            raw = _read_exact(f, rows * cols * 8, offset, f"{name} values")
-            offset += rows * cols * 8
-            arr = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        for _ in meta["tensors"]:
+            (name_len,) = struct.unpack("<I", _read_exact(f, 4, path, "tensor name length"))
+            name = _read_exact(f, name_len, path, "tensor name").decode("utf-8", "replace")
+            rows, cols = struct.unpack("<II", _read_exact(f, 8, path, f"{name} shape"))
+            raw = _read_exact(f, rows * cols * 8, path, f"{name} values")
             expected = shapes.get(name)
             if expected is None:
-                raise CheckpointError(f"tensor {name!r} missing from metadata", offset)
+                raise CheckpointError(path, f"tensor {name!r} missing from metadata", f.tell())
             if int(np.prod(expected)) != rows * cols:
                 raise CheckpointError(
+                    path,
                     f"tensor {name!r} has {rows}x{cols} values, metadata says {expected}",
-                    offset,
+                    f.tell(),
                 )
-            tensors[name] = arr.reshape(expected)
-        trailing = f.read(1)
-        if trailing:
-            raise CheckpointError("trailing bytes after last tensor", offset)
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(expected).copy()
+        if f.read(1):
+            raise CheckpointError(path, "trailing bytes after last tensor", f.tell() - 1)
 
-    params = ModelParameters.from_dict(tensors)
-    model_cfg = ModelConfig(**meta["model"])
-    params.validate(model_cfg)
-    return Checkpoint(
-        params=params,
-        model=model_cfg,
-        train=TrainConfig(**meta["train"]),
-        loss=LossConfig(**meta["loss"]),
-        epoch=int(meta["epoch"]),
-        rng_digest=str(meta["rng_digest"]),
-    )
+    try:
+        params = ModelParameters.from_dict(tensors)
+        model_cfg = ModelConfig(**meta["model"])
+        params.validate(model_cfg)
+        return Checkpoint(
+            params=params,
+            model=model_cfg,
+            train=TrainConfig(**meta["train"]),
+            loss=LossConfig(**meta["loss"]),
+            epoch=int(meta["epoch"]),
+            rng_digest=str(meta["rng_digest"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(path, f"invalid checkpoint contents: {exc}") from exc

@@ -12,6 +12,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -27,7 +28,7 @@ from .model import ModelConfig
 from .trainer import TrainConfig
 
 DEFAULT_CONFIG = {
-    "model": {"n_prototypes": 50, "embed_dim": None, "distance": "euclidean"},
+    "model": {"n_prototypes": 50, "embed_dim": None},
     "loss": {"alpha": 0.5, "lambda": 0.15, "tau": 4.0},
     "train": {"lr": 0.001, "epochs": 240, "batch_size": 8, "seed": 0},
     # nprime: "gt" (true action count per activity) or an integer
@@ -131,11 +132,24 @@ def _load_config(args) -> dict:
     if type(cfg["threads"]) is not int or cfg["threads"] < 1:
         raise ConfigError("threads must be an integer >= 1")
     nprime = cfg["infer"]["nprime"]
-    if nprime != "gt" and type(nprime) is not int:
-        raise ConfigError(f"infer: nprime must be 'gt' or an integer, got {nprime!r}")
-    if not all(type(cfg["infer"][key]) is bool for key in ("smooth", "decode")):
-        raise ConfigError("infer: smooth and decode must be true or false")
+    if nprime != "gt" and (type(nprime) is not int or nprime < 1):
+        raise ConfigError(f"infer: nprime must be 'gt' or an integer >= 1, got {nprime!r}")
+    _check_number(cfg, "infer", "sigma", lambda x: x > 0, "> 0")
+    _check_number(cfg, "infer", "eta", lambda x: 0 <= x < 1, "in [0, 1)")
+    _check_number(cfg, "recognize", "wp", lambda x: x >= 0, ">= 0")
+    _check_number(cfg, "recognize", "wg", lambda x: x >= 0, ">= 0")
+    if cfg["recognize"]["wp"] + cfg["recognize"]["wg"] == 0:
+        raise ConfigError("recognize: wp and wg must not both be zero")
+    for section, keys in (("infer", ("smooth", "decode")), ("eval", ("kl", "f1"))):
+        if not all(type(cfg[section][key]) is bool for key in keys):
+            raise ConfigError(f"{section}: {' and '.join(keys)} must be true or false")
     return cfg
+
+
+def _check_number(cfg: dict, section: str, key: str, ok, rule: str) -> None:
+    value = cfg[section][key]
+    if type(value) not in (int, float) or not math.isfinite(value) or not ok(value):
+        raise ConfigError(f"{section}: {key} must be a number {rule}, got {value!r}")
 
 
 def _build(section: str, cls, **fields):
@@ -385,31 +399,19 @@ def _cmd_eval(cfg: dict) -> int:
     result = matching.match_at_level(videos, scope)
 
     # fill matched action labels back into the segmentation files
-    for video in corpus.videos:
-        labeling = labelings[video.video_id]
-        mapped = matching.apply_assignment(
-            labeling.labels, result.assignments[video.video_id]
-        )
-        _write_segment_file(seg_dir / f"{video.video_id}.seg.txt", labeling, mapped)
+    for vid, labeling in labelings.items():
+        _write_segment_file(seg_dir / f"{vid}.seg.txt", labeling, result.mapped[vid])
 
     report = {
         "scope": scope,
         "mof": result.mof,
         "units": [
-            {
-                "unit": rep.unit,
-                "assignment": [[c, a] for c, a in rep.assignment],
-                "n_evaluated": rep.n_evaluated,
-                "n_correct": rep.n_correct,
-                "mof": rep.mof,
-                "mop": rep.mop,
-                "moc": rep.moc,
-            }
+            {key: value for key, value in asdict(rep).items() if key != "scope"}
             for rep in result.reports
         ],
     }
     if cfg["eval"]["f1"]:
-        report["f1"] = matching.corpus_f1(videos, result.assignments)
+        report["f1"] = matching.corpus_f1(videos, result.mapped)
     if cfg["eval"]["kl"]:
         ckpt = load_checkpoint(ckpt_path)
         affinities = _affinities(corpus, ckpt, cfg["threads"])
@@ -423,10 +425,7 @@ def _cmd_eval(cfg: dict) -> int:
         action_kl = {}
         for activity in sorted({v.activity for v in videos}):
             group = [v for v in videos if v.activity == activity]
-            mapped = [
-                matching.apply_assignment(v.pred, result.assignments[v.video_id])
-                for v in group
-            ]
+            mapped = [result.mapped[v.video_id] for v in group]
             gts = [v.gt for v in group]
             bgs = [v.background for v in group]
             action_kl[str(activity)] = {

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 from itertools import combinations
@@ -244,7 +245,8 @@ def _write_gt(path: Path, gt: np.ndarray) -> None:
 
 
 def _read_exact(f, n: int, path: Path, what: str) -> bytes:
-    data = f.read(n)
+    """`n` bytes, or a CorpusError when the file holds fewer."""
+    data = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
     if len(data) != n:
         raise CorpusError(f"{path}: truncated while reading {what}")
     return data

@@ -162,7 +162,7 @@ class MatchResult:
     reports: list
     mof: float  # pooled correct frames / evaluated frames
     per_video_mof: Dict[str, float]
-    assignments: Dict[str, Dict[int, int]]  # video id -> cluster id -> action id
+    mapped: Dict[str, np.ndarray]  # video id -> matched action per frame, 0 = unmatched
 
 
 def _report(scope: str, unit: str, cont: Contingency) -> AssignmentReport:
@@ -203,55 +203,44 @@ def _pooled_contingency(videos: Sequence[VideoEval]) -> Contingency:
     return build_contingency(preds, gts)
 
 
+# scope -> (unit name, rank) of a video; units are matched in rank order,
+# equal ranks in input order
+_UNIT_OF = {
+    "video": lambda v: (v.video_id, 0),
+    "activity": lambda v: (str(v.activity), v.activity),
+    "global": lambda v: ("corpus", 0),
+}
+
+
 def match_at_level(videos: Sequence[VideoEval], scope: str) -> MatchResult:
     """Hungarian matching per video, per activity, or over the whole corpus."""
-    if scope not in ("video", "activity", "global"):
+    if scope not in _UNIT_OF:
         raise ValueError(f"unknown matching scope {scope!r}")
     if not videos:
         raise ValueError("no videos to match")
+    units: Dict[tuple, list] = {}
+    for v in videos:
+        units.setdefault(_UNIT_OF[scope](v), []).append(v)
 
     reports = []
-    assignments: Dict[str, Dict[int, int]] = {}
-    if scope == "video":
-        for v in videos:
-            rep = _report("video", v.video_id, _pooled_contingency([v]))
-            reports.append(rep)
-            assignments[v.video_id] = dict(rep.assignment)
-    elif scope == "activity":
-        by_activity: Dict[int, list] = {}
-        for v in videos:
-            by_activity.setdefault(v.activity, []).append(v)
-        for activity in sorted(by_activity):
-            group = by_activity[activity]
-            rep = _report("activity", str(activity), _pooled_contingency(group))
-            reports.append(rep)
-            for v in group:
-                assignments[v.video_id] = dict(rep.assignment)
-    else:
-        rep = _report("global", "corpus", _pooled_contingency(videos))
-        reports.append(rep)
-        for v in videos:
-            assignments[v.video_id] = dict(rep.assignment)
-
-    total = correct = 0
+    mapped: Dict[str, np.ndarray] = {}
     per_video_mof: Dict[str, float] = {}
-    for v in videos:
-        keep = v.evaluated()
-        mapping = assignments[v.video_id]
-        mapped = apply_assignment(v.pred, mapping)
-        n_eval = int(keep.sum())
-        n_corr = int(np.sum((mapped == np.asarray(v.gt)) & keep))
-        per_video_mof[v.video_id] = n_corr / n_eval if n_eval else float("nan")
-        total += n_eval
-        correct += n_corr
-    if total == 0:
-        raise ValueError("empty evaluation set")
+    for (unit, _), group in sorted(units.items(), key=lambda item: item[0][1]):
+        rep = _report(scope, unit, _pooled_contingency(group))
+        reports.append(rep)
+        assignment = dict(rep.assignment)
+        for v in group:
+            keep = v.evaluated()
+            mapped[v.video_id] = labels = apply_assignment(v.pred, assignment)
+            n_eval = int(keep.sum())
+            n_corr = int(np.sum((labels == np.asarray(v.gt)) & keep))
+            per_video_mof[v.video_id] = n_corr / n_eval if n_eval else float("nan")
     return MatchResult(
         scope=scope,
         reports=reports,
-        mof=correct / total,
+        mof=sum(r.n_correct for r in reports) / sum(r.n_evaluated for r in reports),
         per_video_mof=per_video_mof,
-        assignments=assignments,
+        mapped=mapped,
     )
 
 
@@ -335,15 +324,9 @@ def f1_segments(mapped_pred, gt, background=None) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def corpus_f1(videos: Sequence[VideoEval], assignments: Dict[str, Dict[int, int]]) -> float:
-    """Per-video segment F1 averaged over the corpus."""
-    scores = [
-        f1_segments(
-            apply_assignment(v.pred, assignments[v.video_id]), v.gt, v.background
-        )
-        for v in videos
-    ]
-    return float(np.mean(scores))
+def corpus_f1(videos: Sequence[VideoEval], mapped: Dict[str, np.ndarray]) -> float:
+    """Per-video segment F1 of the matched labelings, averaged over the corpus."""
+    return float(np.mean([f1_segments(mapped[v.video_id], v.gt, v.background) for v in videos]))
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +459,4 @@ def bow_pseudo_activities(
     pseudo = pseudo.astype(np.int64) + 1
 
     true = np.array([v.activity for v in corpus], dtype=np.int64)
-    pseudo_ids = np.unique(pseudo)
-    true_ids = np.unique(true)
-    counts = np.zeros((pseudo_ids.size, true_ids.size), dtype=np.int64)
-    np.add.at(
-        counts,
-        (np.searchsorted(pseudo_ids, pseudo), np.searchsorted(true_ids, true)),
-        1,
-    )
-    return pseudo, mean_over_videos(counts)
+    return pseudo, mean_over_videos(build_contingency(pseudo, true).counts)

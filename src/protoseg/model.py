@@ -23,13 +23,10 @@ class ModelConfig:
     n_activities: int
     n_prototypes: int = 50
     embed_dim: int | None = None  # None: 20 for small inputs, else min(input_dim, 1024)
-    distance: str = "euclidean"  # or "squared_euclidean"
 
     def __post_init__(self):
         if self.input_dim < 1 or self.n_activities < 1 or self.n_prototypes < 1:
             raise ValueError("model dimensions must be >= 1")
-        if self.distance not in ("euclidean", "squared_euclidean"):
-            raise ValueError(f"unknown distance {self.distance!r}")
 
     @property
     def resolved_embed_dim(self) -> int:
@@ -158,10 +155,9 @@ def embed_frames(x: Var, w: Var, b: Var) -> Var:
     return ad.matmul(x, w) + b
 
 
-def compute_affinity(f: Var, p: Var, distance: str = "euclidean") -> Var:
+def compute_affinity(f: Var, p: Var) -> Var:
     """Distances -> per-row min/max inversion -> row normalization."""
-    d = ad.pairwise_distance(f, p, squared=(distance == "squared_euclidean"))
-    return ad.row_normalize(ad.minmax_invert_rows(d))
+    return ad.row_normalize(ad.minmax_invert_rows(ad.pairwise_distance(f, p)))
 
 
 def reconstruct_latent(a: Var, p: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
@@ -195,7 +191,7 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
     tape = bound["embed_w"].tape
     x = tape.var(features)
     f = embed_frames(x, bound["embed_w"], bound["embed_b"])
-    a = compute_affinity(f, bound["prototypes"], cfg.distance)
+    a = compute_affinity(f, bound["prototypes"])
     g = reconstruct_latent(
         a,
         bound["prototypes"],
@@ -224,4 +220,5 @@ def infer(features: np.ndarray, params: ModelParameters, cfg: ModelConfig):
     """Forward pass without gradients; returns (affinity, proto_probs, visual_probs)."""
     tape = Tape()
     out = forward(features, bind_parameters(params, tape), cfg)
+    tape.clear()
     return out.affinity.value, out.proto_probs.value, out.visual_probs.value

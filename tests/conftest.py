@@ -86,11 +86,6 @@ GRADCHECK_CASES = [
         lambda t, f, p, w: _weighted(t, ad.pairwise_distance(f, p), w),
     ),
     (
-        "pairwise_distance_squared",
-        lambda rng: [rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=(4, 2))],
-        lambda t, f, p, w: _weighted(t, ad.pairwise_distance(f, p, squared=True), w),
-    ),
-    (
         "minmax_invert_rows",
         lambda rng: [rng.uniform(0.0, 3.0, size=(4, 5)), rng.normal(size=(4, 5))],
         lambda t, a, w: _weighted(t, ad.minmax_invert_rows(a), w),

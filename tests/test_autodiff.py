@@ -51,11 +51,6 @@ class TestPairwiseDistance:
         with pytest.raises(ValueError, match="mismatch"):
             ad.pairwise_distance(f, p)
 
-    def test_squared_variant(self):
-        tape, (f, p) = _wrap(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))
-        d = ad.pairwise_distance(f, p, squared=True)
-        assert d.value[0, 0] == pytest.approx(25.0, abs=1e-9)
-
 
 class TestMinmaxInvertRows:
     def test_hand_row(self):

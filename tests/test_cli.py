@@ -161,6 +161,12 @@ class TestErrors:
             ("generate", [], {"corpus": {"drop_prob": 1.5}}, "corpus"),
             ("segment", [], {"infer": {"nprime": "many"}}, "infer"),
             ("segment", [], {"infer": {"smooth": "false"}}, "infer"),
+            ("segment", ["--sigma", "-1"], {}, "infer"),
+            ("segment", ["--eta", "1"], {}, "infer"),
+            ("segment", ["--nprime", "0"], {}, "infer"),
+            ("recognize", ["--wp", "-1"], {}, "recognize"),
+            ("recognize", [], {"recognize": {"wp": 0, "wg": 0.0}}, "recognize"),
+            ("eval", [], {"eval": {"kl": "no"}}, "eval"),
         ],
     )
     def test_bad_config_value_is_config_error(

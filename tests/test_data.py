@@ -1,6 +1,10 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
+from protoseg.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from protoseg.data import (
     Corpus,
     CorpusError,
@@ -10,6 +14,9 @@ from protoseg.data import (
     read_corpus,
     write_corpus,
 )
+from protoseg.losses import LossConfig
+from protoseg.model import ModelConfig, init_parameters
+from protoseg.trainer import TrainConfig
 
 
 def small_spec(**kw):
@@ -201,6 +208,19 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="truncated"):
             read_corpus(manifest)
 
+    @pytest.mark.parametrize("kind, header", [("features", "<II"), ("gt", "<I")])
+    def test_declared_size_beyond_file_is_truncation(self, tmp_path, kind, header):
+        corpus = generate_corpus(small_spec(videos_per_activity=1))
+        manifest = write_corpus(corpus, tmp_path)
+        suffix = "feat" if kind == "features" else "gt"
+        victim = tmp_path / kind / f"{corpus.videos[0].video_id}.{suffix}"
+        blob = bytearray(victim.read_bytes())
+        size = struct.calcsize(header)
+        blob[8 : 8 + size] = struct.pack(header, *[0xFFFFFFFF] * (size // 4))
+        victim.write_bytes(bytes(blob))
+        with pytest.raises(CorpusError, match=f"{re.escape(str(victim))}: truncated"):
+            read_corpus(manifest)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorpusError, match="not found"):
             read_corpus(tmp_path / "nope" / "manifest.json")
@@ -214,3 +234,31 @@ class TestFeatureSequence:
     def test_empty_video_rejected(self):
         with pytest.raises(ValueError):
             FeatureSequence("v", 1, np.zeros((0, 2)))
+
+
+def _tiny_file(kind, tmp_path):
+    """A small file of one binary format, and a call that reads it."""
+    if kind == "CADC":
+        cfg = ModelConfig(input_dim=2, n_activities=2, n_prototypes=2, embed_dim=2)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(
+            Checkpoint(init_parameters(cfg, 0), cfg, TrainConfig(), LossConfig(), 1, "00"),
+            path,
+        )
+        return path, lambda: load_checkpoint(path)
+    corpus = generate_corpus(small_spec(videos_per_activity=1, frames_range=(3, 4)))
+    manifest = write_corpus(corpus, tmp_path)
+    vid = corpus.videos[0].video_id
+    path = tmp_path / "features" / f"{vid}.feat" if kind == "CADF" else tmp_path / "gt" / f"{vid}.gt"
+    return path, lambda: read_corpus(manifest)
+
+
+@pytest.mark.parametrize("kind", ["CADF", "CADG", "CADC"])
+def test_truncated_or_extended_file_is_a_named_error(tmp_path, kind):
+    path, load = _tiny_file(kind, tmp_path)
+    blob = path.read_bytes()
+    assert blob[:4] == kind.encode()
+    for damaged in [blob[:cut] for cut in range(len(blob))] + [blob + b"\0"]:
+        path.write_bytes(damaged)
+        with pytest.raises((CorpusError, CheckpointError), match=re.escape(str(path)) + ": "):
+            load()

@@ -140,6 +140,44 @@ class TestMatchLevels:
             match_at_level([_video("v", 1, [1], [1])], "cosmic")
 
 
+def _mixed_activity_videos():
+    rng = np.random.default_rng(4)
+    return [
+        _video(f"v{i}", activity, rng.integers(1, 5, size=20), rng.integers(0, 4, size=20),
+               rng.random(20) < 0.1)
+        for i, activity in enumerate([2, 10, 1, 2, 10])
+    ]
+
+
+_UNIT = {
+    "video": lambda v: v.video_id,
+    "activity": lambda v: str(v.activity),
+    "global": lambda v: "corpus",
+}
+
+
+class TestMatchedLabeling:
+    def test_activity_units_in_numeric_order(self):
+        result = match_at_level(_mixed_activity_videos(), "activity")
+        assert [rep.unit for rep in result.reports] == ["1", "2", "10"]
+
+    @pytest.mark.parametrize("scope", ["video", "activity", "global"])
+    def test_mapped_applies_the_unit_assignment(self, scope):
+        videos = _mixed_activity_videos()
+        result = match_at_level(videos, scope)
+        reports = {rep.unit: rep for rep in result.reports}
+        assert len(reports) == len(result.reports)
+        for v in videos:
+            assignment = dict(reports[_UNIT[scope](v)].assignment)
+            assert np.array_equal(result.mapped[v.video_id], apply_assignment(v.pred, assignment))
+
+    def test_corpus_f1_scores_the_mapped_labels(self):
+        videos = _mixed_activity_videos()
+        mapped = match_at_level(videos, "activity").mapped
+        expected = np.mean([f1_segments(mapped[v.video_id], v.gt, v.background) for v in videos])
+        assert corpus_f1(videos, mapped) == expected
+
+
 class TestMetrics:
     def test_perfect_predictions_all_ones(self):
         gt = np.array([1, 1, 2, 2, 3])

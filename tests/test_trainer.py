@@ -1,3 +1,8 @@
+import gc
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,7 +15,7 @@ from protoseg.checkpoint import (
 )
 from protoseg.data import FeatureSequence
 from protoseg.losses import LossConfig
-from protoseg.model import ModelConfig, ModelParameters, PARAM_NAMES, init_parameters
+from protoseg.model import ModelConfig, ModelParameters, PARAM_NAMES, infer, init_parameters
 from protoseg.rng import Xoshiro256StarStar
 from protoseg.trainer import (
     AdamState,
@@ -145,6 +150,35 @@ class TestTrain:
             train(corpus, toy_model_cfg(), TrainConfig(epochs=1), LossConfig())
 
 
+class TestGraphLifetime:
+    """Forward graphs are freed by reference counting, with no cycles left."""
+
+    def _cyclic_garbage_after(self, run):
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_infer_leaves_no_cycles(self):
+        cfg = ModelConfig(input_dim=16, n_activities=3, n_prototypes=5)
+        params = init_parameters(cfg, 0)
+        x = np.random.default_rng(0).normal(size=(50, 16))
+        assert self._cyclic_garbage_after(lambda: infer(x, params, cfg)) == 0
+
+    def test_backward_leaves_no_cycles(self):
+        video = toy_corpus()[0]
+        params = init_parameters(toy_model_cfg(), 0)
+
+        def run():
+            tape, loss, _, _ = video_loss(video, params, toy_model_cfg(), LossConfig())
+            tape.backward(loss)
+
+        assert self._cyclic_garbage_after(run) == 0
+
+
 class TestShuffleRng:
     def test_fisher_yates_deterministic(self):
         a = list(range(20))
@@ -220,4 +254,40 @@ class TestCheckpointIO:
         blob[4:8] = (FORMAT_VERSION + 1).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    def _with_metadata(self, path, edit):
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", blob[8:12])
+        meta = json.loads(blob[12 : 12 + meta_len])
+        edit(meta)
+        meta_bytes = json.dumps(meta, sort_keys=True).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                         + blob[12 + meta_len :])
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda meta: meta.pop("rng_digest"), "rng_digest"),
+            (lambda meta: meta["model"].update(distance="euclidean"), "distance"),
+            (lambda meta: meta["train"].pop("lr"), "lr"),
+        ],
+        ids=["missing_rng_digest", "unknown_model_distance", "missing_train_lr"],
+    )
+    def test_missing_or_unknown_metadata_key_named(self, tmp_path, edit, key):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._make(), path)
+        self._with_metadata(path, edit)
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: .*'{key}'"):
+            load_checkpoint(path)
+
+    def test_declared_tensor_size_beyond_file_is_truncation(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._make(), path)
+        blob = bytearray(path.read_bytes())
+        (meta_len,) = struct.unpack("<I", blob[8:12])
+        shape_at = 12 + meta_len + 4 + len(PARAM_NAMES[0])
+        blob[shape_at : shape_at + 8] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: truncated.*offset"):
             load_checkpoint(path)
