@@ -16,7 +16,6 @@ from .matching import (
     Contingency,
     MatchResult,
     VideoEval,
-    bow_pseudo_activities,
     build_contingency,
     f1_segments,
     hungarian_solve,

@@ -4,7 +4,13 @@ Only the primitives needed by the prototype segmentation network are
 provided.  Every primitive checks its output for NaN/Inf, records a
 backward rule on the tape owning its operands, and treats piecewise
 selectors (min/max, clamp, abs, relu) as fixed at their forward-time
-choice, with ties resolved toward the lowest index.
+choice, with ties resolved toward the lowest index.  A tape made with
+`recording=False` runs the same primitives forward only: it keeps no
+backward rules and its Vars carry no gradient buffers, so each
+intermediate array is freed as soon as nothing else refers to it.
+
+`pairwise_distance` works in Gram form: its memory grows with
+T*N + (T+N)*D rather than T*N*D, and its arithmetic runs as matrix products.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ class Var:
 
     def __init__(self, value, tape: "Tape"):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros_like(self.value) if tape.recording else None
         self.tape = tape
 
     @property
@@ -59,11 +65,14 @@ class Tape:
     Single-writer: a tape must not be shared across concurrent forward
     passes.  backward() consumes the records, so it runs once per tape.
     Each record's closure refers back to Vars that refer to the tape, so
-    a tape that is never run must be cleared to free its graph without
-    the cyclic garbage collector.
+    a recording tape that is never run is freed only by the cyclic
+    garbage collector.  A tape made with `recording=False` is for
+    forward-only passes: it drops every backward rule, its Vars get no
+    `grad` buffer, and it holds no cycles.
     """
 
-    def __init__(self):
+    def __init__(self, recording: bool = True):
+        self.recording = recording
         self._records: list[tuple[Var, Callable[[np.ndarray], None]]] = []
 
     def var(self, value) -> Var:
@@ -71,21 +80,20 @@ class Tape:
         return Var(value, self)
 
     def _record(self, out: Var, backward: Callable[[np.ndarray], None]) -> Var:
-        self._records.append((out, backward))
+        if self.recording:
+            self._records.append((out, backward))
         return out
 
     def backward(self, out: Var) -> None:
         """Propagate adjoints from scalar `out` back to every leaf."""
+        if not self.recording:
+            raise ValueError("backward requires a recording tape")
         if out.value.shape != ():
             raise ValueError("backward requires a scalar output")
         out.grad = np.ones_like(out.value)
         while self._records:
             var, bw = self._records.pop()
             bw(var.grad)
-
-    def clear(self) -> None:
-        """Drop every record without running it."""
-        self._records.clear()
 
 
 def _coerce(x, tape: Tape) -> Var:
@@ -287,8 +295,12 @@ def time_diff(a: Var) -> Var:
 def pairwise_distance(f: Var, p: Var) -> Var:
     """Euclidean distance between every row of `f` (TxD) and every row of `p` (NxD).
 
-    A small epsilon inside the square root keeps the gradient finite at
-    coincident points.
+    Gram form: ||f||^2 - 2 f.p + ||p||^2, so both passes are matrix
+    products and no T x N x D difference tensor is built.  Cancellation
+    can leave near-coincident pairs slightly negative, so the form is
+    clamped at 0; the distance then errs by at most about
+    sqrt((D + 2) * eps_mach * (||f||^2 + ||p||^2)).  A small epsilon
+    inside the square root keeps the gradient finite at coincident points.
     """
     if f.value.ndim != 2 or p.value.ndim != 2:
         raise ValueError("pairwise_distance expects 2D operands")
@@ -296,14 +308,15 @@ def pairwise_distance(f: Var, p: Var) -> Var:
         raise ValueError(
             f"pairwise_distance dimension mismatch: {f.value.shape} vs {p.value.shape}"
         )
-    diff = f.value[:, None, :] - p.value[None, :, :]
-    dist = np.sqrt(np.einsum("tnk,tnk->tn", diff, diff) + DISTANCE_EPS)
+    fv, pv = f.value, p.value
+    sq = (fv * fv).sum(axis=1)[:, None] - 2.0 * (fv @ pv.T) + (pv * pv).sum(axis=1)
+    dist = np.sqrt(np.maximum(sq, 0.0) + DISTANCE_EPS)
     out = Var(_checked("pairwise_distance", dist), f.tape)
 
     def bw(g):
         w = g / dist
-        f.grad += np.einsum("tn,tnk->tk", w, diff)
-        p.grad -= np.einsum("tn,tnk->nk", w, diff)
+        f.grad += w.sum(axis=1)[:, None] * fv - w @ pv
+        p.grad += w.sum(axis=0)[:, None] * pv - w.T @ fv
 
     return f.tape._record(out, bw)
 
@@ -385,7 +398,7 @@ def finite_diff_check(
     analytic = [v.grad.copy() for v in wrapped]
 
     def evaluate() -> float:
-        t = Tape()
+        t = Tape(recording=False)
         return float(fn(t, *[t.var(x) for x in inputs]).value)
 
     worst = 0.0

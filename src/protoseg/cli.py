@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import inference, matching, model as model_mod, trainer as trainer_mod
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import Corpus, CorpusSpec, generate_corpus, read_corpus, write_corpus
+from .data import Corpus, CorpusError, CorpusSpec, generate_corpus, read_corpus, write_corpus
 from .losses import LossConfig
 from .model import ModelConfig
 from .trainer import TrainConfig
@@ -354,14 +355,22 @@ def _write_segment_file(path: Path, labeling: inference.Labeling, matched=None) 
 
 
 def _read_segment_file(path: Path) -> inference.Labeling:
-    labels, background = [], []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            _, proto, _ = line.split()
-            proto = int(proto)
-            background.append(proto == -1)
-            labels.append(proto if proto != -1 else 1)
-    return inference.Labeling(np.array(labels), np.array(background))
+    """Parse a labeling file in one step into a T x 3 integer array."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file is an error, not a warning
+            rows = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    except (ValueError, UserWarning) as exc:
+        raise CorpusError(f"{path}: malformed labeling file: {exc}") from None
+    if rows.shape[1] != 3:
+        raise CorpusError(f"{path}: expected 3 fields per line, got {rows.shape[1]}")
+    if not np.array_equal(rows[:, 0], np.arange(len(rows))):
+        raise CorpusError(f"{path}: frame column is not 0, 1, ..., {len(rows) - 1}")
+    proto = rows[:, 1]
+    if np.any((proto < 1) & (proto != -1)):
+        raise CorpusError(f"{path}: prototype ids must be >= 1, or -1 for background")
+    background = proto == -1
+    return inference.Labeling(np.where(background, 1, proto), background)
 
 
 def _cmd_eval(cfg: dict) -> int:
@@ -380,11 +389,11 @@ def _cmd_eval(cfg: dict) -> int:
     for video in corpus.videos:
         if video.gt_actions is None:
             raise ConfigError(f"video {video.video_id!r} has no ground truth to evaluate")
-        labeling = _read_segment_file(seg_dir / f"{video.video_id}.seg.txt")
+        seg_path = seg_dir / f"{video.video_id}.seg.txt"
+        labeling = _read_segment_file(seg_path)
         if len(labeling.labels) != video.n_frames:
-            raise ConfigError(
-                f"segmentation for {video.video_id!r} has {len(labeling.labels)} "
-                f"frames, corpus says {video.n_frames}"
+            raise CorpusError(
+                f"{seg_path}: has {len(labeling.labels)} frames, corpus says {video.n_frames}"
             )
         labelings[video.video_id] = labeling
         videos.append(

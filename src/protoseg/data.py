@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, field, asdict
 from itertools import combinations
@@ -317,6 +318,33 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
     return manifest_path
 
 
+# Video ids name the files written per video, so each must be a plain file
+# name that cannot reach outside its directory.
+_VIDEO_ID = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
+_VIDEO_KEYS = ("id", "activity", "T", "feature_file")
+
+
+def _check_manifest(manifest, path: Path) -> None:
+    """CorpusError naming `path` for a manifest that lacks what the readers use."""
+    for key in ("C", "activity_names", "videos"):
+        if not isinstance(manifest, dict) or key not in manifest:
+            raise CorpusError(f"{path}: manifest has no {key!r}")
+    videos = manifest["videos"]
+    if not isinstance(videos, list) or not videos:
+        raise CorpusError(f"{path}: 'videos' must be a non-empty list")
+    seen = set()
+    for i, entry in enumerate(videos):
+        for key in _VIDEO_KEYS:
+            if not isinstance(entry, dict) or key not in entry:
+                raise CorpusError(f"{path}: video {i} has no {key!r}")
+        vid = entry["id"]
+        if not isinstance(vid, str) or not _VIDEO_ID.fullmatch(vid):
+            raise CorpusError(f"{path}: video {i} id {vid!r} is not a plain file name")
+        if vid in seen:
+            raise CorpusError(f"{path}: duplicate video id {vid!r}")
+        seen.add(vid)
+
+
 def read_corpus(manifest_path) -> Corpus:
     """Load a corpus; validates magic numbers and manifest shapes."""
     manifest_path = Path(manifest_path)
@@ -326,6 +354,7 @@ def read_corpus(manifest_path) -> Corpus:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{manifest_path}: unparseable manifest: {exc}") from exc
+    _check_manifest(manifest, manifest_path)
     base = manifest_path.parent
     videos = []
     for entry in manifest["videos"]:

@@ -6,7 +6,7 @@ and masked frames are excluded from every metric.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
@@ -253,15 +253,6 @@ def apply_assignment(pred, mapping: Dict[int, int]) -> np.ndarray:
     return mapped
 
 
-def mean_over_videos(counts: np.ndarray) -> float:
-    """Fraction of videos whose cluster maps to the true class (video counts)."""
-    pairs, value = hungarian_solve(counts)
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("empty evaluation set")
-    return float(value / total)
-
-
 # ---------------------------------------------------------------------------
 # segment F1
 
@@ -397,66 +388,3 @@ def kl_prototype_sharing(
             if i != j:
                 matrix[i, j] = kl_divergence(dists[i], dists[j])
     return matrix, activities
-
-
-# ---------------------------------------------------------------------------
-# bag-of-words pseudo activities
-
-
-def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, n_iter: int = 100):
-    """Lloyd's algorithm with k-means++ seeding; deterministic given rng."""
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centers[j] = x[rng.integers(n)]
-        else:
-            centers[j] = x[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
-    assign = np.zeros(n, dtype=np.int64)
-    for _ in range(n_iter):
-        dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = dists.argmin(axis=1)
-        for j in range(k):
-            members = x[new_assign == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-            else:  # reseed empty clusters at the worst-served point
-                centers[j] = x[dists.min(axis=1).argmax()]
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-    return assign, centers
-
-
-def bow_pseudo_activities(
-    corpus: Sequence, k_frames: int, c_pseudo: int, seed: int
-) -> tuple[np.ndarray, float]:
-    """Cluster videos into pseudo activities from codeword histograms.
-
-    Frames are vector-quantized into `k_frames` codewords, each video is
-    summarized by its normalized codeword histogram, and the histograms
-    are clustered into `c_pseudo` pseudo activities.  Returns 1-based
-    pseudo labels aligned with `corpus` plus the mean-over-videos accuracy
-    against the true activities.
-    """
-    if len(corpus) < c_pseudo:
-        raise ValueError(f"need at least {c_pseudo} videos, got {len(corpus)}")
-    rng = np.random.default_rng(seed)
-    frames = np.concatenate([np.asarray(v.features, dtype=np.float64) for v in corpus])
-    codeword, _ = _kmeans(frames, k_frames, rng)
-    histograms = np.empty((len(corpus), k_frames))
-    start = 0
-    for i, video in enumerate(corpus):
-        stop = start + len(video.features)
-        hist = np.bincount(codeword[start:stop], minlength=k_frames).astype(np.float64)
-        histograms[i] = hist / hist.sum()
-        start = stop
-    pseudo, _ = _kmeans(histograms, c_pseudo, rng)
-    pseudo = pseudo.astype(np.int64) + 1
-
-    true = np.array([v.activity for v in corpus], dtype=np.int64)
-    return pseudo, mean_over_videos(build_contingency(pseudo, true).counts)

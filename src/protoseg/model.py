@@ -217,8 +217,6 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
 
 
 def infer(features: np.ndarray, params: ModelParameters, cfg: ModelConfig):
-    """Forward pass without gradients; returns (affinity, proto_probs, visual_probs)."""
-    tape = Tape()
-    out = forward(features, bind_parameters(params, tape), cfg)
-    tape.clear()
+    """Forward pass on a non-recording tape; returns (affinity, proto_probs, visual_probs)."""
+    out = forward(features, bind_parameters(params, Tape(recording=False)), cfg)
     return out.affinity.value, out.proto_probs.value, out.visual_probs.value

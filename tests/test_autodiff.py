@@ -51,6 +51,33 @@ class TestPairwiseDistance:
         with pytest.raises(ValueError, match="mismatch"):
             ad.pairwise_distance(f, p)
 
+    @pytest.mark.parametrize("dim", [20, 1024])
+    @pytest.mark.parametrize("norm", [1.0, 1000.0])
+    def test_gram_form_near_coincident_points(self, dim, norm):
+        # Frames at and just off each prototype, against the broadcast form.
+        # Each length-D dot product errs by at most gamma_D * |x| |y|, and the
+        # two additions by 2u more, so ||f||^2 - 2 f.p + ||p||^2 errs by at
+        # most gamma_(D+2) * (||f|| + ||p||)^2 <= (D + 2) eps_mach
+        # (||f||^2 + ||p||^2) (u = eps_mach / 2).  Clamping at 0 cannot add
+        # to that, and |sqrt(a + e) - sqrt(b + e)| <= sqrt(|a - b|).  The
+        # second term covers the broadcast form's own relative rounding.
+        rng = np.random.default_rng(dim)
+        protos = rng.normal(size=(6, dim))
+        protos *= norm / np.linalg.norm(protos, axis=1, keepdims=True)
+        steps = np.concatenate([[0.0], norm * np.logspace(-12, -2, 11)])
+        dirs = rng.normal(size=(6, steps.size, dim))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        frames = (protos[:, None, :] + steps[None, :, None] * dirs).reshape(-1, dim)
+        _, (f, p) = _wrap(frames, protos)
+        gram = ad.pairwise_distance(f, p).value
+        diff = frames[:, None, :] - protos[None, :, :]
+        direct = np.sqrt(np.einsum("tnk,tnk->tn", diff, diff) + ad.DISTANCE_EPS)
+        eps = np.finfo(np.float64).eps
+        sq_norms = (frames**2).sum(axis=1)[:, None] + (protos**2).sum(axis=1)[None, :]
+        bound = np.sqrt((dim + 2) * eps * sq_norms) + (dim + 4) * eps * direct
+        assert np.all(np.abs(gram - direct) <= bound)
+        assert np.array_equal(gram.argmin(axis=1), np.repeat(np.arange(6), steps.size))
+
 
 class TestMinmaxInvertRows:
     def test_hand_row(self):
@@ -142,6 +169,15 @@ def test_primitive_gradients(name):
 
 
 class TestTapeMechanics:
+    def test_non_recording_tape_keeps_nothing(self):
+        tape = Tape(recording=False)
+        x = tape.var(np.arange(6.0).reshape(2, 3))
+        y = ad.vsum(ad.relu(ad.matmul(x, tape.var(np.ones((3, 2))))))
+        assert y.value == pytest.approx(30.0)
+        assert tape._records == [] and x.grad is None and y.grad is None
+        with pytest.raises(ValueError, match="recording"):
+            tape.backward(y)
+
     def test_backward_requires_scalar(self):
         tape, (a,) = _wrap(np.ones((2, 2)))
         with pytest.raises(ValueError):

@@ -193,6 +193,84 @@ class TestErrors:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A config, a generated corpus's manifest and a trained checkpoint."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    _, manifest, ckpt = _pipeline(tmp_path, cfg_path)
+    return cfg_path, manifest, ckpt
+
+
+def _one_line_runtime_error(capsys, kind, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: runtime: {kind}: {path}: ") and err.count("\n") == 1
+
+
+def _drop_first_id(m):
+    del m["videos"][0]["id"]
+
+
+def _duplicate_id(m):
+    m["videos"][1]["id"] = m["videos"][0]["id"]
+
+
+def _escaping_id(m):
+    m["videos"][0]["id"] = "../../escaped"
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda m: m.pop("videos"), _drop_first_id, lambda m: m.update(videos=[]),
+         _duplicate_id, _escaping_id],
+        ids=["no-videos", "no-id", "empty", "duplicate-id", "escaping-id"],
+    )
+    def test_bad_manifest_is_named_corpus_error(self, trained, tmp_path, capsys, edit):
+        cfg_path, manifest, ckpt = trained
+        text = json.loads(manifest.read_text())
+        edit(text)
+        bad = manifest.with_name(f"bad_{tmp_path.name}.json")
+        bad.write_text(json.dumps(text))
+        out_dir = tmp_path / "a" / "out"
+        code = run(["segment", "--config", cfg_path, "--manifest", bad,
+                    "--out-dir", out_dir, "--checkpoint", ckpt])
+        assert code == 1
+        _one_line_runtime_error(capsys, "CorpusError", bad)
+        assert not list(tmp_path.rglob("*.seg.txt"))
+        assert not list(manifest.parent.parent.rglob("escaped*"))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: [*lines[:3], "3 1", *lines[4:]],
+            lambda lines: [*lines[:3], "3 x -1", *lines[4:]],
+            lambda lines: [*lines[:3], "4 1 -1", *lines[4:]],
+            lambda lines: [*lines[:3], "3 0 -1", *lines[4:]],
+            lambda lines: [l.rsplit(" ", 1)[0] for l in lines],
+            lambda lines: [],
+            lambda lines: lines[:-1],
+        ],
+        ids=["two-fields", "not-integer", "frame-column", "prototype-0", "all-two-fields",
+             "empty", "frame-count"],
+    )
+    def test_malformed_labeling_file_is_named_corpus_error(
+        self, trained, tmp_path, capsys, edit
+    ):
+        cfg_path, manifest, ckpt = trained
+        out_dir = tmp_path / "out"
+        base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                "--checkpoint", ckpt]
+        assert run(["segment", *base]) == 0
+        seg = sorted((out_dir / "segments").glob("*.seg.txt"))[1]
+        lines = edit(seg.read_text().splitlines())
+        seg.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert run(["eval", *base]) == 1
+        _one_line_runtime_error(capsys, "CorpusError", seg)
+
+
 class TestConfigHandling:
     def test_flag_overrides_config_and_is_echoed(self, workdir):
         tmp_path, cfg_path = workdir

@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from protoseg.data import FeatureSequence
 from protoseg.matching import (
     VideoEval,
     apply_assignment,
-    bow_pseudo_activities,
     build_contingency,
     corpus_f1,
     f1_segments,
@@ -16,7 +14,6 @@ from protoseg.matching import (
     kl_divergence,
     kl_prototype_sharing,
     match_at_level,
-    mean_over_videos,
     smoothed_distribution,
 )
 
@@ -287,44 +284,7 @@ class TestKL:
         assert matrix.shape == (1, 1) and matrix[0, 0] == 0.0
 
 
-class TestBowPseudoActivities:
-    def _corpus(self, n_per=6, t=20, gap=60.0):
-        rng = np.random.default_rng(5)
-        corpus = []
-        for activity, center in ((1, -gap), (2, gap)):
-            for i in range(n_per):
-                feats = center + rng.normal(size=(t, 3))
-                corpus.append(FeatureSequence(f"b{activity}_{i}", activity, feats))
-        return corpus
-
-    def test_separated_clusters_perfect_mov(self):
-        corpus = self._corpus()
-        _, mov = bow_pseudo_activities(corpus, k_frames=4, c_pseudo=2, seed=0)
-        assert mov == 1.0
-
-    def test_single_pseudo_class(self):
-        corpus = self._corpus(n_per=4)
-        pseudo, mov = bow_pseudo_activities(corpus, k_frames=3, c_pseudo=1, seed=0)
-        assert set(pseudo.tolist()) == {1}
-        assert mov == pytest.approx(0.5)  # largest class / total
-
-    def test_deterministic(self):
-        corpus = self._corpus(n_per=3)
-        a = bow_pseudo_activities(corpus, k_frames=4, c_pseudo=2, seed=9)
-        b = bow_pseudo_activities(corpus, k_frames=4, c_pseudo=2, seed=9)
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
-
-    def test_too_few_videos_rejected(self):
-        corpus = self._corpus(n_per=1)
-        with pytest.raises(ValueError):
-            bow_pseudo_activities(corpus, k_frames=2, c_pseudo=5, seed=0)
-
-
 class TestApplyAssignment:
     def test_basic_mapping(self):
         mapped = apply_assignment(np.array([1, 2, 3]), {1: 7, 3: 9})
         assert np.array_equal(mapped, [7, 0, 9])
-
-    def test_mean_over_videos(self):
-        counts = np.array([[5, 0], [1, 4]])
-        assert mean_over_videos(counts) == pytest.approx(0.9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,52 @@ class TestForward:
         params = init_parameters(cfg, seed=0)
         with pytest.raises(ValueError):
             model_mod.infer(np.zeros((0, 5)), params, cfg)
+
+
+class TestInfer:
+    def test_records_nothing_and_allocates_no_grads(self, monkeypatch):
+        cfg = tiny_config()
+        params = init_parameters(cfg, seed=4)
+        made = []
+        var_init = ad.Var.__init__
+
+        def tracking_init(var, value, tape):
+            var_init(var, value, tape)
+            made.append(var)
+
+        monkeypatch.setattr(ad.Var, "__init__", tracking_init)
+        model_mod.infer(np.random.default_rng(9).normal(size=(7, 5)), params, cfg)
+        assert len(made) > len(PARAM_NAMES)
+        assert all(v.grad is None for v in made)
+        tape = made[0].tape
+        assert all(v.tape is tape for v in made) and tape._records == []
+
+    @pytest.mark.parametrize("input_dim, t_frames", [(5, 9), (96, 40)])
+    def test_bit_identical_to_recording_forward(self, input_dim, t_frames):
+        cfg = tiny_config(input_dim=input_dim, embed_dim=None, n_prototypes=6)
+        params = init_parameters(cfg, seed=5)
+        feats = np.random.default_rng(10).normal(size=(t_frames, input_dim))
+        tape = Tape()
+        out = forward(feats, bind_parameters(params, tape), cfg)
+        a, yp, yg = model_mod.infer(feats, params, cfg)
+        assert np.array_equal(a, out.affinity.value)
+        assert np.array_equal(yp, out.proto_probs.value)
+        assert np.array_equal(yg, out.visual_probs.value)
+
+    def test_paper_shape_memory_is_linear(self):
+        # T x N x D float64 would be 2000 * 50 * 1024 * 8 bytes = 819 MB; the
+        # affinity chain needs a few T x D arrays (16 MB each) at a time.
+        cfg = ModelConfig(input_dim=2048, n_activities=4, n_prototypes=50)
+        params = init_parameters(cfg, seed=0)
+        feats = np.random.default_rng(0).normal(size=(2000, 2048))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model_mod.infer(feats, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 def full_loss_gradient_error(seed: int, t_frames=6) -> float:
