@@ -4,10 +4,18 @@ Only the primitives needed by the prototype segmentation network are
 provided.  Every primitive checks its output for NaN/Inf, records a
 backward rule on the tape owning its operands, and treats piecewise
 selectors (min/max, clamp, abs, relu) as fixed at their forward-time
-choice, with ties resolved toward the lowest index.  A tape made with
-`recording=False` runs the same primitives forward only: it keeps no
-backward rules and its Vars carry no gradient buffers, so each
-intermediate array is freed as soon as nothing else refers to it.
+choice, with ties resolved toward the lowest index.
+
+Gradient work is done only where a gradient can reach a leaf made with
+`Tape.var`, such as a parameter.  Constant leaves (`Tape.const`, and the
+plain arrays and numbers that primitives coerce) need no gradient, and a
+primitive's output needs one iff one of its operands does.  A primitive
+whose operands all need none records nothing, and each backward rule
+computes only the operand gradients that are needed.  `grad` buffers are
+allocated on first accumulation, so a Var that no gradient reaches keeps
+`grad is None`.  On a tape made with `recording=False` no Var needs a
+gradient: it keeps no backward rules, and each intermediate array is
+freed as soon as nothing else refers to it.
 
 `pairwise_distance` works in Gram form: its memory grows with
 T*N + (T+N)*D rather than T*N*D, and its arithmetic runs as matrix products.
@@ -23,18 +31,35 @@ DISTANCE_EPS = 1e-12
 
 
 class Var:
-    """A node in the computation graph: a float64 array and its adjoint."""
+    """A node in the computation graph: a float64 array and its adjoint.
 
-    __slots__ = ("value", "grad", "tape")
+    `needs_grad` says whether a gradient can flow into this Var; it is
+    false on a non-recording tape.  `grad` is None until the first
+    adjoint arrives.  Its buffer then takes the value's memory order, as
+    `np.empty_like` gives, rather than the order of the first adjoint:
+    numpy's axis reductions follow memory order, so a buffer laid out
+    differently would change the last bits of the gradients read from it.
+    """
 
-    def __init__(self, value, tape: "Tape"):
+    __slots__ = ("value", "grad", "tape", "needs_grad")
+
+    def __init__(self, value, tape: "Tape", needs_grad: bool):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value) if tape.recording else None
+        self.grad = None
         self.tape = tape
+        self.needs_grad = needs_grad
 
     @property
     def shape(self):
         return self.value.shape
+
+    def accumulate(self, g) -> None:
+        """Add adjoint `g` (broadcast to the value's shape) into `grad`."""
+        if self.grad is None:
+            self.grad = np.empty_like(self.value)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def __add__(self, other):
         return add(self, other)
@@ -64,11 +89,12 @@ class Tape:
 
     Single-writer: a tape must not be shared across concurrent forward
     passes.  backward() consumes the records, so it runs once per tape.
+    Only primitives with an operand that needs a gradient are recorded.
     Each record's closure refers back to Vars that refer to the tape, so
     a recording tape that is never run is freed only by the cyclic
     garbage collector.  A tape made with `recording=False` is for
-    forward-only passes: it drops every backward rule, its Vars get no
-    `grad` buffer, and it holds no cycles.
+    forward-only passes: none of its Vars needs a gradient, so it records
+    nothing and holds no cycles.
     """
 
     def __init__(self, recording: bool = True):
@@ -76,16 +102,22 @@ class Tape:
         self._records: list[tuple[Var, Callable[[np.ndarray], None]]] = []
 
     def var(self, value) -> Var:
-        """Wrap an array as a leaf of this tape."""
-        return Var(value, self)
+        """Wrap an array as a leaf of this tape that needs a gradient if it records."""
+        return Var(value, self, self.recording)
 
-    def _record(self, out: Var, backward: Callable[[np.ndarray], None]) -> Var:
-        if self.recording:
+    def const(self, value) -> Var:
+        """Wrap an array as a leaf of this tape that needs no gradient."""
+        return Var(value, self, False)
+
+    def _record(self, value: np.ndarray, operands, backward) -> Var:
+        """The output Var of a primitive; keeps `backward` only if an operand needs a gradient."""
+        out = Var(value, self, self.recording and any(v.needs_grad for v in operands))
+        if out.needs_grad:
             self._records.append((out, backward))
         return out
 
     def backward(self, out: Var) -> None:
-        """Propagate adjoints from scalar `out` back to every leaf."""
+        """Propagate adjoints from scalar `out` back to every leaf that needs one."""
         if not self.recording:
             raise ValueError("backward requires a recording tape")
         if out.value.shape != ():
@@ -93,11 +125,12 @@ class Tape:
         out.grad = np.ones_like(out.value)
         while self._records:
             var, bw = self._records.pop()
-            bw(var.grad)
+            if var.grad is not None:
+                bw(var.grad)
 
 
 def _coerce(x, tape: Tape) -> Var:
-    return x if isinstance(x, Var) else tape.var(x)
+    return x if isinstance(x, Var) else tape.const(x)
 
 
 def _checked(name: str, value: np.ndarray) -> np.ndarray:
@@ -123,35 +156,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Var:
     tape = a.tape if isinstance(a, Var) else b.tape
     a, b = _coerce(a, tape), _coerce(b, tape)
-    out = Var(_checked("add", a.value + b.value), tape)
 
     def bw(g):
-        a.grad += _unbroadcast(g, a.value.shape)
-        b.grad += _unbroadcast(g, b.value.shape)
+        if a.needs_grad:
+            a.accumulate(_unbroadcast(g, a.value.shape))
+        if b.needs_grad:
+            b.accumulate(_unbroadcast(g, b.value.shape))
 
-    return tape._record(out, bw)
+    return tape._record(_checked("add", a.value + b.value), (a, b), bw)
 
 
 def mul(a, b) -> Var:
     tape = a.tape if isinstance(a, Var) else b.tape
     a, b = _coerce(a, tape), _coerce(b, tape)
-    out = Var(_checked("mul", a.value * b.value), tape)
 
     def bw(g):
-        a.grad += _unbroadcast(g * b.value, a.value.shape)
-        b.grad += _unbroadcast(g * a.value, b.value.shape)
+        if a.needs_grad:
+            a.accumulate(_unbroadcast(g * b.value, a.value.shape))
+        if b.needs_grad:
+            b.accumulate(_unbroadcast(g * a.value, b.value.shape))
 
-    return tape._record(out, bw)
+    return tape._record(_checked("mul", a.value * b.value), (a, b), bw)
 
 
 def scale(a: Var, c: float) -> Var:
     c = float(c)
-    out = Var(_checked("scale", a.value * c), a.tape)
 
     def bw(g):
-        a.grad += g * c
+        a.accumulate(g * c)
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("scale", a.value * c), (a,), bw)
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -162,36 +196,36 @@ def matmul(a: Var, b: Var) -> Var:
         raise ValueError(
             f"matmul dimension mismatch: {a.value.shape} x {b.value.shape}"
         )
-    out = Var(_checked("matmul", a.value @ b.value), a.tape)
 
     def bw(g):
         if a.value.ndim == 2:
-            a.grad += g @ b.value.T
-            b.grad += a.value.T @ g
+            if a.needs_grad:
+                a.accumulate(g @ b.value.T)
+            if b.needs_grad:
+                b.accumulate(a.value.T @ g)
         else:
-            a.grad += b.value @ g
-            b.grad += np.outer(a.value, g)
+            if a.needs_grad:
+                a.accumulate(b.value @ g)
+            if b.needs_grad:
+                b.accumulate(np.outer(a.value, g))
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("matmul", a.value @ b.value), (a, b), bw)
 
 
 def vsum(a: Var) -> Var:
-    out = Var(_checked("vsum", np.asarray(a.value.sum())), a.tape)
-
     def bw(g):
-        a.grad += g
+        a.accumulate(g)
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("vsum", np.asarray(a.value.sum())), (a,), bw)
 
 
 def axis0_sum(a: Var) -> Var:
     """Sum a 2D array over its first (time) axis."""
-    out = Var(_checked("axis0_sum", a.value.sum(axis=0)), a.tape)
 
     def bw(g):
-        a.grad += g[None, :]
+        a.accumulate(g[None, :])
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("axis0_sum", a.value.sum(axis=0)), (a,), bw)
 
 
 def axis0_mean(a: Var) -> Var:
@@ -200,23 +234,21 @@ def axis0_mean(a: Var) -> Var:
 
 def relu(a: Var) -> Var:
     mask = a.value > 0.0
-    out = Var(_checked("relu", np.where(mask, a.value, 0.0)), a.tape)
 
     def bw(g):
-        a.grad += g * mask
+        a.accumulate(g * mask)
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("relu", np.where(mask, a.value, 0.0)), (a,), bw)
 
 
 def log(a: Var) -> Var:
     if np.any(a.value <= 0.0):
         raise ValueError("log requires strictly positive input; clamp first")
-    out = Var(_checked("log", np.log(a.value)), a.tape)
 
     def bw(g):
-        a.grad += g / a.value
+        a.accumulate(g / a.value)
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("log", np.log(a.value)), (a,), bw)
 
 
 def clamp(a: Var, lo: float | None = None, hi: float | None = None) -> Var:
@@ -227,12 +259,11 @@ def clamp(a: Var, lo: float | None = None, hi: float | None = None) -> Var:
         mask &= a.value > lo
     if hi is not None:
         mask &= a.value < hi
-    out = Var(_checked("clamp", out_val), a.tape)
 
     def bw(g):
-        a.grad += g * mask
+        a.accumulate(g * mask)
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("clamp", out_val), (a,), bw)
 
 
 def clamped_log(a: Var, lo: float, hi: float | None = None) -> Var:
@@ -242,22 +273,20 @@ def clamped_log(a: Var, lo: float, hi: float | None = None) -> Var:
     saturated probabilities keep pulling back toward it.
     """
     clipped = np.clip(a.value, lo, hi)
-    out = Var(_checked("clamped_log", np.log(clipped)), a.tape)
 
     def bw(g):
-        a.grad += g / clipped
+        a.accumulate(g / clipped)
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("clamped_log", np.log(clipped)), (a,), bw)
 
 
 def absval(a: Var) -> Var:
     sign = np.sign(a.value)
-    out = Var(_checked("absval", np.abs(a.value)), a.tape)
 
     def bw(g):
-        a.grad += g * sign
+        a.accumulate(g * sign)
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("absval", np.abs(a.value)), (a,), bw)
 
 
 def softmax(a: Var) -> Var:
@@ -267,25 +296,25 @@ def softmax(a: Var) -> Var:
     shifted = a.value - a.value.max()
     e = np.exp(shifted)
     p = e / e.sum()
-    out = Var(_checked("softmax", p), a.tape)
 
     def bw(g):
-        a.grad += p * (g - float(g @ p))
+        a.accumulate(p * (g - float(g @ p)))
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("softmax", p), (a,), bw)
 
 
 def time_diff(a: Var) -> Var:
     """Consecutive-row differences of a 2D array: out[t] = a[t+1] - a[t]."""
     if a.value.shape[0] < 2:
         raise ValueError("time_diff needs at least two rows")
-    out = Var(_checked("time_diff", a.value[1:] - a.value[:-1]), a.tape)
 
     def bw(g):
-        a.grad[1:] += g
-        a.grad[:-1] -= g
+        ga = np.zeros_like(a.value)
+        ga[1:] += g
+        ga[:-1] -= g
+        a.accumulate(ga)
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("time_diff", a.value[1:] - a.value[:-1]), (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +340,15 @@ def pairwise_distance(f: Var, p: Var) -> Var:
     fv, pv = f.value, p.value
     sq = (fv * fv).sum(axis=1)[:, None] - 2.0 * (fv @ pv.T) + (pv * pv).sum(axis=1)
     dist = np.sqrt(np.maximum(sq, 0.0) + DISTANCE_EPS)
-    out = Var(_checked("pairwise_distance", dist), f.tape)
 
     def bw(g):
         w = g / dist
-        f.grad += w.sum(axis=1)[:, None] * fv - w @ pv
-        p.grad += w.sum(axis=0)[:, None] * pv - w.T @ fv
+        if f.needs_grad:
+            f.accumulate(w.sum(axis=1)[:, None] * fv - w @ pv)
+        if p.needs_grad:
+            p.accumulate(w.sum(axis=0)[:, None] * pv - w.T @ fv)
 
-    return f.tape._record(out, bw)
+    return f.tape._record(_checked("pairwise_distance", dist), (f, p), bw)
 
 
 def minmax_invert_rows(d: Var) -> Var:
@@ -340,7 +370,6 @@ def minmax_invert_rows(d: Var) -> Var:
     safe_rng = np.where(degenerate, 1.0, rng)
     out_val = 1.0 - (d.value - mn[:, None]) / safe_rng[:, None]
     out_val[degenerate] = 1.0
-    out = Var(_checked("minmax_invert_rows", out_val), d.tape)
 
     def bw(g):
         g = np.where(degenerate[:, None], 0.0, g)
@@ -349,9 +378,9 @@ def minmax_invert_rows(d: Var) -> Var:
         via_max = (g * (1.0 - out_val)).sum(axis=1) / safe_rng
         np.add.at(gd, (rows, i_min), via_min)
         np.add.at(gd, (rows, i_max), via_max)
-        d.grad += gd
+        d.accumulate(gd)
 
-    return d.tape._record(out, bw)
+    return d.tape._record(_checked("minmax_invert_rows", out_val), (d,), bw)
 
 
 def row_normalize(a: Var) -> Var:
@@ -364,12 +393,11 @@ def row_normalize(a: Var) -> Var:
     if np.any(sums <= 0.0):
         raise ValueError("row_normalize: zero-sum row")
     out_val = a.value / sums[:, None]
-    out = Var(_checked("row_normalize", out_val), a.tape)
 
     def bw(g):
-        a.grad += (g - (g * out_val).sum(axis=1, keepdims=True)) / sums[:, None]
+        a.accumulate((g - (g * out_val).sum(axis=1, keepdims=True)) / sums[:, None])
 
-    return a.tape._record(out, bw)
+    return a.tape._record(_checked("row_normalize", out_val), (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +423,7 @@ def finite_diff_check(
     if not np.isfinite(out.value):
         raise FloatingPointError("non-finite forward value in finite_diff_check")
     tape.backward(out)
-    analytic = [v.grad.copy() for v in wrapped]
+    analytic = [np.zeros_like(v.value) if v.grad is None else v.grad for v in wrapped]
 
     def evaluate() -> float:
         t = Tape(recording=False)

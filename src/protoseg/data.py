@@ -329,6 +329,9 @@ def _check_manifest(manifest, path: Path) -> None:
     for key in ("C", "activity_names", "videos"):
         if not isinstance(manifest, dict) or key not in manifest:
             raise CorpusError(f"{path}: manifest has no {key!r}")
+    n_activities = manifest["C"]
+    if not isinstance(n_activities, int) or n_activities < 1:
+        raise CorpusError(f"{path}: 'C' must be a positive integer, got {n_activities!r}")
     videos = manifest["videos"]
     if not isinstance(videos, list) or not videos:
         raise CorpusError(f"{path}: 'videos' must be a non-empty list")
@@ -343,10 +346,15 @@ def _check_manifest(manifest, path: Path) -> None:
         if vid in seen:
             raise CorpusError(f"{path}: duplicate video id {vid!r}")
         seen.add(vid)
+        activity = entry["activity"]
+        if not isinstance(activity, int) or not 1 <= activity <= n_activities:
+            raise CorpusError(
+                f"{path}: video {vid!r} activity {activity!r} outside [1, {n_activities}]"
+            )
 
 
 def read_corpus(manifest_path) -> Corpus:
-    """Load a corpus; validates magic numbers and manifest shapes."""
+    """Load a corpus; validates magic numbers, manifest shapes and feature dims."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise CorpusError(f"{manifest_path}: manifest not found")
@@ -365,6 +373,11 @@ def read_corpus(manifest_path) -> Corpus:
         if features.shape[0] != entry["T"]:
             raise CorpusError(
                 f"{feature_path}: has {features.shape[0]} frames, manifest says {entry['T']}"
+            )
+        if videos and features.shape[1] != videos[0].features.shape[1]:
+            raise CorpusError(
+                f"{feature_path}: video {entry['id']!r} has feature dim {features.shape[1]}, "
+                f"but video {videos[0].video_id!r} has {videos[0].features.shape[1]}"
             )
         gt = None
         if entry.get("gt_file"):

@@ -65,7 +65,7 @@ def tmse_loss(affinity: Var, truncation: float) -> Var:
     t, n = affinity.value.shape
     if t < 2:
         warnings.warn("smoothing loss undefined for single-frame video; returning 0")
-        return affinity.tape.var(0.0)
+        return affinity.tape.const(0.0)
     logs = ad.log(ad.clamp(affinity, LOG_EPS, None))
     delta = ad.absval(ad.time_diff(logs))
     trunc = ad.clamp(delta, None, float(truncation))

@@ -189,7 +189,7 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("features must be a non-empty T x d_in array")
     tape = bound["embed_w"].tape
-    x = tape.var(features)
+    x = tape.const(features)
     f = embed_frames(x, bound["embed_w"], bound["embed_b"])
     a = compute_affinity(f, bound["prototypes"])
     g = reconstruct_latent(

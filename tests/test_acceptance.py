@@ -1,7 +1,8 @@
 """Acceptance criteria, one test per criterion.
 
 Run with -v to get one pass/fail line per criterion.  Training-based
-criteria share module-scoped fixtures; everything is seeded.
+criteria share module-scoped fixtures; everything is seeded.  The whole
+module is marked `slow`, so `pytest -m "not slow"` leaves it out.
 """
 import itertools
 import time
@@ -26,6 +27,8 @@ from protoseg import autodiff as ad
 
 from conftest import GRADCHECK_CASES, brute_force_assignment_value, run_gradcheck_case
 from test_model import full_loss_gradient_error
+
+pytestmark = pytest.mark.slow
 
 
 def _nprime_by_activity(videos):

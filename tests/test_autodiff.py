@@ -153,6 +153,10 @@ class TestFiniteDiffCheck:
         )
         assert err == 0.0
 
+    def test_unused_input_has_zero_gradient(self):
+        err = finite_diff_check(lambda t, x, y: ad.vsum(x), [np.ones(2), np.ones(3)])
+        assert err <= 1e-9
+
     def test_nonfinite_forward_rejected(self):
         def bad(t, x):
             v = t.var(np.array(np.inf))
@@ -191,10 +195,39 @@ class TestTapeMechanics:
         assert b.grad.shape == b.value.shape
 
     def test_reused_operand_accumulates(self):
-        tape, (a,) = _wrap(np.array([3.0]))
-        out = ad.vsum(ad.mul(a, a))  # d/da a^2 = 2a
+        tape, (a,) = _wrap(np.array([3.0, -2.0]))
+        g = np.array([0.5, 4.0])
+        out = ad.vsum(ad.mul(ad.mul(a, a), g))  # d/da g a^2 = 2 g a
         tape.backward(out)
-        assert np.allclose(a.grad, [6.0])
+        assert np.array_equal(a.grad, 2.0 * g * a.value)
+
+    def test_constants_get_no_gradient(self):
+        tape, (a,) = _wrap(np.array([1.0, 2.0]))
+        c = ad._coerce(np.array([3.0, 5.0]), tape)
+        leaf = tape.const(np.array([7.0, 1.0]))
+        out = ad.vsum(ad.mul(ad.add(a, leaf), c) - 1.0)
+        tape.backward(out)
+        assert not c.needs_grad and not leaf.needs_grad and a.needs_grad
+        assert c.grad is None and leaf.grad is None
+        assert np.array_equal(a.grad, c.value)
+
+    def test_op_on_constants_records_nothing(self):
+        tape = Tape()
+        c = tape.const(np.ones((2, 3)))
+        out = ad.vsum(ad.relu(ad.matmul(c, ad._coerce(np.ones((3, 2)), tape)) + 1.0))
+        assert tape._records == [] and not out.needs_grad
+        a = tape.var(np.ones(2))
+        ad.mul(a, out)
+        assert len(tape._records) == 1
+
+    def test_gradient_keeps_leaf_memory_order(self):
+        # the adjoint g @ b.T arrives C-ordered; the buffer must still take
+        # the leaf's Fortran order, or reductions over it change their sums
+        rng = np.random.default_rng(8)
+        tape, (a, b) = _wrap(np.asfortranarray(rng.normal(size=(3, 4))), rng.normal(size=(4, 2)))
+        tape.backward(ad.vsum(ad.matmul(a, b)))
+        assert a.grad.flags.f_contiguous and not a.grad.flags.c_contiguous
+        assert np.array_equal(a.grad, np.ones((3, 2)) @ b.value.T)
 
     def test_nonfinite_primitive_output_rejected(self):
         tape, (a,) = _wrap(np.array([1e308]))

@@ -8,7 +8,7 @@ import pytest
 
 from protoseg.checkpoint import load_checkpoint
 from protoseg.cli import main
-from protoseg.data import read_corpus
+from protoseg.data import _write_features, read_corpus
 from protoseg.inference import naive_labels
 from protoseg.model import infer
 
@@ -224,8 +224,10 @@ class TestBadInputFiles:
     @pytest.mark.parametrize(
         "edit",
         [lambda m: m.pop("videos"), _drop_first_id, lambda m: m.update(videos=[]),
-         _duplicate_id, _escaping_id],
-        ids=["no-videos", "no-id", "empty", "duplicate-id", "escaping-id"],
+         _duplicate_id, _escaping_id, lambda m: m["videos"][0].update(activity=7),
+         lambda m: m["videos"][1].update(activity=0), lambda m: m.update(C="2")],
+        ids=["no-videos", "no-id", "empty", "duplicate-id", "escaping-id", "activity-7",
+             "activity-0", "C-not-integer"],
     )
     def test_bad_manifest_is_named_corpus_error(self, trained, tmp_path, capsys, edit):
         cfg_path, manifest, ckpt = trained
@@ -240,6 +242,22 @@ class TestBadInputFiles:
         _one_line_runtime_error(capsys, "CorpusError", bad)
         assert not list(tmp_path.rglob("*.seg.txt"))
         assert not list(manifest.parent.parent.rglob("escaped*"))
+
+    def test_mixed_feature_dims_is_named_corpus_error(self, trained, tmp_path, capsys):
+        cfg_path, manifest, ckpt = trained
+        text = json.loads(manifest.read_text())
+        entry = text["videos"][1]
+        odd = manifest.parent / "features" / f"odd_{tmp_path.name}.feat"
+        _write_features(odd, np.zeros((entry["T"], TINY_CONFIG["corpus"]["feature_dim"] * 2)))
+        entry["feature_file"] = odd.relative_to(manifest.parent).as_posix()
+        bad = manifest.with_name(f"bad_{tmp_path.name}.json")
+        bad.write_text(json.dumps(text))
+        out_dir = tmp_path / "out"
+        code = run(["train", "--config", cfg_path, "--manifest", bad, "--out-dir", out_dir,
+                    "--checkpoint", out_dir / "model.ckpt"])
+        assert code == 1
+        _one_line_runtime_error(capsys, "CorpusError", odd)
+        assert not (out_dir / "model.ckpt").exists()
 
     @pytest.mark.parametrize(
         "edit",

@@ -19,6 +19,20 @@ from protoseg.model import (
 )
 
 
+@pytest.fixture
+def made_vars(monkeypatch):
+    """Every Var constructed during the test, in order."""
+    made = []
+    var_init = ad.Var.__init__
+
+    def tracking_init(var, value, tape, needs_grad):
+        var_init(var, value, tape, needs_grad)
+        made.append(var)
+
+    monkeypatch.setattr(ad.Var, "__init__", tracking_init)
+    return made
+
+
 def tiny_config(**kw):
     defaults = dict(input_dim=5, n_activities=3, n_prototypes=3, embed_dim=4)
     defaults.update(kw)
@@ -241,22 +255,14 @@ class TestForward:
 
 
 class TestInfer:
-    def test_records_nothing_and_allocates_no_grads(self, monkeypatch):
+    def test_records_nothing_and_allocates_no_grads(self, made_vars):
         cfg = tiny_config()
         params = init_parameters(cfg, seed=4)
-        made = []
-        var_init = ad.Var.__init__
-
-        def tracking_init(var, value, tape):
-            var_init(var, value, tape)
-            made.append(var)
-
-        monkeypatch.setattr(ad.Var, "__init__", tracking_init)
         model_mod.infer(np.random.default_rng(9).normal(size=(7, 5)), params, cfg)
-        assert len(made) > len(PARAM_NAMES)
-        assert all(v.grad is None for v in made)
-        tape = made[0].tape
-        assert all(v.tape is tape for v in made) and tape._records == []
+        assert len(made_vars) > len(PARAM_NAMES)
+        assert all(v.grad is None for v in made_vars)
+        tape = made_vars[0].tape
+        assert all(v.tape is tape for v in made_vars) and tape._records == []
 
     @pytest.mark.parametrize("input_dim, t_frames", [(5, 9), (96, 40)])
     def test_bit_identical_to_recording_forward(self, input_dim, t_frames):
@@ -310,3 +316,33 @@ def full_loss_gradient_error(seed: int, t_frames=6) -> float:
 
 def test_full_loss_gradient_toy_instance():
     assert full_loss_gradient_error(seed=0) <= 1e-4
+
+
+@pytest.mark.filterwarnings("ignore:smoothing loss undefined")
+def test_full_loss_gradient_single_frame_video():
+    # the smoothing term is then a constant that needs no gradient
+    assert full_loss_gradient_error(seed=0, t_frames=1) <= 1e-4
+
+
+def test_training_tape_prunes_features_and_constants(made_vars):
+    cfg = tiny_config()
+    params = init_parameters(cfg, seed=4)
+    feats = np.random.default_rng(9).normal(size=(7, 5))
+    tape = Tape()
+    bound = bind_parameters(params, tape)
+    out = forward(feats, bound, cfg)
+    target = losses_mod.one_hot(2, cfg.n_activities)
+    loss = losses_mod.total_loss(
+        losses_mod.activity_loss(out.proto_probs, target),
+        losses_mod.activity_loss(out.visual_probs, target),
+        losses_mod.tmse_loss(out.affinity, 4.0),
+        LossConfig(),
+    )
+    tape.backward(loss)
+    (x,) = [v for v in made_vars if v.value is feats]
+    constants = [v for v in made_vars if not v.needs_grad]
+    assert x in constants and len(constants) > 1
+    assert all(v.grad is None for v in constants)
+    for name in PARAM_NAMES:
+        assert bound[name].grad.shape == getattr(params, name).shape
+    assert tape._records == []
