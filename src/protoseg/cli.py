@@ -281,15 +281,24 @@ def _cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _nprime_by_activity(cfg: dict, corpus: Corpus):
+def _nprime_by_activity(cfg: dict, corpus: Corpus, manifest: Path):
     if cfg["infer"]["nprime"] != "gt":
         return cfg["infer"]["nprime"]
     counts = {}
     for video in corpus.videos:
         if video.gt_actions is None:
-            raise ConfigError("nprime 'gt' needs ground truth; use a fixed --nprime instead")
+            raise ConfigError(
+                f"nprime 'gt' needs ground truth, and {manifest} has none for video "
+                f"{video.video_id}; use a fixed --nprime instead"
+            )
         actions = counts.setdefault(video.activity, set())
         actions.update(int(a) for a in np.unique(video.gt_actions) if a != 0)
+    for activity, actions in sorted(counts.items()):
+        if not actions:
+            raise ConfigError(
+                f"nprime 'gt': activity {activity} has no action in the ground truth "
+                f"of {manifest}; use a fixed --nprime instead"
+            )
     return {activity: len(actions) for activity, actions in counts.items()}
 
 
@@ -303,6 +312,7 @@ def _cmd_segment(cfg: dict) -> int:
     scope = cfg["eval"]["scope"]
     if scope == "video":
         raise ConfigError("segment supports --scope global or activity")
+    n_keep = _nprime_by_activity(cfg, corpus, manifest) if scope == "activity" else None
     # hashlib releases the GIL on large updates, so the digests are taken
     # on a worker thread while inference runs
     with ThreadPoolExecutor(max_workers=1) as hasher:
@@ -320,7 +330,7 @@ def _cmd_segment(cfg: dict) -> int:
         smooth=smooth,
         sigma=cfg["infer"]["sigma"],
         decode=decode,
-        n_keep=_nprime_by_activity(cfg, corpus) if scope == "activity" else None,
+        n_keep=n_keep,
         eta=cfg["infer"]["eta"],
     )
     seg_dir = out / "segments"

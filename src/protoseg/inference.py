@@ -158,32 +158,30 @@ def viterbi_decode(
         raise ValueError(f"ordering id {exc} not among affinity columns") from None
 
     a = np.asarray(affinity, dtype=np.float64)
-    t_total = a.shape[0]
-    emit = np.log(np.maximum(a[:, cols], LOG_EPS))  # T x K in ordering order
-    k_total = ordering.size
-
-    score = np.full((t_total, k_total), -np.inf)
-    advanced = np.zeros((t_total, k_total), dtype=bool)
-    score[0, 0] = emit[0, 0]
-    for t in range(1, t_total):
-        score[t, 0] = score[t - 1, 0] + emit[t, 0]
-        for j in range(1, k_total):
-            stay = score[t - 1, j]
-            adv = score[t - 1, j - 1]
+    # the recursion runs on Python floats: numpy scalar indexing per cell
+    # costs several times the arithmetic
+    emit = np.log(np.maximum(a[:, cols], LOG_EPS)).tolist()  # T x K in ordering order
+    score = [emit[0][0]] + [-math.inf] * (ordering.size - 1)
+    advanced = [None]  # advanced[t][j]: frame t entered element j by advancing
+    for row in emit[1:]:
+        nxt = [score[0] + row[0]]
+        moved = [False]
+        for adv, stay, e in zip(score, score[1:], row[1:]):
             # on ties, prefer the earlier ordering element as predecessor
-            if adv >= stay:
-                score[t, j] = adv + emit[t, j]
-                advanced[t, j] = True
-            else:
-                score[t, j] = stay + emit[t, j]
+            up = adv >= stay
+            nxt.append((adv if up else stay) + e)
+            moved.append(up)
+        score = nxt
+        advanced.append(moved)
 
-    j = int(np.argmax(score[-1]))  # lowest index wins ties
-    path = np.empty(t_total, dtype=np.int64)
-    for t in range(t_total - 1, -1, -1):
-        path[t] = ordering[j]
-        if t > 0 and advanced[t, j]:
+    j = int(np.argmax(score))  # lowest index wins ties
+    ids = ordering.tolist()
+    path = [0] * len(emit)
+    for t in range(len(emit) - 1, -1, -1):
+        path[t] = ids[j]
+        if t > 0 and advanced[t][j]:
             j -= 1
-    return path
+    return np.array(path, dtype=np.int64)
 
 
 def background_mask(affinity: np.ndarray, eta: float) -> np.ndarray:

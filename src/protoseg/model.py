@@ -2,9 +2,12 @@
 
 Frames are embedded per-frame, compared to a global bank of trainable
 prototypes to form a row-stochastic affinity matrix, and summarized into
-two video representations: time-summed affinities and time-averaged
-reconstructed frames.  Each representation feeds its own activity
-classifier head.
+two video representations: time-summed affinities (V^p) and the time
+average (V^g) of the reconstructed frames
+g = A·P + relu(A·P·W1 + b1)·W2 + b2.  Each representation feeds its own
+activity classifier head.  Only the mean of g is ever read, so it is
+computed in reassociated form and g itself is never built; the latent
+path then costs T·N·d + N·d² per video instead of T·N·d + 2·T·d².
 """
 from __future__ import annotations
 
@@ -139,7 +142,6 @@ def bind_parameters(params: ModelParameters, tape: Tape) -> Dict[str, Var]:
 class ForwardOutputs:
     frames: Var  # T x d embedded frames
     affinity: Var  # T x N, rows sum to 1
-    latent: Var  # T x d reconstructed frames
     proto_repr: Var  # N-vector, sums to T
     visual_repr: Var  # d-vector
     proto_probs: Var  # C-vector
@@ -160,21 +162,21 @@ def compute_affinity(f: Var, p: Var) -> Var:
     return ad.row_normalize(ad.minmax_invert_rows(ad.pairwise_distance(f, p)))
 
 
-def reconstruct_latent(a: Var, p: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    """Affinity-weighted prototype sums refined by a two-layer residual map."""
-    g0 = ad.matmul(a, p)
-    hidden = ad.relu(ad.matmul(g0, w1) + b1)
-    return g0 + (ad.matmul(hidden, w2) + b2)
-
-
 def prototype_representation(a: Var) -> Var:
     """Sum affinities over time: occurrence and frequency evidence per prototype."""
     return ad.axis0_sum(a)
 
 
-def visual_representation(g: Var) -> Var:
-    """Average the reconstructed frames over time."""
-    return ad.axis0_mean(g)
+def mean_latent(a: Var, vp: Var, p: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+    """Time average of the reconstructed frames A·P + relu(A·P·W1 + b1)·W2 + b2.
+
+    Computed as (V^p/T)·P + mean_t(relu(A·(P·W1) + b1))·W2 + b2, where
+    `vp` is V^p, the time sum of `a`: no product of a T-row operand with
+    a d x d weight is formed, forward or backward.
+    """
+    hidden = ad.relu(ad.matmul(a, ad.matmul(p, w1)) + b1)
+    g0 = ad.matmul(ad.scale(vp, 1.0 / a.value.shape[0]), p)
+    return g0 + (ad.matmul(ad.axis0_mean(hidden), w2) + b2)
 
 
 def classify(vp: Var, vg: Var, wp: Var, bp: Var, wg: Var, bg: Var) -> tuple[Var, Var]:
@@ -192,23 +194,22 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
     x = tape.const(features)
     f = embed_frames(x, bound["embed_w"], bound["embed_b"])
     a = compute_affinity(f, bound["prototypes"])
-    g = reconstruct_latent(
+    vp = prototype_representation(a)
+    vg = mean_latent(
         a,
+        vp,
         bound["prototypes"],
         bound["latent_w1"],
         bound["latent_b1"],
         bound["latent_w2"],
         bound["latent_b2"],
     )
-    vp = prototype_representation(a)
-    vg = visual_representation(g)
     yp, yg = classify(
         vp, vg, bound["head_p_w"], bound["head_p_b"], bound["head_g_w"], bound["head_g_b"]
     )
     return ForwardOutputs(
         frames=f,
         affinity=a,
-        latent=g,
         proto_repr=vp,
         visual_repr=vg,
         proto_probs=yp,

@@ -8,7 +8,7 @@ import pytest
 
 from protoseg.checkpoint import load_checkpoint
 from protoseg.cli import main
-from protoseg.data import _write_features, read_corpus
+from protoseg.data import _write_features, _write_gt, read_corpus
 from protoseg.inference import naive_labels
 from protoseg.model import infer
 
@@ -287,6 +287,28 @@ class TestBadInputFiles:
         capsys.readouterr()
         assert run(["eval", *base]) == 1
         _one_line_runtime_error(capsys, "CorpusError", seg)
+
+    def test_nprime_gt_without_actions_names_activity_and_manifest(
+        self, trained, tmp_path, capsys
+    ):
+        cfg_path, manifest, ckpt = trained
+        text = json.loads(manifest.read_text())
+        for entry in text["videos"]:
+            if entry["activity"] == 2:
+                empty = manifest.parent / "gt" / f"empty_{tmp_path.name}_{entry['id']}.gt"
+                _write_gt(empty, np.zeros(entry["T"], dtype=np.int64))
+                entry["gt_file"] = empty.relative_to(manifest.parent).as_posix()
+        bad = manifest.with_name(f"bad_{tmp_path.name}.json")
+        bad.write_text(json.dumps(text))
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        code = run(["segment", "--config", cfg_path, "--manifest", bad, "--out-dir", out_dir,
+                    "--checkpoint", ckpt, "--scope", "activity", "--nprime", "gt"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and err.count("\n") == 1
+        assert "activity 2" in err and str(bad) in err and "--nprime" in err
+        assert not list(out_dir.rglob("*.seg.txt"))
 
 
 class TestConfigHandling:

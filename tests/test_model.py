@@ -101,40 +101,57 @@ class TestComputeAffinity:
             assert np.array_equal(np.argsort(d[t]), np.argsort(-a[t], kind="stable"))
 
 
-class TestReconstructLatent:
-    def _vars(self, tape, d=3, n=4):
-        rng = np.random.default_rng(0)
+def latent_reference(a, p, w1, b1, w2, b2):
+    """mean_t(A·P + relu(A·P·W1 + b1)·W2 + b2), with the frames built explicitly."""
+    g0 = a @ p
+    return (g0 + np.maximum(g0 @ w1 + b1, 0.0) @ w2 + b2).mean(axis=0)
+
+
+class TestMeanLatent:
+    def _maps(self, rng, d, n):
         return (
-            tape.var(rng.normal(size=(n, d))),
-            tape.var(rng.normal(size=(d, d))),
-            tape.var(rng.normal(size=d)),
-            tape.var(rng.normal(size=(d, d))),
-            tape.var(rng.normal(size=d)),
+            rng.normal(size=(n, d)),
+            rng.normal(size=(d, d)),
+            rng.normal(size=d),
+            rng.normal(size=(d, d)),
+            rng.normal(size=d),
         )
 
+    def _mean_latent(self, a_val, p, w1, b1, w2, b2):
+        tape = Tape()
+        a = tape.var(a_val)
+        vp = model_mod.prototype_representation(a)
+        maps = [tape.var(v) for v in (p, w1, b1, w2, b2)]
+        return model_mod.mean_latent(a, vp, *maps).value
+
+    def _zero_maps(self, d=3, n=4):
+        p = np.random.default_rng(0).normal(size=(n, d))
+        return p, np.zeros((d, d)), np.zeros(d), np.zeros((d, d)), np.zeros(d)
+
     def test_one_hot_row_selects_prototype(self):
-        tape = Tape()
-        p, w1, b1, w2, b2 = self._vars(tape)
-        zero = lambda v: tape.var(np.zeros_like(v.value))
-        a = tape.var(np.array([[0.0, 0.0, 1.0, 0.0]]))
-        out = model_mod.reconstruct_latent(a, p, zero(w1), zero(b1), zero(w2), zero(b2))
-        assert np.allclose(out.value[0], p.value[2])
+        maps = self._zero_maps()
+        out = self._mean_latent(np.array([[0.0, 0.0, 1.0, 0.0]]), *maps)
+        assert np.allclose(out, maps[0][2])
 
-    def test_uniform_row_gives_mean(self):
-        tape = Tape()
-        p, w1, b1, w2, b2 = self._vars(tape)
-        zero = lambda v: tape.var(np.zeros_like(v.value))
-        a = tape.var(np.full((1, 4), 0.25))
-        out = model_mod.reconstruct_latent(a, p, zero(w1), zero(b1), zero(w2), zero(b2))
-        assert np.allclose(out.value[0], p.value.mean(axis=0))
+    def test_uniform_row_gives_prototype_mean(self):
+        maps = self._zero_maps()
+        out = self._mean_latent(np.full((1, 4), 0.25), *maps)
+        assert np.allclose(out, maps[0].mean(axis=0))
 
-    def test_zero_maps_residual_passthrough(self):
-        tape = Tape()
-        p, w1, b1, w2, b2 = self._vars(tape)
-        zero = lambda v: tape.var(np.zeros_like(v.value))
-        a = tape.var(np.array([[0.7, 0.1, 0.1, 0.1]]))
-        out = model_mod.reconstruct_latent(a, p, zero(w1), zero(b1), zero(w2), zero(b2))
-        assert np.allclose(out.value, (a.value @ p.value))
+    def test_zero_maps_pass_affinity_sums_through(self):
+        maps = self._zero_maps()
+        a = np.random.default_rng(1).dirichlet(np.ones(4), size=5)
+        out = self._mean_latent(a, *maps)
+        assert np.allclose(out, (a @ maps[0]).mean(axis=0), atol=1e-12)
+
+    @pytest.mark.parametrize("t, d, n", [(9, 5, 3), (7, 4, 11)])
+    def test_matches_explicit_frames(self, t, d, n):
+        rng = np.random.default_rng(t)
+        a = rng.dirichlet(np.ones(n), size=t)
+        maps = self._maps(rng, d, n)
+        ref = latent_reference(a, *maps)
+        out = self._mean_latent(a, *maps)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestRepresentations:
@@ -155,24 +172,6 @@ class TestRepresentations:
         a = ad.row_normalize(tape.var(raw))
         vp = model_mod.prototype_representation(a)
         assert vp.value.sum() == pytest.approx(13.0, abs=1e-6)
-
-    def test_visual_repr_constant_rows(self):
-        tape = Tape()
-        g = tape.var(np.tile([1.0, 2.0], (7, 1)))
-        assert np.allclose(model_mod.visual_representation(g).value, [1.0, 2.0])
-
-    def test_visual_repr_two_rows(self):
-        tape = Tape()
-        g = tape.var(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(model_mod.visual_representation(g).value, [0.5, 0.5])
-
-    def test_visual_repr_matches_reference(self):
-        rng = np.random.default_rng(4)
-        g_val = rng.normal(size=(9, 5))
-        tape = Tape()
-        out = model_mod.visual_representation(tape.var(g_val)).value
-        ref = sum(g_val[t] for t in range(9)) / 9.0
-        assert np.allclose(out, ref, atol=1e-12)
 
 
 class TestClassify:
@@ -246,6 +245,25 @@ class TestForward:
         assert np.allclose(a2, a1[:, perm], atol=1e-12)
         assert np.allclose(yp2, yp1, atol=1e-12)
         assert np.allclose(yg2, yg1, atol=1e-12)
+
+    def test_no_frame_rows_meet_a_latent_weight(self, monkeypatch):
+        # T, N and d all distinct, so a T-row operand times a d x d
+        # weight can only be the reconstructed frames being built
+        t, n, d = 11, 6, 4
+        cfg = tiny_config(embed_dim=d, n_prototypes=n)
+        params = init_parameters(cfg, seed=6)
+        shapes = []
+        matmul = ad.matmul
+
+        def spy(a, b):
+            shapes.append((a.value.shape, b.value.shape))
+            return matmul(a, b)
+
+        monkeypatch.setattr(ad, "matmul", spy)
+        feats = np.random.default_rng(11).normal(size=(t, 5))
+        forward(feats, bind_parameters(params, Tape()), cfg)
+        assert ((t, 5), (5, d)) in shapes and ((t, n), (n, d)) in shapes
+        assert not [s for s in shapes if s[0][0] == t and s[1] == (d, d)]
 
     def test_empty_video_rejected(self):
         cfg = tiny_config()
