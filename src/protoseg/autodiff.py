@@ -13,8 +13,8 @@ primitive's output needs one iff one of its operands does.  A primitive
 whose operands all need none records nothing, and each backward rule
 computes only the operand gradients that are needed.  `grad` buffers are
 allocated on first accumulation, so a Var that no gradient reaches keeps
-`grad is None`.  On a tape made with `recording=False` no Var needs a
-gradient: it keeps no backward rules, and each intermediate array is
+`grad is None`.  A forward pass whose leaves are all constants, as in
+inference, thus keeps no backward rules, and each intermediate array is
 freed as soon as nothing else refers to it.
 
 `pairwise_distance` works in Gram form: its memory grows with
@@ -33,12 +33,12 @@ DISTANCE_EPS = 1e-12
 class Var:
     """A node in the computation graph: a float64 array and its adjoint.
 
-    `needs_grad` says whether a gradient can flow into this Var; it is
-    false on a non-recording tape.  `grad` is None until the first
-    adjoint arrives.  Its buffer then takes the value's memory order, as
-    `np.empty_like` gives, rather than the order of the first adjoint:
-    numpy's axis reductions follow memory order, so a buffer laid out
-    differently would change the last bits of the gradients read from it.
+    `needs_grad` says whether a gradient can flow into this Var.  `grad`
+    is None until the first adjoint arrives.  Its buffer then takes the
+    value's memory order, as `np.empty_like` gives, rather than the order
+    of the first adjoint: numpy's axis reductions follow memory order, so
+    a buffer laid out differently would change the last bits of the
+    gradients read from it.
     """
 
     __slots__ = ("value", "grad", "tape", "needs_grad")
@@ -91,19 +91,16 @@ class Tape:
     passes.  backward() consumes the records, so it runs once per tape.
     Only primitives with an operand that needs a gradient are recorded.
     Each record's closure refers back to Vars that refer to the tape, so
-    a recording tape that is never run is freed only by the cyclic
-    garbage collector.  A tape made with `recording=False` is for
-    forward-only passes: none of its Vars needs a gradient, so it records
-    nothing and holds no cycles.
+    a tape with records that is never run is freed only by the cyclic
+    garbage collector.
     """
 
-    def __init__(self, recording: bool = True):
-        self.recording = recording
+    def __init__(self):
         self._records: list[tuple[Var, Callable[[np.ndarray], None]]] = []
 
     def var(self, value) -> Var:
-        """Wrap an array as a leaf of this tape that needs a gradient if it records."""
-        return Var(value, self, self.recording)
+        """Wrap an array as a leaf of this tape that needs a gradient."""
+        return Var(value, self, True)
 
     def const(self, value) -> Var:
         """Wrap an array as a leaf of this tape that needs no gradient."""
@@ -111,15 +108,15 @@ class Tape:
 
     def _record(self, value: np.ndarray, operands, backward) -> Var:
         """The output Var of a primitive; keeps `backward` only if an operand needs a gradient."""
-        out = Var(value, self, self.recording and any(v.needs_grad for v in operands))
+        out = Var(value, self, any(v.needs_grad for v in operands))
         if out.needs_grad:
             self._records.append((out, backward))
         return out
 
     def backward(self, out: Var) -> None:
         """Propagate adjoints from scalar `out` back to every leaf that needs one."""
-        if not self.recording:
-            raise ValueError("backward requires a recording tape")
+        if not out.needs_grad:
+            raise ValueError("backward requires an output that needs a gradient")
         if out.value.shape != ():
             raise ValueError("backward requires a scalar output")
         out.grad = np.ones_like(out.value)
@@ -426,8 +423,8 @@ def finite_diff_check(
     analytic = [np.zeros_like(v.value) if v.grad is None else v.grad for v in wrapped]
 
     def evaluate() -> float:
-        t = Tape(recording=False)
-        return float(fn(t, *[t.var(x) for x in inputs]).value)
+        t = Tape()
+        return float(fn(t, *[t.const(x) for x in inputs]).value)
 
     worst = 0.0
     for k, x in enumerate(inputs):

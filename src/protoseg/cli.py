@@ -101,13 +101,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+def _merge(base: dict, override, name: str, prefix: str = "") -> dict:
+    """`base` updated from `override`; errors call `override` by `name`, a file or a section."""
+    if not isinstance(override, dict):
+        raise ConfigError(f"{name}: must be a JSON object, got {type(override).__name__}")
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {prefix + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, prefix + key + ".")
+        if isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, prefix + key, prefix + key + ".")
         else:
             out[key] = value
     return out
@@ -123,7 +126,7 @@ def _load_config(args) -> dict:
             from_file = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"unparseable config {path}: {exc}") from exc
-        cfg = _merge(cfg, from_file)
+        cfg = _merge(cfg, from_file, str(path))
     for flag, (keys, _) in _FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)  # argparse's dest
         if value is not None:
@@ -444,13 +447,8 @@ def _cmd_eval(cfg: dict) -> int:
         action_kl = {}
         for activity in sorted({v.activity for v in videos}):
             group = [v for v in videos if v.activity == activity]
-            mapped = [result.mapped[v.video_id] for v in group]
-            gts = [v.gt for v in group]
-            bgs = [v.background for v in group]
-            action_kl[str(activity)] = {
-                "pred_vs_gt": matching.kl_action_distribution(mapped, gts, bgs),
-                "gt_vs_pred": matching.kl_action_distribution(gts, mapped, bgs),
-            }
+            pred_vs_gt, gt_vs_pred = matching.kl_action_distribution(group, result.mapped)
+            action_kl[str(activity)] = {"pred_vs_gt": pred_vs_gt, "gt_vs_pred": gt_vs_pred}
         report["kl"] = {
             "action_distribution": action_kl,
             "prototype_sharing": {

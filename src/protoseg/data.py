@@ -96,6 +96,13 @@ class CorpusSpec:
             raise ValueError("drop_prob must lie in [0, 1)")
         if self.n_activities < 1 or self.n_actions < 1 or self.videos_per_activity < 1:
             raise ValueError("counts must be >= 1")
+        low, high = self.frames_range
+        if not 1 <= low <= high:
+            raise ValueError(f"frames_range must satisfy 1 <= low <= high, got {self.frames_range}")
+        if self.feature_dim < 1:
+            raise ValueError("feature_dim must be >= 1")
+        if self.noise < 0.0 or self.background_ratio < 0.0:
+            raise ValueError("noise and background_ratio must be >= 0")
 
 
 def _activity_pairs(c: int) -> list:

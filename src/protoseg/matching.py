@@ -1,8 +1,9 @@
 """Cluster-to-action assignment and evaluation metrics.
 
 Predicted labelings carry 1-based cluster (prototype) ids; ground truth
-carries 1-based action ids with 0 meaning background.  Background frames
-and masked frames are excluded from every metric.
+carries 1-based action ids with 0 meaning background.  `VideoEval.evaluated`
+alone decides which frames are scored: not background, and not masked by
+the prediction.  Every metric reads that mask.
 """
 from __future__ import annotations
 
@@ -38,19 +39,12 @@ class Contingency:
     action_ids: np.ndarray
 
 
-def build_contingency(pred, gt, background=None) -> Contingency:
-    """Frame-overlap counts between predicted clusters and true actions."""
+def build_contingency(pred, gt) -> Contingency:
+    """Frame-overlap counts between predicted clusters and true actions, over every frame given."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
         raise ValueError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
-    keep = gt != 0
-    if background is not None:
-        background = np.asarray(background, dtype=bool)
-        if background.shape != pred.shape:
-            raise ValueError("background mask length differs from labels")
-        keep &= ~background
-    pred, gt = pred[keep], gt[keep]
     cluster_ids = np.unique(pred)
     action_ids = np.unique(gt)
     counts = np.zeros((cluster_ids.size, action_ids.size), dtype=np.int64)
@@ -197,10 +191,13 @@ def _report(scope: str, unit: str, cont: Contingency) -> AssignmentReport:
     )
 
 
-def _pooled_contingency(videos: Sequence[VideoEval]) -> Contingency:
-    preds = np.concatenate([np.asarray(v.pred)[v.evaluated()] for v in videos])
-    gts = np.concatenate([np.asarray(v.gt)[v.evaluated()] for v in videos])
-    return build_contingency(preds, gts)
+def _scored(videos: Sequence[VideoEval], labels: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """`labels` (one array per video) and the ground truth, pooled over the scored frames."""
+    keeps = [v.evaluated() for v in videos]
+    return (
+        np.concatenate([np.asarray(x)[keep] for x, keep in zip(labels, keeps)]),
+        np.concatenate([np.asarray(v.gt)[keep] for v, keep in zip(videos, keeps)]),
+    )
 
 
 # scope -> (unit name, rank) of a video; units are matched in rank order,
@@ -226,7 +223,7 @@ def match_at_level(videos: Sequence[VideoEval], scope: str) -> MatchResult:
     mapped: Dict[str, np.ndarray] = {}
     per_video_mof: Dict[str, float] = {}
     for (unit, _), group in sorted(units.items(), key=lambda item: item[0][1]):
-        rep = _report(scope, unit, _pooled_contingency(group))
+        rep = _report(scope, unit, build_contingency(*_scored(group, [v.pred for v in group])))
         reports.append(rep)
         assignment = dict(rep.assignment)
         for v in group:
@@ -274,8 +271,8 @@ def _runs(labels: np.ndarray, keep: np.ndarray) -> list[tuple[int, int, int]]:
     return segments
 
 
-def f1_segments(mapped_pred, gt, background=None) -> float:
-    """Segment-level F1 after matching.
+def f1_segments(mapped_pred, gt, keep) -> float:
+    """Segment-level F1 after matching, over the frames where `keep` is true.
 
     A ground-truth segment is recalled when strictly more than half of its
     frames carry its action as the mapped prediction; a predicted segment
@@ -284,9 +281,6 @@ def f1_segments(mapped_pred, gt, background=None) -> float:
     """
     mapped_pred = np.asarray(mapped_pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
-    keep = gt != 0
-    if background is not None:
-        keep &= ~np.asarray(background, dtype=bool)
     pred_segs = _runs(mapped_pred, keep)
     gt_segs = _runs(gt, keep)
     if not pred_segs or not gt_segs:
@@ -317,7 +311,7 @@ def f1_segments(mapped_pred, gt, background=None) -> float:
 
 def corpus_f1(videos: Sequence[VideoEval], mapped: Dict[str, np.ndarray]) -> float:
     """Per-video segment F1 of the matched labelings, averaged over the corpus."""
-    return float(np.mean([f1_segments(mapped[v.video_id], v.gt, v.background) for v in videos]))
+    return float(np.mean([f1_segments(mapped[v.video_id], v.gt, v.evaluated()) for v in videos]))
 
 
 # ---------------------------------------------------------------------------
@@ -338,31 +332,19 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def kl_action_distribution(
-    mapped_preds: Sequence[np.ndarray],
-    gts: Sequence[np.ndarray],
-    backgrounds: Sequence[np.ndarray] | None = None,
-) -> float:
-    """Divergence of the predicted frame-over-action distribution from truth.
+    videos: Sequence[VideoEval], mapped: Dict[str, np.ndarray]
+) -> tuple[float, float]:
+    """Divergences between the matched and the true frame-over-action distributions.
 
-    Both distributions run over the action ids present in the pooled
-    ground truth; predicted frames mapped to no action add no mass.
+    Both distributions pool the scored frames of `videos` and run over the
+    action ids of their ground truth; a frame mapped to no action adds no
+    mass.  Returns (D(pred || gt), D(gt || pred)).
     """
-    if backgrounds is None:
-        backgrounds = [None] * len(mapped_preds)
-    pred_all, gt_all = [], []
-    for mapped, gt, bg in zip(mapped_preds, gts, backgrounds):
-        gt = np.asarray(gt, dtype=np.int64)
-        keep = gt != 0
-        if bg is not None:
-            keep &= ~np.asarray(bg, dtype=bool)
-        pred_all.append(np.asarray(mapped, dtype=np.int64)[keep])
-        gt_all.append(gt[keep])
-    pred_all = np.concatenate(pred_all)
-    gt_all = np.concatenate(gt_all)
-    actions = np.unique(gt_all)
-    p_counts = np.array([np.sum(pred_all == a) for a in actions], dtype=np.float64)
-    q_counts = np.array([np.sum(gt_all == a) for a in actions], dtype=np.float64)
-    return kl_divergence(smoothed_distribution(p_counts), smoothed_distribution(q_counts))
+    pred, gt = _scored(videos, [mapped[v.video_id] for v in videos])
+    actions = np.unique(gt)
+    p = smoothed_distribution([np.sum(pred == a) for a in actions])
+    q = smoothed_distribution([np.sum(gt == a) for a in actions])
+    return kl_divergence(p, q), kl_divergence(q, p)
 
 
 def kl_prototype_sharing(

@@ -140,10 +140,7 @@ def bind_parameters(params: ModelParameters, tape: Tape) -> Dict[str, Var]:
 
 @dataclass
 class ForwardOutputs:
-    frames: Var  # T x d embedded frames
     affinity: Var  # T x N, rows sum to 1
-    proto_repr: Var  # N-vector, sums to T
-    visual_repr: Var  # d-vector
     proto_probs: Var  # C-vector
     visual_probs: Var  # C-vector
 
@@ -207,17 +204,11 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
     yp, yg = classify(
         vp, vg, bound["head_p_w"], bound["head_p_b"], bound["head_g_w"], bound["head_g_b"]
     )
-    return ForwardOutputs(
-        frames=f,
-        affinity=a,
-        proto_repr=vp,
-        visual_repr=vg,
-        proto_probs=yp,
-        visual_probs=yg,
-    )
+    return ForwardOutputs(affinity=a, proto_probs=yp, visual_probs=yg)
 
 
 def infer(features: np.ndarray, params: ModelParameters, cfg: ModelConfig):
-    """Forward pass on a non-recording tape; returns (affinity, proto_probs, visual_probs)."""
-    out = forward(features, bind_parameters(params, Tape(recording=False)), cfg)
+    """Forward pass with constant parameters; returns (affinity, proto_probs, visual_probs)."""
+    tape = Tape()
+    out = forward(features, {name: tape.const(arr) for name, arr in params.as_dict().items()}, cfg)
     return out.affinity.value, out.proto_probs.value, out.visual_probs.value

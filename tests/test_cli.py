@@ -167,6 +167,13 @@ class TestErrors:
             ("recognize", ["--wp", "-1"], {}, "recognize"),
             ("recognize", [], {"recognize": {"wp": 0, "wg": 0.0}}, "recognize"),
             ("eval", [], {"eval": {"kl": "no"}}, "eval"),
+            ("generate", [], {"corpus": {"frames_range": [300, 100]}}, "corpus"),
+            ("generate", [], {"corpus": {"frames_range": [0, 0]}}, "corpus"),
+            ("generate", [], {"corpus": {"feature_dim": 0}}, "corpus"),
+            ("generate", [], {"corpus": {"noise": -1}}, "corpus"),
+            ("generate", [], {"corpus": {"background_ratio": -0.5}}, "corpus"),
+            ("generate", [], {"infer": 5}, "infer"),
+            ("generate", [], [1, 2], None),  # None: the error names the file
         ],
     )
     def test_bad_config_value_is_config_error(
@@ -177,14 +184,18 @@ class TestErrors:
         assert run(["generate", "--config", cfg_path, "--manifest", manifest,
                     "--out-dir", tmp_path / "gen"]) == 0
         capsys.readouterr()
-        cfg = {**TINY_CONFIG, **{k: {**TINY_CONFIG.get(k, {}), **v} for k, v in override.items()}}
+        cfg = override if isinstance(override, list) else {
+            **TINY_CONFIG,
+            **{k: {**TINY_CONFIG.get(k, {}), **v} if isinstance(v, dict) else v
+               for k, v in override.items()},
+        }
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         code = run([command, "--config", bad, "--manifest", manifest,
                     "--out-dir", tmp_path / "out", "--checkpoint", tmp_path / "m.ckpt", *args])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config: {section}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: config: {section or bad}: ") and err.count("\n") == 1
 
     def test_bad_nprime_value(self, workdir):
         tmp_path, cfg_path = workdir

@@ -32,14 +32,6 @@ class TestContingency:
         assert np.array_equal(cont.action_ids, [1, 2])
         assert np.array_equal(cont.counts, [[1, 1], [0, 1]])
 
-    def test_total_equals_evaluated_frames(self):
-        rng = np.random.default_rng(0)
-        pred = rng.integers(1, 5, size=50)
-        gt = rng.integers(0, 4, size=50)  # zeros are background
-        mask = rng.random(50) < 0.2
-        cont = build_contingency(pred, gt, mask)
-        assert cont.counts.sum() == np.sum((gt != 0) & ~mask)
-
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_contingency(np.ones(3, dtype=int), np.ones(4, dtype=int))
@@ -132,6 +124,18 @@ class TestMatchLevels:
                 assert ra.mop == pytest.approx(rb.mop, abs=1e-12)
                 assert ra.moc == pytest.approx(rb.moc, abs=1e-12)
 
+    def test_pooled_n_evaluated_counts_scored_frames(self):
+        rng = np.random.default_rng(0)
+        videos = [
+            _video(f"v{i}", 1 + i % 2, rng.integers(1, 5, size=50), rng.integers(0, 4, size=50),
+                   rng.random(50) < 0.2)  # gt zeros are background
+            for i in range(3)
+        ]
+        scored = sum(int(np.sum((v.gt != 0) & ~v.background)) for v in videos)
+        for scope in ("video", "activity", "global"):
+            reports = match_at_level(videos, scope).reports
+            assert sum(r.n_evaluated for r in reports) == scored
+
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError):
             match_at_level([_video("v", 1, [1], [1])], "cosmic")
@@ -171,8 +175,30 @@ class TestMatchedLabeling:
     def test_corpus_f1_scores_the_mapped_labels(self):
         videos = _mixed_activity_videos()
         mapped = match_at_level(videos, "activity").mapped
-        expected = np.mean([f1_segments(mapped[v.video_id], v.gt, v.background) for v in videos])
+        expected = np.mean([f1_segments(mapped[v.video_id], v.gt, v.evaluated()) for v in videos])
         assert corpus_f1(videos, mapped) == expected
+
+    @pytest.mark.parametrize("scope", ["video", "activity", "global"])
+    def test_unscored_frames_change_no_metric(self, scope):
+        videos = _mixed_activity_videos()
+        rng = np.random.default_rng(5)
+        changed = [
+            _video(v.video_id, v.activity,
+                   np.where(v.evaluated(), v.pred, rng.integers(5, 9, size=len(v.pred))),
+                   v.gt, v.background)
+            for v in videos
+        ]
+        assert any(not np.array_equal(a.pred, b.pred) for a, b in zip(videos, changed))
+
+        def metrics(vs):
+            result = match_at_level(vs, scope)
+            kl = [kl_action_distribution([v for v in vs if v.activity == activity], result.mapped)
+                  for activity in (1, 2, 10)]
+            reports = [(r.assignment, r.mof, r.mop, r.moc) for r in result.reports]
+            f1 = corpus_f1(vs, result.mapped)
+            return result.mof, result.per_video_mof, reports, f1, kl
+
+        assert metrics(changed) == metrics(videos)
 
 
 class TestMetrics:
@@ -201,13 +227,18 @@ class TestMetrics:
             match_at_level([_video("v", 1, [1, 2], [0, 0])], "global")
 
 
+def _every(labels):
+    return np.ones(len(labels), dtype=bool)
+
+
 class TestF1Segments:
     def test_identical_segmentations(self):
         gt = np.array([1, 1, 2, 2, 2, 3])
-        assert f1_segments(gt, gt) == 1.0
+        assert f1_segments(gt, gt, _every(gt)) == 1.0
 
     def test_no_overlap(self):
-        assert f1_segments(np.array([1, 1, 2, 2]), np.array([2, 2, 1, 1])) == 0.0
+        gt = np.array([2, 2, 1, 1])
+        assert f1_segments(np.array([1, 1, 2, 2]), gt, _every(gt)) == 0.0
 
     def test_half_coverage_hand_case(self):
         # gt: two segments of 10; predictions cover 60% of segment one and
@@ -225,18 +256,20 @@ class TestF1Segments:
         # segments (overlap > half of the pred segment); 9 and 8 never match
         # -> 2/4.  recall: segment one recalled (6/10 > 1/2), two not (4/10)
         # -> 1/2.  F1 = 0.5
-        assert f1_segments(pred, gt) == pytest.approx(0.5)
+        assert f1_segments(pred, gt, _every(gt)) == pytest.approx(0.5)
 
     def test_exactly_half_is_not_recalled(self):
         gt = np.array([1] * 10)
         pred = np.array([1] * 5 + [2] * 5)
         # 5/10 is not > 50%: gt segment missed; pred segment 1 is precise
-        assert f1_segments(pred, gt) == 0.0
+        assert f1_segments(pred, gt, _every(gt)) == 0.0
 
     def test_background_excluded(self):
-        gt = np.array([0, 1, 1, 0, 2, 2])
-        pred = np.array([7, 1, 1, 7, 2, 2])
-        assert f1_segments(pred, gt) == 1.0
+        # frame 0 and 3 are background, the last frame is masked
+        gt = np.array([0, 1, 1, 0, 2, 2, 2])
+        mapped = np.array([7, 1, 1, 7, 2, 2, 7])
+        mask = np.array([0, 0, 0, 0, 0, 0, 1], dtype=bool)
+        assert corpus_f1([_video("v", 1, mapped, gt, mask)], {"v": mapped}) == 1.0
 
 
 class TestKL:
@@ -252,11 +285,22 @@ class TestKL:
 
     def test_action_distribution_hand_value(self):
         # pred assigns half the frames to each action, truth is 25/75
-        mapped = [np.array([1, 1, 2, 2])]
-        gt = [np.array([1, 2, 2, 2])]
-        got = kl_action_distribution(mapped, gt)
-        expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        assert got == pytest.approx(expected, abs=1e-4)
+        mapped = np.array([1, 1, 2, 2])
+        got = kl_action_distribution([_video("v", 1, mapped, [1, 2, 2, 2])], {"v": mapped})
+        forward = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
+        reverse = 0.25 * math.log(0.5) + 0.75 * math.log(1.5)
+        assert got == pytest.approx((forward, reverse), abs=1e-4)
+
+    def test_action_distribution_missed_action(self):
+        # the prediction never shows action 2; the reverse direction sees it
+        mapped = np.array([1, 1, 1, 0])
+        pred_vs_gt, gt_vs_pred = kl_action_distribution(
+            [_video("v", 1, mapped, [1, 1, 2, 2])], {"v": mapped}
+        )
+        p = smoothed_distribution(np.array([3.0, 0.0]))
+        q = smoothed_distribution(np.array([2.0, 2.0]))
+        assert pred_vs_gt == kl_divergence(p, q) == pytest.approx(math.log(2.0), abs=1e-6)
+        assert gt_vs_pred == kl_divergence(q, p) == pytest.approx(9.066, abs=1e-3)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(4)

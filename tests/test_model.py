@@ -278,7 +278,7 @@ class TestInfer:
         params = init_parameters(cfg, seed=4)
         model_mod.infer(np.random.default_rng(9).normal(size=(7, 5)), params, cfg)
         assert len(made_vars) > len(PARAM_NAMES)
-        assert all(v.grad is None for v in made_vars)
+        assert all(v.grad is None and not v.needs_grad for v in made_vars)
         tape = made_vars[0].tape
         assert all(v.tape is tape for v in made_vars) and tape._records == []
 
