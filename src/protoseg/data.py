@@ -66,6 +66,12 @@ class Corpus:
     canonical_actions: list | None = None  # generator metadata, per activity
 
 
+def require_int(name: str, value, low: int) -> None:
+    """Reject a config value that is not an integer >= `low`; bools and floats included."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class CorpusSpec:
     """Knobs for the procedural corpus generator."""
@@ -84,6 +90,14 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_activities", "n_actions", "videos_per_activity", "feature_dim"):
+            require_int(name, getattr(self, name), 1)
+        require_int("shared_actions", self.shared_actions, 0)
+        require_int("seed", self.seed, 0)
+        for name in ("actions_per_activity", "frames_range"):
+            low, high = getattr(self, name)
+            require_int(f"{name} low", low, 1)
+            require_int(f"{name} high", high, low)
         if self.shared_actions > self.n_actions:
             raise ValueError("shared_actions cannot exceed n_actions")
         if self.shared_actions > 0 and self.n_activities < 2:
@@ -94,13 +108,6 @@ class CorpusSpec:
             raise ValueError("cluster_separation must be > 0")
         if not 0.0 <= self.drop_prob < 1.0:
             raise ValueError("drop_prob must lie in [0, 1)")
-        if self.n_activities < 1 or self.n_actions < 1 or self.videos_per_activity < 1:
-            raise ValueError("counts must be >= 1")
-        low, high = self.frames_range
-        if not 1 <= low <= high:
-            raise ValueError(f"frames_range must satisfy 1 <= low <= high, got {self.frames_range}")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
         if self.noise < 0.0 or self.background_ratio < 0.0:
             raise ValueError("noise and background_ratio must be >= 0")
 

@@ -47,10 +47,10 @@ def build_contingency(pred, gt) -> Contingency:
         raise ValueError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
     cluster_ids = np.unique(pred)
     action_ids = np.unique(gt)
-    counts = np.zeros((cluster_ids.size, action_ids.size), dtype=np.int64)
-    row = np.searchsorted(cluster_ids, pred)
-    col = np.searchsorted(action_ids, gt)
-    np.add.at(counts, (row, col), 1)
+    cell = np.searchsorted(cluster_ids, pred) * action_ids.size + np.searchsorted(action_ids, gt)
+    counts = np.bincount(cell, minlength=cluster_ids.size * action_ids.size).reshape(
+        cluster_ids.size, action_ids.size
+    )
     return Contingency(counts=counts, cluster_ids=cluster_ids, action_ids=action_ids)
 
 
@@ -256,19 +256,14 @@ def apply_assignment(pred, mapping: Dict[int, int]) -> np.ndarray:
 
 def _runs(labels: np.ndarray, keep: np.ndarray) -> list[tuple[int, int, int]]:
     """Maximal constant-label runs over kept frames, split at excluded frames."""
-    segments = []
-    start = None
-    current = None
-    for t in range(len(labels) + 1):
-        inside = t < len(labels) and keep[t]
-        label = labels[t] if inside else None
-        if start is not None and (not inside or label != current):
-            segments.append((int(current), start, t))
-            start = None
-        if inside and start is None:
-            start = t
-            current = label
-    return segments
+    labels = np.asarray(labels)
+    keep = np.asarray(keep, dtype=bool)
+    # a run starts where a kept frame follows an excluded frame or another
+    # label, and ends where the next frame is excluded or has another label
+    split = ~keep[1:] | ~keep[:-1] | (labels[1:] != labels[:-1])
+    starts = np.flatnonzero(keep & np.concatenate(([True], split)))
+    ends = np.flatnonzero(keep & np.concatenate((split, [True]))) + 1
+    return list(zip(labels[starts].tolist(), starts.tolist(), ends.tolist()))
 
 
 def f1_segments(mapped_pred, gt, keep) -> float:

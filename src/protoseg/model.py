@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
+from .data import require_int
 
 
 @dataclass
@@ -28,8 +29,10 @@ class ModelConfig:
     embed_dim: int | None = None  # None: 20 for small inputs, else min(input_dim, 1024)
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.n_activities < 1 or self.n_prototypes < 1:
-            raise ValueError("model dimensions must be >= 1")
+        for name in ("input_dim", "n_activities", "n_prototypes"):
+            require_int(name, getattr(self, name), 1)
+        if self.embed_dim is not None:
+            require_int("embed_dim", self.embed_dim, 1)
 
     @property
     def resolved_embed_dim(self) -> int:

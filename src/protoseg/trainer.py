@@ -10,6 +10,7 @@ from . import losses as losses_mod
 from . import model as model_mod
 from .model import ModelConfig, ModelParameters, PARAM_NAMES
 from .autodiff import Tape
+from .data import require_int
 from .losses import LossConfig
 from .rng import Xoshiro256StarStar
 
@@ -25,10 +26,9 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        require_int("epochs", self.epochs, 1)
+        require_int("batch_size", self.batch_size, 1)
+        require_int("seed", self.seed, 0)
         if self.lr < 0.0:
             raise ValueError("lr must be >= 0")
 

@@ -1,5 +1,5 @@
-"""Shared gradient-check scenarios and the assignment oracle used by unit and
-acceptance tests."""
+"""Shared gradient-check scenarios and the assignment, run and contingency
+oracles used by unit and acceptance tests."""
 from __future__ import annotations
 
 import numpy as np
@@ -131,3 +131,31 @@ def brute_force_assignment_value(counts: np.ndarray) -> float:
         for rows in permutations(range(n), m):
             best = max(best, sum(counts[r, j] for j, r in enumerate(rows)))
     return float(best)
+
+
+def loop_runs(labels, keep) -> list[tuple[int, int, int]]:
+    """Oracle: maximal constant-label runs over kept frames, one frame at a time."""
+    segments = []
+    start = None
+    current = None
+    for t in range(len(labels) + 1):
+        inside = t < len(labels) and keep[t]
+        label = labels[t] if inside else None
+        if start is not None and (not inside or label != current):
+            segments.append((int(current), start, t))
+            start = None
+        if inside and start is None:
+            start = t
+            current = label
+    return segments
+
+
+def add_at_contingency(pred, gt) -> np.ndarray:
+    """Oracle: cluster x action overlap counts accumulated with `np.add.at`."""
+    pred = np.asarray(pred, dtype=np.int64)
+    gt = np.asarray(gt, dtype=np.int64)
+    cluster_ids = np.unique(pred)
+    action_ids = np.unique(gt)
+    counts = np.zeros((cluster_ids.size, action_ids.size), dtype=np.int64)
+    np.add.at(counts, (np.searchsorted(cluster_ids, pred), np.searchsorted(action_ids, gt)), 1)
+    return counts

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from protoseg.checkpoint import load_checkpoint
-from protoseg.cli import main
+from protoseg.cli import _read_segment_file, _write_segment_file, main
 from protoseg.data import _write_features, _write_gt, read_corpus
-from protoseg.inference import naive_labels
+from protoseg.inference import Labeling, naive_labels
 from protoseg.model import infer
 
 
@@ -172,6 +172,17 @@ class TestErrors:
             ("generate", [], {"corpus": {"feature_dim": 0}}, "corpus"),
             ("generate", [], {"corpus": {"noise": -1}}, "corpus"),
             ("generate", [], {"corpus": {"background_ratio": -0.5}}, "corpus"),
+            ("generate", [], {"corpus": {"feature_dim": 2.5}}, "corpus"),
+            ("generate", [], {"corpus": {"videos_per_activity": 1.5}}, "corpus"),
+            ("generate", [], {"corpus": {"seed": -1}}, "corpus"),
+            ("generate", [], {"corpus": {"actions_per_activity": [9, 1]}}, "corpus"),
+            ("generate", [], {"corpus": {"frames_range": [1.5, 3]}}, "corpus"),
+            ("generate", [], {"corpus": {"n_activities": True}}, "corpus"),
+            ("train", [], {"train": {"epochs": 1.5}}, "train"),
+            ("train", [], {"train": {"batch_size": 2.5}}, "train"),
+            ("train", [], {"train": {"seed": -3}}, "train"),
+            ("train", [], {"model": {"n_prototypes": 2.5}}, "model"),
+            ("train", [], {"model": {"embed_dim": 0}}, "model"),
             ("generate", [], {"infer": 5}, "infer"),
             ("generate", [], [1, 2], None),  # None: the error names the file
         ],
@@ -212,6 +223,55 @@ def trained(tmp_path_factory):
     cfg_path.write_text(json.dumps(TINY_CONFIG))
     _, manifest, ckpt = _pipeline(tmp_path, cfg_path)
     return cfg_path, manifest, ckpt
+
+
+class TestSegmentFiles:
+    @pytest.mark.parametrize(
+        "labels, background, matched, text",
+        [
+            ([2, 2, 5], None, None, "0 2 -1\n1 2 -1\n2 5 -1\n"),
+            ([1, 3, 3, 4], [False, True, False, False], [0, 9, 7, 0],
+             "0 1 0\n1 -1 -1\n2 3 7\n3 4 0\n"),
+            ([7], None, [3], "0 7 3\n"),
+        ],
+        ids=["plain", "background-and-unmatched", "one-frame"],
+    )
+    def test_bytes_and_read_back(self, tmp_path, labels, background, matched, text):
+        bg = None if background is None else np.array(background)
+        path = tmp_path / "v.seg.txt"
+        assert not path.exists()
+        _write_segment_file(path, Labeling(np.array(labels), bg), matched)
+        assert path.read_bytes() == text.encode("ascii")
+        back = _read_segment_file(path)
+        expected_bg = np.zeros(len(labels), dtype=bool) if bg is None else bg
+        assert np.array_equal(back.background, expected_bg)
+        assert np.array_equal(back.labels, np.where(expected_bg, 1, labels))
+
+    def test_shorter_labeling_leaves_no_stale_tail(self, tmp_path):
+        path = tmp_path / "v.seg.txt"
+        _write_segment_file(path, Labeling(np.full(12, 40)), np.full(12, 30))
+        long = path.read_bytes()
+        _write_segment_file(path, Labeling(np.array([1, 2])), np.array([5, 0]))
+        assert len(long) > len(path.read_bytes())
+        assert path.read_bytes() == b"0 1 5\n1 2 0\n"
+        assert np.array_equal(_read_segment_file(path).labels, [1, 2])
+
+    def test_rewrites_at_every_scope_equal_one_fresh_eval(self, trained, tmp_path):
+        cfg_path, manifest, ckpt = trained
+        outs = {}
+        for name, scopes in (("rewritten", ["video", "activity", "global"]),
+                             ("fresh", ["global"])):
+            out_dir = tmp_path / name
+            base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                    "--checkpoint", ckpt]
+            assert run(["segment", *base]) == 0
+            for scope in scopes:
+                assert run(["eval", *base, "--scope", scope]) == 0
+            files = sorted((out_dir / "segments").glob("*.seg.txt"))
+            files.append(out_dir / "metrics_global.json")
+            outs[name] = {p.relative_to(out_dir): p.read_bytes() for p in files}
+        assert len(outs["fresh"]) == 7
+        assert outs["rewritten"] == outs["fresh"]
 
 
 def _one_line_runtime_error(capsys, kind, path):

@@ -5,6 +5,7 @@ import pytest
 
 from protoseg.matching import (
     VideoEval,
+    _runs,
     apply_assignment,
     build_contingency,
     corpus_f1,
@@ -17,7 +18,7 @@ from protoseg.matching import (
     smoothed_distribution,
 )
 
-from conftest import brute_force_assignment_value
+from conftest import add_at_contingency, brute_force_assignment_value, loop_runs
 
 
 class TestContingency:
@@ -35,6 +36,20 @@ class TestContingency:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_contingency(np.ones(3, dtype=int), np.ones(4, dtype=int))
+
+    def test_matches_add_at_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            t = int(rng.integers(1, 60))
+            pred = rng.integers(1, int(rng.integers(2, 12)), size=t)
+            gt = rng.integers(0, int(rng.integers(1, 9)), size=t)
+            cont = build_contingency(pred, gt)
+            assert cont.counts.dtype == np.int64
+            assert np.array_equal(cont.counts, add_at_contingency(pred, gt))
+
+    def test_empty_input(self):
+        cont = build_contingency(np.array([], dtype=int), np.array([], dtype=int))
+        assert cont.counts.shape == (0, 0)
 
 
 class TestHungarian:
@@ -229,6 +244,43 @@ class TestMetrics:
 
 def _every(labels):
     return np.ones(len(labels), dtype=bool)
+
+
+def _random_runs_cases(rng, n):
+    """(labels, keep) pairs: random, T = 1, all masked, alternating masks, label 0."""
+    cases = [
+        (np.array([3]), np.array([True])),
+        (np.array([3]), np.array([False])),
+        (np.array([0, 0, 1, 1]), np.ones(4, dtype=bool)),
+        (np.array([2, 2, 2, 2, 2]), np.zeros(5, dtype=bool)),
+        (np.array([1, 1, 1, 1, 1, 1]), np.arange(6) % 2 == 0),
+        (np.array([0, 1, 0, 1, 1, 0]), np.arange(6) % 2 == 1),
+    ]
+    while len(cases) < n:
+        t = int(rng.integers(1, 40))
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=t)
+        kind = len(cases) % 4
+        if kind == 0:
+            keep = np.zeros(t, dtype=bool)
+        elif kind == 1:
+            keep = (np.arange(t) + int(rng.integers(2))) % 2 == 0
+        else:
+            keep = rng.random(t) < rng.uniform(0.3, 1.0)
+        cases.append((labels, keep))
+    return cases
+
+
+class TestRuns:
+    def test_matches_loop_oracle(self):
+        cases = _random_runs_cases(np.random.default_rng(12), 240)
+        assert sum(not keep.any() for _, keep in cases) >= 50
+        for labels, keep in cases:
+            assert _runs(labels, keep) == loop_runs(labels, keep)
+
+    def test_hand_case(self):
+        labels = np.array([0, 0, 1, 1, 1, 2])
+        keep = np.array([1, 1, 1, 0, 1, 1], dtype=bool)
+        assert _runs(labels, keep) == [(0, 0, 2), (1, 2, 3), (1, 4, 5), (2, 5, 6)]
 
 
 class TestF1Segments:
