@@ -172,6 +172,8 @@ class TestErrors:
             ("generate", [], {"corpus": {"feature_dim": 0}}, "corpus"),
             ("generate", [], {"corpus": {"noise": -1}}, "corpus"),
             ("generate", [], {"corpus": {"background_ratio": -0.5}}, "corpus"),
+            ("generate", [], {"infer": 5}, "infer"),
+            ("generate", [], [1, 2], None),  # None: the error names the file
             ("generate", [], {"corpus": {"feature_dim": 2.5}}, "corpus"),
             ("generate", [], {"corpus": {"videos_per_activity": 1.5}}, "corpus"),
             ("generate", [], {"corpus": {"seed": -1}}, "corpus"),
@@ -183,8 +185,6 @@ class TestErrors:
             ("train", [], {"train": {"seed": -3}}, "train"),
             ("train", [], {"model": {"n_prototypes": 2.5}}, "model"),
             ("train", [], {"model": {"embed_dim": 0}}, "model"),
-            ("generate", [], {"infer": 5}, "infer"),
-            ("generate", [], [1, 2], None),  # None: the error names the file
         ],
     )
     def test_bad_config_value_is_config_error(
