@@ -58,29 +58,31 @@ def build_contingency(pred, gt) -> Contingency:
 # Hungarian assignment
 
 
-def _solve_square_min(cost: np.ndarray) -> list[int]:
-    """O(k^3) assignment on a square cost matrix via potentials.
+def _min_cost_pairs(cost: np.ndarray) -> list[tuple[int, int]]:
+    """Min-cost assignment of every row of an n x m cost matrix, n <= m.
 
-    Returns col_of_row; exact for exact input costs.
+    Shortest augmenting paths with potentials, O(n^2 m); exact for exact
+    input costs.  Returns the (row, col) pairs in column order.
     """
-    k = cost.shape[0]
+    n, m = cost.shape
+    rows = cost.tolist()
     inf = float("inf")
-    u = [0.0] * (k + 1)
-    v = [0.0] * (k + 1)
-    match = [0] * (k + 1)  # match[j] = row matched to column j, 1-based
-    for i in range(1, k + 1):
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    match = [0] * (m + 1)  # match[j] = row matched to column j, 1-based; 0 = free
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = [inf] * (k + 1)
-        used = [False] * (k + 1)
-        way = [0] * (k + 1)
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
             delta = inf
             j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, k + 1):
+            row = rows[i0 - 1]
+            for j in range(1, m + 1):
                 if not used[j]:
                     cur = row[j - 1] - u[i0] - v[j]
                     if cur < minv[j]:
@@ -89,7 +91,7 @@ def _solve_square_min(cost: np.ndarray) -> list[int]:
                     if minv[j] < delta:
                         delta = minv[j]
                         j1 = j
-            for j in range(k + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[match[j]] += delta
                     v[j] -= delta
@@ -102,34 +104,33 @@ def _solve_square_min(cost: np.ndarray) -> list[int]:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    col_of_row = [0] * k
-    for j in range(1, k + 1):
-        col_of_row[match[j] - 1] = j - 1
-    return col_of_row
+    return [(match[j] - 1, j - 1) for j in range(1, m + 1) if match[j]]
 
 
 def hungarian_solve(counts: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     """One-to-one assignment maximizing the summed overlap counts.
 
-    Rectangular inputs are padded to square with zero-value dummies, so
-    exactly min(n, m) (row, col) pairs come back.  Ties between equal-value
-    assignments prefer higher per-cluster/per-class overlap fractions (a
-    content-based rule, so relabeling clusters cannot change the metrics);
-    the tiebreak weight is too small to alter the maximal total.
+    Solved on the n x m matrix itself, over its shorter side, in
+    O(min^2 max).  Only pairs with a positive count come back, sorted by
+    row: a row (cluster) the optimum pairs with a column it never overlaps
+    is left unmatched, so fewer than min(n, m) pairs can come back.  Ties
+    between equal-value assignments prefer higher per-cluster/per-class
+    overlap fractions (a content-based rule, so relabeling clusters cannot
+    change the metrics); the tiebreak weight is too small to alter the
+    maximal total.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] < 1:
         raise ValueError("counts must be a non-empty 2D matrix")
     n, m = counts.shape
-    k = max(n, m)
     row_sums = np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
     col_sums = np.maximum(counts.sum(axis=0, keepdims=True), 1.0)
-    value = counts + (counts / row_sums + counts / col_sums) / (8.0 * k)
-    cmax = float(value.max())
-    cost = np.full((k, k), cmax)
-    cost[:n, :m] = cmax - value
-    col_of_row = _solve_square_min(cost)
-    pairs = [(i, col_of_row[i]) for i in range(n) if col_of_row[i] < m]
+    value = counts + (counts / row_sums + counts / col_sums) / (8.0 * max(n, m))
+    if n <= m:
+        pairs = _min_cost_pairs(-value)
+    else:
+        pairs = [(i, j) for j, i in _min_cost_pairs(-value.T)]
+    pairs = sorted((i, j) for i, j in pairs if counts[i, j] > 0)
     total = float(sum(counts[i, j] for i, j in pairs))
     return pairs, total
 
@@ -164,18 +165,12 @@ def _report(scope: str, unit: str, cont: Contingency) -> AssignmentReport:
     if total == 0:
         raise ValueError(f"empty evaluation set for {scope} unit {unit!r}")
     pairs, value = hungarian_solve(cont.counts)
-    row_sums = cont.counts.sum(axis=1)
-    col_sums = cont.counts.sum(axis=0)
-    col_of_row = dict(pairs)
-    row_of_col = {j: i for i, j in pairs}
-    per_cluster = [
-        cont.counts[i, col_of_row[i]] / row_sums[i] if i in col_of_row else 0.0
-        for i in range(cont.counts.shape[0])
-    ]
-    per_class = [
-        cont.counts[row_of_col[j], j] / col_sums[j] if j in row_of_col else 0.0
-        for j in range(cont.counts.shape[1])
-    ]
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    matched = cont.counts[rows, cols]
+    per_cluster = np.zeros(cont.counts.shape[0])
+    per_cluster[rows] = matched / cont.counts.sum(axis=1)[rows]
+    per_class = np.zeros(cont.counts.shape[1])
+    per_class[cols] = matched / cont.counts.sum(axis=0)[cols]
     assignment = [
         (int(cont.cluster_ids[i]), int(cont.action_ids[j])) for i, j in pairs
     ]

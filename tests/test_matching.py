@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -61,15 +62,25 @@ class TestHungarian:
 
     def test_matches_brute_force_on_random_matrices(self):
         rng = np.random.default_rng(1)
+        cases = []
         for _ in range(200):
             n = int(rng.integers(1, 8))
             m = int(rng.integers(1, 8))
-            counts = rng.integers(0, 50, size=(n, m))
+            cases.append(rng.integers(0, 50, size=(n, m)))
+        for _ in range(50):  # tall and wide, up to 50 x 2 and 2 x 50, half the cells empty
+            shape = (int(rng.integers(1, 51)), int(rng.integers(1, 3)))
+            counts = rng.integers(0, 50, size=shape) * (rng.random(shape) < 0.5)
+            cases += [counts, counts.T]
+        t0 = time.perf_counter()
+        for counts in cases:
             pairs, total = hungarian_solve(counts)
-            assert len(pairs) == min(n, m)
             assert len({i for i, _ in pairs}) == len(pairs)
             assert len({j for _, j in pairs}) == len(pairs)
+            assert all(counts[i, j] > 0 for i, j in pairs)
             assert total == brute_force_assignment_value(counts)
+            if np.all(counts > 0):
+                assert len(pairs) == min(counts.shape)
+        assert time.perf_counter() - t0 < 10.0
 
     def test_all_equal_counts(self):
         counts = np.full((3, 5), 7)
@@ -99,6 +110,15 @@ class TestMatchLevels:
         video_mof = match_at_level(videos, "video").mof
         activity_mof = match_at_level(videos, "activity").mof
         assert video_mof > activity_mof
+
+    def test_zero_overlap_cluster_has_no_match(self):
+        # clusters 1 and 2 both cover action 1; cluster 3 covers actions 2 and 3
+        v = _video("v0", 1, [1] * 5 + [2] * 5 + [3, 3], [1] * 10 + [2, 3])
+        result = match_at_level([v], "video")
+        assignment = dict(result.reports[0].assignment)
+        assert 2 not in assignment
+        assert assignment[1] == 1 and assignment[3] in (2, 3)
+        assert np.all(result.mapped["v0"][5:10] == 0)
 
     def test_scope_ordering_on_random_corpora(self):
         rng = np.random.default_rng(2)
