@@ -214,14 +214,8 @@ def _affinities(corpus: Corpus, ckpt: Checkpoint, threads: int):
     def run(video):
         return video.video_id, model_mod.infer(video.features, ckpt.params, ckpt.model)
 
-    # one thread runs inline: a pool worker would get its own malloc arena,
-    # about 11 MB more peak memory at paper shape
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, corpus.videos))
-    else:
-        results = [run(v) for v in corpus.videos]
-    return dict(results)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return dict(pool.map(run, corpus.videos))
 
 
 # ---------------------------------------------------------------------------
