@@ -71,15 +71,6 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return add(self, scale(_coerce(other, self.tape), -1.0))
-
-    def __rsub__(self, other):
-        return add(_coerce(other, self.tape), scale(self, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
 

@@ -376,9 +376,10 @@ def _write_segment_file(path: Path, labeling: inference.Labeling, matched=None) 
 def _read_segment_file(path: Path) -> inference.Labeling:
     """Parse a labeling file in one step into a T x 3 integer array."""
     try:
-        with warnings.catch_warnings():
+        # a handle, not a path: numpy opens paths through its slower `_datasource`
+        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty file is an error, not a warning
-            rows = np.loadtxt(path, dtype=np.int64, ndmin=2)
+            rows = np.loadtxt(f, dtype=np.int64, ndmin=2)
     except (ValueError, UserWarning) as exc:
         raise CorpusError(f"{path}: malformed labeling file: {exc}") from None
     if rows.shape[1] != 3:
@@ -434,7 +435,7 @@ def _cmd_eval(cfg: dict) -> int:
         "scope": scope,
         "mof": result.mof,
         "units": [
-            {key: value for key, value in asdict(rep).items() if key != "scope"}
+            {key: value for key, value in vars(rep).items() if key != "scope"}
             for rep in result.reports
         ],
     }

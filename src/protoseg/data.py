@@ -244,19 +244,13 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
 # binary files and manifest
 
 
-def _write_features(path: Path, features: np.ndarray) -> None:
-    t, d = features.shape
+def _write_array(path: Path, magic: bytes, array: np.ndarray, dtype: str) -> None:
+    """`magic`, the format version and the shape as u32, then the values as `dtype`."""
+    array = np.ascontiguousarray(array, dtype=dtype)
     with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<III", FORMAT_VERSION, t, d))
-        f.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
-
-
-def _write_gt(path: Path, gt: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(GT_MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(gt)))
-        f.write(np.ascontiguousarray(gt, dtype="<u4").tobytes())
+        f.write(magic)
+        f.write(struct.pack(f"<{1 + array.ndim}I", FORMAT_VERSION, *array.shape))
+        f.write(array.tobytes())
 
 
 def _read_exact(f, n: int, path: Path, what: str) -> bytes:
@@ -267,32 +261,21 @@ def _read_exact(f, n: int, path: Path, what: str) -> bytes:
     return data
 
 
-def _read_features(path: Path) -> np.ndarray:
+def _read_array(path: Path, magic: bytes, dtype: str, ndim: int, what: str) -> np.ndarray:
+    """The `ndim`-d array `_write_array` wrote; each CorpusError names `path` first."""
+    header = f"<{1 + ndim}I"
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path, "magic")
-        if magic != FEATURE_MAGIC:
-            raise CorpusError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-        version, t, d = struct.unpack("<III", _read_exact(f, 12, path, "header"))
+        found = _read_exact(f, 4, path, "magic")
+        if found != magic:
+            raise CorpusError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        raw = _read_exact(f, struct.calcsize(header), path, "header")
+        version, *shape = struct.unpack(header, raw)
         if version != FORMAT_VERSION:
-            raise CorpusError(f"{path}: unsupported feature format version {version}")
-        raw = _read_exact(f, t * d * 4, path, "feature values")
+            raise CorpusError(f"{path}: unsupported {magic.decode()} format version {version}")
+        raw = _read_exact(f, math.prod(shape) * np.dtype(dtype).itemsize, path, what)
         if f.read(1):
-            raise CorpusError(f"{path}: trailing bytes after feature values")
-    return np.frombuffer(raw, dtype="<f4").reshape(t, d).astype(np.float64)
-
-
-def _read_gt(path: Path) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path, "magic")
-        if magic != GT_MAGIC:
-            raise CorpusError(f"{path}: bad magic {magic!r}, expected {GT_MAGIC!r}")
-        version, t = struct.unpack("<II", _read_exact(f, 8, path, "header"))
-        if version != FORMAT_VERSION:
-            raise CorpusError(f"{path}: unsupported ground truth format version {version}")
-        raw = _read_exact(f, t * 4, path, "action ids")
-        if f.read(1):
-            raise CorpusError(f"{path}: trailing bytes after action ids")
-    return np.frombuffer(raw, dtype="<u4").astype(np.int64)
+            raise CorpusError(f"{path}: trailing bytes after {what}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def write_corpus(corpus: Corpus, out_dir) -> Path:
@@ -305,7 +288,7 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
         (out_dir / "gt").mkdir(exist_ok=True)
     for video in corpus.videos:
         feature_file = f"features/{video.video_id}.feat"
-        _write_features(out_dir / feature_file, video.features)
+        _write_array(out_dir / feature_file, FEATURE_MAGIC, video.features, "<f4")
         entry = {
             "id": video.video_id,
             "activity": video.activity,
@@ -314,7 +297,7 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
         }
         if video.gt_actions is not None:
             gt_file = f"gt/{video.video_id}.gt"
-            _write_gt(out_dir / gt_file, video.gt_actions)
+            _write_array(out_dir / gt_file, GT_MAGIC, video.gt_actions, "<u4")
             entry["gt_file"] = gt_file
         entries.append(entry)
     manifest = {
@@ -383,7 +366,8 @@ def read_corpus(manifest_path) -> Corpus:
         feature_path = base / entry["feature_file"]
         if not feature_path.exists():
             raise CorpusError(f"{feature_path}: referenced by manifest but missing")
-        features = _read_features(feature_path)
+        features = _read_array(feature_path, FEATURE_MAGIC, "<f4", 2, "feature values")
+        features = features.astype(np.float64)
         if features.shape[0] != entry["T"]:
             raise CorpusError(
                 f"{feature_path}: has {features.shape[0]} frames, manifest says {entry['T']}"
@@ -398,7 +382,7 @@ def read_corpus(manifest_path) -> Corpus:
             gt_path = base / entry["gt_file"]
             if not gt_path.exists():
                 raise CorpusError(f"{gt_path}: referenced by manifest but missing")
-            gt = _read_gt(gt_path)
+            gt = _read_array(gt_path, GT_MAGIC, "<u4", 1, "action ids").astype(np.int64)
             if len(gt) != entry["T"]:
                 raise CorpusError(
                     f"{gt_path}: has {len(gt)} frames, manifest says {entry['T']}"

@@ -42,18 +42,19 @@ def one_hot(label: int, n_classes: int) -> np.ndarray:
 def activity_loss(probs: Var, target: np.ndarray) -> Var:
     """Binary cross-entropy summed over classes against a one-hot target.
 
-    Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before the logs;
-    the clamp derivative saturates (1/eps) rather than cutting to zero so
-    badly saturated predictions still receive gradient.
+    Each class contributes one clamped log of the likelihood of its target
+    value, q = p·(2y - 1) + (1 - y), which is p where y = 1 and 1 - p where
+    y = 0.  q is clamped to [PROB_EPS, 1 - PROB_EPS] inside the log; the
+    derivative saturates (1/eps) rather than cutting to zero, so badly
+    saturated predictions still receive gradient.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != probs.value.shape:
         raise ValueError("target shape does not match probabilities")
     if not (np.all((target == 0.0) | (target == 1.0)) and target.sum() == 1.0):
         raise ValueError("target must be one-hot")
-    pos = ad.mul(ad.clamped_log(probs, PROB_EPS, 1.0 - PROB_EPS), target)
-    neg = ad.mul(ad.clamped_log(1.0 - probs, PROB_EPS, 1.0 - PROB_EPS), 1.0 - target)
-    return ad.scale(ad.vsum(pos + neg), -1.0)
+    likelihood = ad.add(ad.mul(probs, 2.0 * target - 1.0), 1.0 - target)
+    return ad.scale(ad.vsum(ad.clamped_log(likelihood, PROB_EPS, 1.0 - PROB_EPS)), -1.0)
 
 
 def tmse_loss(affinity: Var, truncation: float) -> Var:

@@ -87,21 +87,7 @@ class ModelParameters:
         return ModelParameters(**{n: getattr(self, n).copy() for n in PARAM_NAMES})
 
     def validate(self, cfg: ModelConfig) -> None:
-        d = cfg.resolved_embed_dim
-        expected = {
-            "embed_w": (cfg.input_dim, d),
-            "embed_b": (d,),
-            "prototypes": (cfg.n_prototypes, d),
-            "latent_w1": (d, d),
-            "latent_b1": (d,),
-            "latent_w2": (d, d),
-            "latent_b2": (d,),
-            "head_p_w": (cfg.n_prototypes, cfg.n_activities),
-            "head_p_b": (cfg.n_activities,),
-            "head_g_w": (d, cfg.n_activities),
-            "head_g_b": (cfg.n_activities,),
-        }
-        for name, shape in expected.items():
+        for name, (shape, _) in parameter_layout(cfg).items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -109,29 +95,33 @@ class ModelParameters:
                 raise ValueError(f"{name} contains non-finite values")
 
 
+def parameter_layout(cfg: ModelConfig) -> Dict[str, tuple[tuple[int, ...], int]]:
+    """Each parameter's shape and init fan-in, in PARAM_NAMES order."""
+    d_in, d, n, c = cfg.input_dim, cfg.resolved_embed_dim, cfg.n_prototypes, cfg.n_activities
+    return {
+        "embed_w": ((d_in, d), d_in),
+        "embed_b": ((d,), d_in),
+        "prototypes": ((n, d), d),
+        "latent_w1": ((d, d), d),
+        "latent_b1": ((d,), d),
+        "latent_w2": ((d, d), d),
+        "latent_b2": ((d,), d),
+        "head_p_w": ((n, c), n),
+        "head_p_b": ((c,), n),
+        "head_g_w": ((d, c), d),
+        "head_g_b": ((c,), d),
+    }
+
+
 def init_parameters(cfg: ModelConfig, seed: int) -> ModelParameters:
-    """Seeded init: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) per layer,
-    prototypes uniform(-1/sqrt(d), +1/sqrt(d))."""
+    """Seeded init: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) per tensor, drawn
+    in PARAM_NAMES order; the prototypes' fan-in is d."""
     rng = np.random.default_rng(seed)
-    d = cfg.resolved_embed_dim
-
-    def uniform(fan_in: int, shape) -> np.ndarray:
+    tensors = {}
+    for name, (shape, fan_in) in parameter_layout(cfg).items():
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    params = ModelParameters(
-        embed_w=uniform(cfg.input_dim, (cfg.input_dim, d)),
-        embed_b=uniform(cfg.input_dim, (d,)),
-        prototypes=uniform(d, (cfg.n_prototypes, d)),
-        latent_w1=uniform(d, (d, d)),
-        latent_b1=uniform(d, (d,)),
-        latent_w2=uniform(d, (d, d)),
-        latent_b2=uniform(d, (d,)),
-        head_p_w=uniform(cfg.n_prototypes, (cfg.n_prototypes, cfg.n_activities)),
-        head_p_b=uniform(cfg.n_prototypes, (cfg.n_activities,)),
-        head_g_w=uniform(d, (d, cfg.n_activities)),
-        head_g_b=uniform(d, (cfg.n_activities,)),
-    )
+        tensors[name] = rng.uniform(-bound, bound, size=shape)
+    params = ModelParameters(**tensors)
     params.validate(cfg)
     return params
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from protoseg import autodiff as ad
+from protoseg.losses import PROB_EPS
 
 
 def _weighted(tape, var, weights):
@@ -115,6 +116,15 @@ def run_gradcheck_case(name: str, seeds) -> float:
         inputs = make_inputs(rng)
         worst = max(worst, ad.finite_diff_check(fn, inputs))
     return worst
+
+
+def two_log_bce(probs, target):
+    """Oracle: the activity BCE as two clamped logs per class, log(p)·y + log(1 - p)·(1 - y)."""
+    lo, hi = PROB_EPS, 1.0 - PROB_EPS
+    one_minus = ad.add(1.0, ad.scale(probs, -1.0))
+    pos = ad.mul(ad.clamped_log(probs, lo, hi), target)
+    neg = ad.mul(ad.clamped_log(one_minus, lo, hi), 1.0 - target)
+    return ad.scale(ad.vsum(ad.add(pos, neg)), -1.0)
 
 
 def brute_force_assignment_value(counts: np.ndarray) -> float:

@@ -206,7 +206,7 @@ class TestTapeMechanics:
         tape, (a,) = _wrap(np.array([1.0, 2.0]))
         c = ad._coerce(np.array([3.0, 5.0]), tape)
         leaf = tape.const(np.array([7.0, 1.0]))
-        out = ad.vsum(ad.mul(ad.add(a, leaf), c) - 1.0)
+        out = ad.vsum(ad.add(ad.mul(ad.add(a, leaf), c), -1.0))
         tape.backward(out)
         assert not c.needs_grad and not leaf.needs_grad and a.needs_grad
         assert c.grad is None and leaf.grad is None

@@ -8,7 +8,7 @@ import pytest
 
 from protoseg.checkpoint import load_checkpoint
 from protoseg.cli import _read_segment_file, _write_segment_file, main
-from protoseg.data import _write_features, _write_gt, read_corpus
+from protoseg.data import FEATURE_MAGIC, GT_MAGIC, _write_array, read_corpus
 from protoseg.inference import Labeling, naive_labels
 from protoseg.model import infer
 
@@ -319,7 +319,8 @@ class TestBadInputFiles:
         text = json.loads(manifest.read_text())
         entry = text["videos"][1]
         odd = manifest.parent / "features" / f"odd_{tmp_path.name}.feat"
-        _write_features(odd, np.zeros((entry["T"], TINY_CONFIG["corpus"]["feature_dim"] * 2)))
+        wide = np.zeros((entry["T"], TINY_CONFIG["corpus"]["feature_dim"] * 2))
+        _write_array(odd, FEATURE_MAGIC, wide, "<f4")
         entry["feature_file"] = odd.relative_to(manifest.parent).as_posix()
         bad = manifest.with_name(f"bad_{tmp_path.name}.json")
         bad.write_text(json.dumps(text))
@@ -367,7 +368,7 @@ class TestBadInputFiles:
         for entry in text["videos"]:
             if entry["activity"] == 2:
                 empty = manifest.parent / "gt" / f"empty_{tmp_path.name}_{entry['id']}.gt"
-                _write_gt(empty, np.zeros(entry["T"], dtype=np.int64))
+                _write_array(empty, GT_MAGIC, np.zeros(entry["T"], dtype=np.int64), "<u4")
                 entry["gt_file"] = empty.relative_to(manifest.parent).as_posix()
         bad = manifest.with_name(f"bad_{tmp_path.name}.json")
         bad.write_text(json.dumps(text))

@@ -8,6 +8,8 @@ from protoseg import losses as losses_mod
 from protoseg.autodiff import Tape, finite_diff_check
 from protoseg.losses import LossConfig, activity_loss, one_hot, tmse_loss, total_loss
 
+from conftest import two_log_bce
+
 
 class TestLossConfig:
     def test_defaults(self):
@@ -56,6 +58,26 @@ class TestActivityLoss:
             activity_loss(probs, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="one-hot"):
             activity_loss(probs, np.array([1.0, 1.0]))
+
+    def test_matches_two_log_oracle_bitwise(self):
+        rng = np.random.default_rng(12)
+        for case in range(700):
+            n = int(rng.integers(2, 12))
+            probs = np.exp(rng.normal(scale=3.0, size=n))
+            probs /= probs.sum()
+            if case % 7 == 0:
+                probs[rng.integers(n)] = (0.0, 1.0, 1e-9, 1.0 - 1e-9)[case // 7 % 4]
+            target = one_hot(int(rng.integers(1, n + 1)), n)
+            results = []
+            for loss_fn in (activity_loss, two_log_bce):
+                tape = Tape()
+                p = tape.var(probs)
+                loss = loss_fn(p, target)
+                tape.backward(loss)
+                results.append((loss.value, p.grad))
+            (value, grad), (oracle_value, oracle_grad) = results
+            assert np.array_equal(value, oracle_value), (case, probs, target)
+            assert np.array_equal(grad, oracle_grad), (case, probs, target)
 
     def test_one_hot_helper(self):
         assert np.array_equal(one_hot(2, 4), [0, 1, 0, 0])

@@ -16,6 +16,7 @@ from protoseg.model import (
     bind_parameters,
     forward,
     init_parameters,
+    parameter_layout,
 )
 
 
@@ -37,6 +38,17 @@ def tiny_config(**kw):
     defaults = dict(input_dim=5, n_activities=3, n_prototypes=3, embed_dim=4)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def test_init_draws_each_layout_entry_in_param_names_order():
+    cfg = tiny_config()
+    layout = parameter_layout(cfg)
+    assert tuple(layout) == PARAM_NAMES
+    params = init_parameters(cfg, seed=7)
+    rng = np.random.default_rng(7)
+    for name, (shape, fan_in) in layout.items():
+        bound = 1.0 / np.sqrt(fan_in)
+        assert np.array_equal(getattr(params, name), rng.uniform(-bound, bound, size=shape))
 
 
 class TestEmbedFrames:
