@@ -19,6 +19,10 @@ freed as soon as nothing else refers to it.
 
 `pairwise_distance` works in Gram form: its memory grows with
 T*N + (T+N)*D rather than T*N*D, and its arithmetic runs as matrix products.
+
+`affinity` and `tmse` are fused chains: each is one tape record whose
+forward and backward run the kernels of the primitives it replaces, in
+the same order, so its value and gradients are bitwise those of the chain.
 """
 from __future__ import annotations
 
@@ -99,8 +103,13 @@ class Tape:
 
     def _record(self, value: np.ndarray, operands, backward) -> Var:
         """The output Var of a primitive; keeps `backward` only if an operand needs a gradient."""
-        out = Var(value, self, any(v.needs_grad for v in operands))
-        if out.needs_grad:
+        needs_grad = False
+        for v in operands:
+            if v.needs_grad:
+                needs_grad = True
+                break
+        out = Var(value, self, needs_grad)
+        if needs_grad:
             self._records.append((out, backward))
         return out
 
@@ -122,7 +131,7 @@ def _coerce(x, tape: Tape) -> Var:
 
 
 def _checked(name: str, value: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise FloatingPointError(f"non-finite values produced by {name}")
     return value
 
@@ -135,6 +144,136 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _unary(name: str, a: Var, kernel, *args) -> Var:
+    """Record a one-operand primitive from its kernel's value and adjoint map."""
+    value, vjp = kernel(a.value, *args)
+    return a.tape._record(_checked(name, value), (a,), lambda g: a.accumulate(vjp(g)))
+
+
+# ---------------------------------------------------------------------------
+# kernels
+#
+# A kernel holds one primitive's arithmetic on plain arrays.  It returns the
+# output value and the map from an output adjoint to the input adjoint,
+# which may be any array that broadcasts to the input's shape.  The
+# standalone primitives and the fused records run the same kernels.
+
+
+def _scale_kernel(x, c):
+    c = float(c)
+    return x * c, lambda g: g * c
+
+
+def _vsum_kernel(x):
+    return np.asarray(x.sum()), lambda g: g
+
+
+def _square_kernel(x):
+    """x * x; the adjoint is `mul(x, x)`'s: g * x, plus g * x for the second operand."""
+
+    def vjp(g):
+        gx = g * x
+        gx += g * x
+        return gx
+
+    return x * x, vjp
+
+
+def _log_kernel(x):
+    return np.log(x), lambda g: g / x
+
+
+def _clip(x, lo, hi):
+    """np.clip's bits, NaN included, for one-sided bounds and for two nonzero ones."""
+    if lo is not None:
+        x = np.maximum(x, lo)
+    if hi is not None:
+        x = np.minimum(x, hi)
+    return x
+
+
+def _clamp_kernel(x, lo, hi):
+    mask = True
+    if lo is not None:
+        mask = x > lo
+    if hi is not None:
+        mask = mask & (x < hi)
+    return _clip(x, lo, hi), lambda g: g * mask
+
+
+def _absval_kernel(x):
+    sign = np.sign(x)
+    return np.abs(x), lambda g: g * sign
+
+
+def _time_diff_kernel(x):
+    if x.shape[0] < 2:
+        raise ValueError("time_diff needs at least two rows")
+
+    def vjp(g):
+        gx = np.zeros_like(x)
+        gx[1:] += g
+        gx[:-1] -= g
+        return gx
+
+    return x[1:] - x[:-1], vjp
+
+
+def _distance_kernel(f: Var, p: Var):
+    """Gram-form distances of `f`'s rows to `p`'s rows, and a backward rule
+    that accumulates into whichever of `f` and `p` needs a gradient."""
+    if f.value.ndim != 2 or p.value.ndim != 2:
+        raise ValueError("pairwise_distance expects 2D operands")
+    if f.value.shape[1] != p.value.shape[1]:
+        raise ValueError(
+            f"pairwise_distance dimension mismatch: {f.value.shape} vs {p.value.shape}"
+        )
+    fv, pv = f.value, p.value
+    sq = (fv * fv).sum(axis=1)[:, None] - 2.0 * (fv @ pv.T) + (pv * pv).sum(axis=1)
+    dist = np.sqrt(np.maximum(sq, 0.0) + DISTANCE_EPS)
+
+    def bw(g):
+        w = g / dist
+        if f.needs_grad:
+            f.accumulate(w.sum(axis=1)[:, None] * fv - w @ pv)
+        if p.needs_grad:
+            p.accumulate(w.sum(axis=0)[:, None] * pv - w.T @ fv)
+
+    return dist, bw
+
+
+def _minmax_invert_kernel(d):
+    rows = np.arange(d.shape[0])
+    i_min = np.argmin(d, axis=1)
+    i_max = np.argmax(d, axis=1)
+    mn = d[rows, i_min]
+    mx = d[rows, i_max]
+    rng = mx - mn
+    degenerate = rng <= 0.0
+    safe_rng = np.where(degenerate, 1.0, rng)
+    out = 1.0 - (d - mn[:, None]) / safe_rng[:, None]
+    out[degenerate] = 1.0
+
+    def vjp(g):
+        g = np.where(degenerate[:, None], 0.0, g)
+        gd = -g / safe_rng[:, None]
+        via_min = (g * out).sum(axis=1) / safe_rng
+        via_max = (g * (1.0 - out)).sum(axis=1) / safe_rng
+        # one (row, argmin) and one (row, argmax) pair per row: no index
+        # repeats within either add, so `+=` sums as `np.add.at` would
+        gd[rows, i_min] += via_min
+        gd[rows, i_max] += via_max
+        return gd
+
+    return out, vjp
+
+
+def _row_normalize_kernel(a):
+    sums = a.sum(axis=1)
+    out = a / sums[:, None]
+    return out, lambda g: (g - (g * out).sum(axis=1, keepdims=True)) / sums[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +307,7 @@ def mul(a, b) -> Var:
 
 
 def scale(a: Var, c: float) -> Var:
-    c = float(c)
-
-    def bw(g):
-        a.accumulate(g * c)
-
-    return a.tape._record(_checked("scale", a.value * c), (a,), bw)
+    return _unary("scale", a, _scale_kernel, c)
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -201,10 +335,7 @@ def matmul(a: Var, b: Var) -> Var:
 
 
 def vsum(a: Var) -> Var:
-    def bw(g):
-        a.accumulate(g)
-
-    return a.tape._record(_checked("vsum", np.asarray(a.value.sum())), (a,), bw)
+    return _unary("vsum", a, _vsum_kernel)
 
 
 def axis0_sum(a: Var) -> Var:
@@ -232,26 +363,12 @@ def relu(a: Var) -> Var:
 def log(a: Var) -> Var:
     if np.any(a.value <= 0.0):
         raise ValueError("log requires strictly positive input; clamp first")
-
-    def bw(g):
-        a.accumulate(g / a.value)
-
-    return a.tape._record(_checked("log", np.log(a.value)), (a,), bw)
+    return _unary("log", a, _log_kernel)
 
 
 def clamp(a: Var, lo: float | None = None, hi: float | None = None) -> Var:
     """Clip to [lo, hi]; gradient is zero outside the open interval."""
-    out_val = np.clip(a.value, lo, hi)
-    mask = np.ones_like(a.value, dtype=bool)
-    if lo is not None:
-        mask &= a.value > lo
-    if hi is not None:
-        mask &= a.value < hi
-
-    def bw(g):
-        a.accumulate(g * mask)
-
-    return a.tape._record(_checked("clamp", out_val), (a,), bw)
+    return _unary("clamp", a, _clamp_kernel, lo, hi)
 
 
 def clamped_log(a: Var, lo: float, hi: float | None = None) -> Var:
@@ -260,7 +377,7 @@ def clamped_log(a: Var, lo: float, hi: float | None = None) -> Var:
     Unlike clamp+log, the gradient stays 1/clip(x) outside the interval so
     saturated probabilities keep pulling back toward it.
     """
-    clipped = np.clip(a.value, lo, hi)
+    clipped = _clip(a.value, lo, hi)
 
     def bw(g):
         a.accumulate(g / clipped)
@@ -269,12 +386,7 @@ def clamped_log(a: Var, lo: float, hi: float | None = None) -> Var:
 
 
 def absval(a: Var) -> Var:
-    sign = np.sign(a.value)
-
-    def bw(g):
-        a.accumulate(g * sign)
-
-    return a.tape._record(_checked("absval", np.abs(a.value)), (a,), bw)
+    return _unary("absval", a, _absval_kernel)
 
 
 def softmax(a: Var) -> Var:
@@ -293,16 +405,36 @@ def softmax(a: Var) -> Var:
 
 def time_diff(a: Var) -> Var:
     """Consecutive-row differences of a 2D array: out[t] = a[t+1] - a[t]."""
-    if a.value.shape[0] < 2:
-        raise ValueError("time_diff needs at least two rows")
+    return _unary("time_diff", a, _time_diff_kernel)
+
+
+def tmse(a: Var, eps: float, tau: float) -> Var:
+    """Truncated mean squared error of consecutive log differences.
+
+    sum(min(|log max(a[t+1], eps) - log max(a[t], eps)|, tau)^2) / a.size,
+    as one record: the chain clamp -> log -> time_diff -> absval -> clamp
+    -> mul -> vsum -> scale, run on that chain's kernels.  Jumps of tau or
+    more contribute tau^2 with zero gradient; entries at or below eps are
+    floored to eps and get zero gradient.  Needs eps > 0 and tau > 0.
+    """
+    if not (eps > 0.0 and tau > 0.0):
+        raise ValueError(f"tmse needs eps > 0 and tau > 0, got {eps!r} and {tau!r}")
+    floored, floor_vjp = _clamp_kernel(a.value, eps, None)
+    # later stages stay finite: logs of values >= eps > 0, jumps cut at tau
+    _checked("clamp", floored)
+    logs, log_vjp = _log_kernel(floored)
+    jumps, diff_vjp = _time_diff_kernel(logs)
+    magnitudes, abs_vjp = _absval_kernel(jumps)
+    truncated, truncate_vjp = _clamp_kernel(magnitudes, None, tau)
+    squares, square_vjp = _square_kernel(truncated)
+    total, sum_vjp = _vsum_kernel(squares)
+    value, scale_vjp = _scale_kernel(total, 1.0 / a.value.size)
 
     def bw(g):
-        ga = np.zeros_like(a.value)
-        ga[1:] += g
-        ga[:-1] -= g
-        a.accumulate(ga)
+        g = truncate_vjp(square_vjp(sum_vjp(scale_vjp(g))))
+        a.accumulate(floor_vjp(log_vjp(diff_vjp(abs_vjp(g)))))
 
-    return a.tape._record(_checked("time_diff", a.value[1:] - a.value[:-1]), (a,), bw)
+    return a.tape._record(value, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +451,7 @@ def pairwise_distance(f: Var, p: Var) -> Var:
     sqrt((D + 2) * eps_mach * (||f||^2 + ||p||^2)).  A small epsilon
     inside the square root keeps the gradient finite at coincident points.
     """
-    if f.value.ndim != 2 or p.value.ndim != 2:
-        raise ValueError("pairwise_distance expects 2D operands")
-    if f.value.shape[1] != p.value.shape[1]:
-        raise ValueError(
-            f"pairwise_distance dimension mismatch: {f.value.shape} vs {p.value.shape}"
-        )
-    fv, pv = f.value, p.value
-    sq = (fv * fv).sum(axis=1)[:, None] - 2.0 * (fv @ pv.T) + (pv * pv).sum(axis=1)
-    dist = np.sqrt(np.maximum(sq, 0.0) + DISTANCE_EPS)
-
-    def bw(g):
-        w = g / dist
-        if f.needs_grad:
-            f.accumulate(w.sum(axis=1)[:, None] * fv - w @ pv)
-        if p.needs_grad:
-            p.accumulate(w.sum(axis=0)[:, None] * pv - w.T @ fv)
-
+    dist, bw = _distance_kernel(f, p)
     return f.tape._record(_checked("pairwise_distance", dist), (f, p), bw)
 
 
@@ -348,27 +464,7 @@ def minmax_invert_rows(d: Var) -> Var:
     """
     if d.value.ndim != 2:
         raise ValueError("minmax_invert_rows expects a 2D array")
-    rows = np.arange(d.value.shape[0])
-    i_min = np.argmin(d.value, axis=1)
-    i_max = np.argmax(d.value, axis=1)
-    mn = d.value[rows, i_min]
-    mx = d.value[rows, i_max]
-    rng = mx - mn
-    degenerate = rng <= 0.0
-    safe_rng = np.where(degenerate, 1.0, rng)
-    out_val = 1.0 - (d.value - mn[:, None]) / safe_rng[:, None]
-    out_val[degenerate] = 1.0
-
-    def bw(g):
-        g = np.where(degenerate[:, None], 0.0, g)
-        gd = -g / safe_rng[:, None]
-        via_min = (g * out_val).sum(axis=1) / safe_rng
-        via_max = (g * (1.0 - out_val)).sum(axis=1) / safe_rng
-        np.add.at(gd, (rows, i_min), via_min)
-        np.add.at(gd, (rows, i_max), via_max)
-        d.accumulate(gd)
-
-    return d.tape._record(_checked("minmax_invert_rows", out_val), (d,), bw)
+    return _unary("minmax_invert_rows", d, _minmax_invert_kernel)
 
 
 def row_normalize(a: Var) -> Var:
@@ -377,15 +473,28 @@ def row_normalize(a: Var) -> Var:
         raise ValueError("row_normalize expects a 2D array")
     if np.any(a.value < 0.0):
         raise ValueError("row_normalize requires non-negative entries")
-    sums = a.value.sum(axis=1)
-    if np.any(sums <= 0.0):
+    if np.any(a.value.sum(axis=1) <= 0.0):
         raise ValueError("row_normalize: zero-sum row")
-    out_val = a.value / sums[:, None]
+    return _unary("row_normalize", a, _row_normalize_kernel)
 
-    def bw(g):
-        a.accumulate((g - (g * out_val).sum(axis=1, keepdims=True)) / sums[:, None])
 
-    return a.tape._record(_checked("row_normalize", out_val), (a,), bw)
+def affinity(f: Var, p: Var) -> Var:
+    """Row-stochastic frame-to-prototype affinity, as one record.
+
+    row_normalize(minmax_invert_rows(pairwise_distance(f, p))), run on
+    those primitives' kernels: each row is the min-max inverted distances
+    of one frame, divided by their sum.
+    """
+    dist, dist_bw = _distance_kernel(f, p)
+    # later stages stay finite: inversion maps each row into [0, 1], 1 at its minimum
+    _checked("pairwise_distance", dist)
+    inverted, invert_vjp = _minmax_invert_kernel(dist)
+    if not (f.needs_grad or p.needs_grad):
+        dist = dist_bw = None  # no backward will read them: free the distances, as in inference
+    value, normalize_vjp = _row_normalize_kernel(inverted)
+    # each stage's adjoint is built from C-ordered arrays only, so it has the
+    # layout `Var.accumulate` would copy it into between two records
+    return f.tape._record(value, (f, p), lambda g: dist_bw(invert_vjp(normalize_vjp(g))))
 
 
 # ---------------------------------------------------------------------------

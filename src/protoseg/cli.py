@@ -208,6 +208,18 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _load_checkpoint_for(ckpt_path: Path, corpus: Corpus, manifest: Path) -> Checkpoint:
+    """Load a checkpoint and check that it takes the corpus's feature dimension."""
+    ckpt = load_checkpoint(ckpt_path)
+    dim = corpus.videos[0].features.shape[1]
+    if ckpt.model.input_dim != dim:
+        raise ValueError(
+            f"checkpoint {ckpt_path} takes feature dim {ckpt.model.input_dim}, "
+            f"but manifest {manifest} has feature dim {dim}"
+        )
+    return ckpt
+
+
 def _affinities(corpus: Corpus, ckpt: Checkpoint, threads: int):
     """Affinity matrix and head probabilities per video id."""
 
@@ -308,7 +320,7 @@ def _cmd_segment(cfg: dict) -> int:
     out = _out_dir(cfg)
     _echo_config(cfg, out)
     corpus = read_corpus(manifest)
-    ckpt = load_checkpoint(ckpt_path)
+    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
     scope = cfg["eval"]["scope"]
     if scope == "video":
         raise ConfigError("segment supports --scope global or activity")
@@ -403,6 +415,7 @@ def _cmd_eval(cfg: dict) -> int:
     _echo_config(cfg, out)
     corpus = read_corpus(manifest)
     scope = cfg["eval"]["scope"]
+    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest) if cfg["eval"]["kl"] else None
 
     videos = []
     labelings = {}
@@ -441,8 +454,7 @@ def _cmd_eval(cfg: dict) -> int:
     }
     if cfg["eval"]["f1"]:
         report["f1"] = matching.corpus_f1(videos, result.mapped)
-    if cfg["eval"]["kl"]:
-        ckpt = load_checkpoint(ckpt_path)
+    if ckpt is not None:
         affinities = _affinities(corpus, ckpt, cfg["threads"])
         by_activity = {}
         for video in corpus.videos:
@@ -481,7 +493,7 @@ def _cmd_recognize(cfg: dict) -> int:
     out = _out_dir(cfg)
     _echo_config(cfg, out)
     corpus = read_corpus(manifest)
-    ckpt = load_checkpoint(ckpt_path)
+    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
     wp, wg = cfg["recognize"]["wp"], cfg["recognize"]["wg"]
     outputs = _affinities(corpus, ckpt, cfg["threads"])
     rows = []

@@ -24,9 +24,9 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.smooth_weight < 0.0:
+        if not self.smooth_weight >= 0.0:
             raise ValueError("smooth_weight must be >= 0")
-        if self.truncation <= 0.0:
+        if not self.truncation > 0.0:
             raise ValueError("truncation must be > 0")
 
 
@@ -61,16 +61,13 @@ def tmse_loss(affinity: Var, truncation: float) -> Var:
     """Truncated mean squared error on consecutive log-affinity differences.
 
     Jumps larger than the truncation contribute truncation^2 with zero
-    gradient.  Averaged over all T*N entries.
+    gradient.  Averaged over all T*N entries.  One tape record.
     """
-    t, n = affinity.value.shape
+    t, _ = affinity.value.shape
     if t < 2:
         warnings.warn("smoothing loss undefined for single-frame video; returning 0")
         return affinity.tape.const(0.0)
-    logs = ad.log(ad.clamp(affinity, LOG_EPS, None))
-    delta = ad.absval(ad.time_diff(logs))
-    trunc = ad.clamp(delta, None, float(truncation))
-    return ad.scale(ad.vsum(ad.mul(trunc, trunc)), 1.0 / (t * n))
+    return ad.tmse(affinity, LOG_EPS, float(truncation))
 
 
 def total_loss(loss_p: Var, loss_g: Var, loss_smooth: Var, cfg: LossConfig) -> Var:

@@ -148,8 +148,8 @@ def embed_frames(x: Var, w: Var, b: Var) -> Var:
 
 
 def compute_affinity(f: Var, p: Var) -> Var:
-    """Distances -> per-row min/max inversion -> row normalization."""
-    return ad.row_normalize(ad.minmax_invert_rows(ad.pairwise_distance(f, p)))
+    """Distances -> per-row min/max inversion -> row normalization, one tape record."""
+    return ad.affinity(f, p)
 
 
 def prototype_representation(a: Var) -> Var:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from protoseg import autodiff as ad
-from protoseg.losses import PROB_EPS
+from protoseg.losses import LOG_EPS, PROB_EPS
 
 
 def _weighted(tape, var, weights):
@@ -103,6 +103,17 @@ GRADCHECK_CASES = [
             t, ad.row_normalize(ad.minmax_invert_rows(ad.pairwise_distance(f, p))), w
         ),
     ),
+    (
+        "affinity",
+        lambda rng: [rng.normal(size=(4, 3)), rng.normal(size=(3, 3)), rng.normal(size=(4, 3))],
+        lambda t, f, p, w: _weighted(t, ad.affinity(f, p), w),
+    ),
+    (
+        # eps and tau inside the inputs' range: some entries floored, some jumps truncated
+        "tmse",
+        lambda rng: [rng.uniform(0.05, 1.0, size=(5, 4))],
+        lambda t, a: ad.tmse(a, 0.1, 1.5),
+    ),
 ]
 
 
@@ -125,6 +136,21 @@ def two_log_bce(probs, target):
     pos = ad.mul(ad.clamped_log(probs, lo, hi), target)
     neg = ad.mul(ad.clamped_log(one_minus, lo, hi), 1.0 - target)
     return ad.scale(ad.vsum(ad.add(pos, neg)), -1.0)
+
+
+def unfused_affinity(f, p):
+    """Oracle: `model.compute_affinity` as three records, distance -> min-max
+    inversion -> row normalisation."""
+    return ad.row_normalize(ad.minmax_invert_rows(ad.pairwise_distance(f, p)))
+
+
+def unfused_tmse(affinity, truncation):
+    """Oracle: `losses.tmse_loss` (T >= 2) as eight records."""
+    t, n = affinity.value.shape
+    logs = ad.log(ad.clamp(affinity, LOG_EPS, None))
+    delta = ad.absval(ad.time_diff(logs))
+    trunc = ad.clamp(delta, None, float(truncation))
+    return ad.scale(ad.vsum(ad.mul(trunc, trunc)), 1.0 / (t * n))
 
 
 def brute_force_assignment_value(counts: np.ndarray) -> float:

@@ -3,8 +3,9 @@ import pytest
 
 from protoseg import autodiff as ad
 from protoseg.autodiff import Tape, finite_diff_check
+from protoseg.losses import LOG_EPS
 
-from conftest import GRADCHECK_CASES, run_gradcheck_case
+from conftest import GRADCHECK_CASES, run_gradcheck_case, unfused_affinity, unfused_tmse
 
 
 def _wrap(*arrays):
@@ -138,6 +139,145 @@ class TestRowNormalize:
         tape, (a,) = _wrap(rng.uniform(0.01, 1.0, size=(50, 7)))
         out = ad.row_normalize(a).value
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
+
+
+def _value_and_grads(fn, arrays, needs, readout):
+    """`fn`'s value and the gradient of `readout(fn(...))` at each input that needs one."""
+    tape = Tape()
+    args = [tape.var(x) if need else tape.const(x) for x, need in zip(arrays, needs)]
+    out = fn(*args)
+    tape.backward(readout(out))
+    grads = [a.grad for a, need in zip(args, needs) if need]
+    assert all(g is not None for g in grads)
+    return [out.value, *grads]
+
+
+def _outcome(fn, *arrays):
+    """The forward value, or the type and message of what it raised."""
+    tape = Tape()
+    try:
+        return fn(*[tape.var(x) for x in arrays]).value
+    except (FloatingPointError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _affinity_inputs(rng, case):
+    t, n, d = (int(rng.integers(1, k)) for k in (8, 6, 5))
+    if case % 6 == 1:  # rows of 8 or more entries, whose numpy sums follow memory order
+        n = int(rng.integers(8, 25))
+    kind = case % 4
+    if kind == 0:  # generic
+        f, p = rng.normal(size=(t, d)), rng.normal(size=(n, d))
+    elif kind == 1:  # small integers: distance ties, and a frame exactly on a prototype
+        f = rng.integers(-2, 3, size=(t, d)).astype(np.float64)
+        p = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        f[rng.integers(t)] = p[rng.integers(n)]
+    elif kind == 2:  # one point for every prototype: every row constant
+        f, p = rng.normal(size=(t, d)), np.tile(rng.normal(size=d), (n, 1))
+    else:  # prototypes v and -v: the frames at 0 are equidistant, so their rows are constant
+        v = rng.normal(size=d)
+        p = np.stack([v, -v])
+        f = rng.normal(size=(t, d)) * (rng.uniform(size=(t, 1)) < 0.5)
+    if case % 5 == 0:
+        f = np.asfortranarray(f)
+    return f, p
+
+
+def _tmse_inputs(rng, case):
+    t = 2 if case % 4 == 0 else int(rng.integers(2, 9))
+    a = rng.uniform(0.0, 1.5, size=(t, int(rng.integers(1, 6)))) ** 4
+    if case % 3 == 0:  # exact zeros, the floor itself and values under it
+        picks = rng.integers(a.size, size=3)
+        a.flat[picks] = (0.0, LOG_EPS, LOG_EPS / 3.0)
+    jumps = np.abs(np.diff(np.log(np.maximum(a, LOG_EPS)), axis=0))
+    positive = jumps[jumps > 0.0]
+    if case % 2 == 0 and positive.size:  # tau equal to one of the jumps; larger ones exceed it
+        tau = float(rng.choice(positive))
+    else:
+        tau = float(rng.uniform(0.1, 6.0))
+    return a, tau
+
+
+class TestFusedPrimitives:
+    """`affinity` and `tmse` against their unfused chains, bit for bit."""
+
+    NEEDS = ((True, True), (True, False), (False, True))
+
+    def test_affinity_matches_unfused_chain_bitwise(self):
+        rng = np.random.default_rng(21)
+        seen = {"on_prototype": 0, "constant_row": 0, "tie": 0}
+        for case in range(600):
+            f, p = _affinity_inputs(rng, case)
+            w = rng.normal(size=(f.shape[0], p.shape[0]))
+            needs = self.NEEDS[case % 3]
+            fused, oracle = (
+                _value_and_grads(fn, (f, p), needs, lambda out: ad.vsum(ad.mul(out, w)))
+                for fn in (ad.affinity, unfused_affinity)
+            )
+            for got, want in zip(fused, oracle):
+                assert np.array_equal(got, want), case
+            tape = Tape()
+            d = ad.pairwise_distance(tape.const(f), tape.const(p)).value
+            seen["on_prototype"] += bool(np.any(d == np.sqrt(ad.DISTANCE_EPS)))
+            seen["constant_row"] += bool(np.any(d.min(axis=1) == d.max(axis=1)))
+            seen["tie"] += bool(np.any((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1))
+        assert all(count >= 50 for count in seen.values()), seen
+
+    def test_tmse_matches_unfused_chain_bitwise(self):
+        rng = np.random.default_rng(22)
+        seen = {"zero": 0, "at_eps": 0, "at_tau": 0, "above_tau": 0, "t2": 0}
+        for case in range(600):
+            a, tau = _tmse_inputs(rng, case)
+            c = float(rng.normal())
+            fused, oracle = (
+                _value_and_grads(fn, (a,), (True,), lambda out: ad.scale(out, c))
+                for fn in (lambda v: ad.tmse(v, LOG_EPS, tau), lambda v: unfused_tmse(v, tau))
+            )
+            for got, want in zip(fused, oracle):
+                assert np.array_equal(got, want), case
+            jumps = np.abs(np.diff(np.log(np.maximum(a, LOG_EPS)), axis=0))
+            seen["zero"] += bool(np.any(a == 0.0))
+            seen["at_eps"] += bool(np.any(a == LOG_EPS))
+            seen["at_tau"] += bool(np.any(jumps == tau))
+            seen["above_tau"] += bool(np.any(jumps > tau))
+            seen["t2"] += a.shape[0] == 2
+        assert all(count >= 50 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_inputs_fail_like_the_chain(self, bad):
+        rng = np.random.default_rng(23)
+        f, p, a = rng.normal(size=(4, 3)), rng.normal(size=(3, 3)), rng.uniform(size=(5, 3))
+        bad_f, bad_p, bad_a = f.copy(), p.copy(), a.copy()
+        bad_f[2, 1] = bad_p[0, 0] = bad_a[3, 2] = bad
+        tmse_pair = (lambda v: ad.tmse(v, LOG_EPS, 4.0), lambda v: unfused_tmse(v, 4.0))
+        cases = [
+            (ad.affinity, unfused_affinity, (bad_f, p), "pairwise_distance"),
+            (ad.affinity, unfused_affinity, (f, bad_p), "pairwise_distance"),
+            (*tmse_pair, (bad_a,), "clamp"),
+        ]
+        for fused, oracle, arrays, stage in cases:
+            with np.errstate(invalid="ignore"):
+                want, got = _outcome(oracle, *arrays), _outcome(fused, *arrays)
+            if bad == -np.inf and stage == "clamp":
+                # -inf is floored to LOG_EPS, as any value under it is
+                assert np.array_equal(got, want)
+            else:
+                assert want == (FloatingPointError, f"non-finite values produced by {stage}")
+                assert got == want
+
+    def test_one_record_each(self):
+        rng = np.random.default_rng(24)
+        tape = Tape()
+        a = ad.affinity(tape.var(rng.normal(size=(5, 3))), tape.var(rng.normal(size=(4, 3))))
+        ad.tmse(a, LOG_EPS, 4.0)
+        assert len(tape._records) == 2
+
+    def test_tmse_rejects_nonpositive_eps_or_tau(self):
+        tape = Tape()
+        a = tape.var(np.ones((3, 2)))
+        for eps, tau in ((0.0, 4.0), (LOG_EPS, 0.0), (LOG_EPS, np.nan)):
+            with pytest.raises(ValueError, match="tmse needs"):
+                ad.tmse(a, eps, tau)
 
 
 class TestFiniteDiffCheck:

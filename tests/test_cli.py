@@ -185,6 +185,8 @@ class TestErrors:
             ("train", [], {"train": {"seed": -3}}, "train"),
             ("train", [], {"model": {"n_prototypes": 2.5}}, "model"),
             ("train", [], {"model": {"embed_dim": 0}}, "model"),
+            ("train", [], {"loss": {"tau": float("nan")}}, "loss"),
+            ("train", [], {"loss": {"lambda": float("nan")}}, "loss"),
         ],
     )
     def test_bad_config_value_is_config_error(
@@ -207,6 +209,27 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {section or bad}: ") and err.count("\n") == 1
+
+    def test_checkpoint_of_another_feature_dim_names_both_files(self, workdir, capsys):
+        tmp_path, cfg_path = workdir
+        out_dir, _, ckpt = _pipeline(tmp_path, cfg_path)
+        wide_cfg = tmp_path / "wide.json"
+        corpus = {**TINY_CONFIG["corpus"], "feature_dim": 16}
+        wide_cfg.write_text(json.dumps({**TINY_CONFIG, "corpus": corpus,
+                                        "eval": {"kl": True}}))
+        wide = tmp_path / "wide" / "manifest.json"
+        assert run(["generate", "--config", wide_cfg, "--manifest", wide,
+                    "--out-dir", tmp_path / "gen"]) == 0
+        capsys.readouterr()
+        for command in ("segment", "recognize", "eval"):
+            code = run([command, "--config", wide_cfg, "--manifest", wide,
+                        "--out-dir", out_dir, "--checkpoint", ckpt])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: runtime: ValueError: checkpoint {ckpt} takes feature dim 8, "
+                f"but manifest {wide} has feature dim 16\n"
+            )
 
     def test_bad_nprime_value(self, workdir):
         tmp_path, cfg_path = workdir

@@ -23,6 +23,9 @@ class TestLossConfig:
             LossConfig(smooth_weight=-0.1)
         with pytest.raises(ValueError):
             LossConfig(truncation=0.0)
+        for bad in ({"smooth_weight": math.nan}, {"truncation": math.nan}):
+            with pytest.raises(ValueError):
+                LossConfig(**bad)
 
 
 class TestActivityLoss:

@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from protoseg import losses as losses_mod
+from protoseg import model as model_mod
 from protoseg.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -25,6 +27,8 @@ from protoseg.trainer import (
     train,
     video_loss,
 )
+
+from conftest import unfused_affinity, unfused_tmse
 
 
 def toy_corpus(seed=0, separation=10.0, videos_per_class=3, t_frames=10):
@@ -104,6 +108,20 @@ class TestTrain:
             )
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_fused_records_train_like_the_unfused_chains(self, monkeypatch):
+        # the fused affinity and T-MSE records must leave training bitwise unchanged
+        corpus = toy_corpus(seed=5, separation=1.0, t_frames=12)
+        cfg = ModelConfig(input_dim=3, n_activities=2, n_prototypes=4, embed_dim=3)
+        tc = TrainConfig(lr=0.01, epochs=4, batch_size=2, seed=3)
+        fused = train(corpus, cfg, tc, LossConfig())
+        monkeypatch.setattr(model_mod, "compute_affinity", unfused_affinity)
+        monkeypatch.setattr(losses_mod, "tmse_loss", unfused_tmse)
+        oracle = train(corpus, cfg, tc, LossConfig())
+        for name in PARAM_NAMES:
+            assert np.array_equal(getattr(fused.params, name), getattr(oracle.params, name))
+        assert fused.trace == oracle.trace
+        assert fused.trace[-1]["loss"] < fused.trace[0]["loss"]
 
     def test_separable_corpus_loss_halves(self):
         corpus = toy_corpus()
