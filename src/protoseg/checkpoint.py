@@ -2,14 +2,16 @@
 
 Layout (all integers little-endian u32):
   magic "CADC" | format version | metadata length | metadata JSON (utf-8)
-  then per tensor: name length | name utf-8 | rows | cols | row-major
-  float64 little-endian values.
+  then each tensor of `PARAM_NAMES` in order, as row-major float64
+  little-endian values.
 
-1-D tensors are stored as a single row; true shapes live in the metadata.
+The tensors carry no headers: their shapes follow from the metadata's
+model section through `model.parameter_layout`.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -18,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .losses import LossConfig
-from .model import ModelConfig, ModelParameters, PARAM_NAMES
+from .model import ModelConfig, ModelParameters, PARAM_NAMES, parameter_layout
 from .trainer import TrainConfig
 
 MAGIC = b"CADC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _META_OFFSET = 12  # metadata JSON starts after magic, version and length
-_META_KEYS = ("model", "train", "loss", "epoch", "rng_digest", "tensors")
+_META_KEYS = ("model", "train", "loss", "epoch", "rng_digest")
 _META_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossConfig}
 
 
@@ -50,16 +52,13 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    tensors = ckpt.params.as_dict()
+    ckpt.params.validate(ckpt.model)
     meta = {
         "model": asdict(ckpt.model),
         "train": asdict(ckpt.train),
         "loss": asdict(ckpt.loss),
         "epoch": ckpt.epoch,
         "rng_digest": ckpt.rng_digest,
-        "tensors": [
-            {"name": name, "shape": list(tensors[name].shape)} for name in PARAM_NAMES
-        ],
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     path = Path(path)
@@ -70,13 +69,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         f.write(struct.pack("<I", len(meta_bytes)))
         f.write(meta_bytes)
         for name in PARAM_NAMES:
-            arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-            rows, cols = (1, arr.shape[0]) if arr.ndim == 1 else arr.shape
-            name_bytes = name.encode("utf-8")
-            f.write(struct.pack("<I", len(name_bytes)))
-            f.write(name_bytes)
-            f.write(struct.pack("<II", rows, cols))
-            f.write(arr.astype("<f8").tobytes())
+            f.write(np.asarray(getattr(ckpt.params, name), dtype="<f8").tobytes())
 
 
 def _read_exact(f, n: int, path: Path, what: str) -> bytes:
@@ -125,41 +118,24 @@ def load_checkpoint(path) -> Checkpoint:
         for section, cls in _META_SECTIONS.items():
             names = [x.name for x in fields(cls)]
             _check_keys(path, meta[section], names, f"metadata section {section!r}")
-
         try:
-            shapes = {entry["name"]: tuple(entry["shape"]) for entry in meta["tensors"]}
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(path, f"malformed tensor list: {exc!r}", _META_OFFSET) from exc
+            model_cfg, train_cfg, loss_cfg = (
+                cls(**meta[section]) for section, cls in _META_SECTIONS.items()
+            )
+            epoch, rng_digest = int(meta["epoch"]), str(meta["rng_digest"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(path, f"invalid metadata: {exc}", _META_OFFSET) from exc
+
         tensors = {}
-        for _ in meta["tensors"]:
-            (name_len,) = struct.unpack("<I", _read_exact(f, 4, path, "tensor name length"))
-            name = _read_exact(f, name_len, path, "tensor name").decode("utf-8", "replace")
-            rows, cols = struct.unpack("<II", _read_exact(f, 8, path, f"{name} shape"))
-            raw = _read_exact(f, rows * cols * 8, path, f"{name} values")
-            expected = shapes.get(name)
-            if expected is None:
-                raise CheckpointError(path, f"tensor {name!r} missing from metadata", f.tell())
-            if int(np.prod(expected)) != rows * cols:
-                raise CheckpointError(
-                    path,
-                    f"tensor {name!r} has {rows}x{cols} values, metadata says {expected}",
-                    f.tell(),
-                )
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(expected).copy()
+        for name, (shape, _) in parameter_layout(model_cfg).items():
+            raw = _read_exact(f, 8 * math.prod(shape), path, f"{name} values")
+            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise CheckpointError(path, "trailing bytes after last tensor", f.tell() - 1)
 
+    params = ModelParameters(**tensors)
     try:
-        params = ModelParameters.from_dict(tensors)
-        model_cfg = ModelConfig(**meta["model"])
         params.validate(model_cfg)
-        return Checkpoint(
-            params=params,
-            model=model_cfg,
-            train=TrainConfig(**meta["train"]),
-            loss=LossConfig(**meta["loss"]),
-            epoch=int(meta["epoch"]),
-            rng_digest=str(meta["rng_digest"]),
-        )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(path, f"invalid checkpoint contents: {exc}") from exc
+    return Checkpoint(params, model_cfg, train_cfg, loss_cfg, epoch, rng_digest)

@@ -12,7 +12,6 @@ import argparse
 import copy
 import hashlib
 import json
-import math
 import os
 import sys
 import warnings
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import inference, matching, model as model_mod, trainer as trainer_mod
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import Corpus, CorpusError, CorpusSpec, generate_corpus, read_corpus, write_corpus
+from .data import Corpus, CorpusError, CorpusSpec, generate_corpus, read_corpus, require_number, write_corpus
 from .losses import LossConfig
 from .model import ModelConfig
 from .trainer import TrainConfig
@@ -139,10 +138,13 @@ def _load_config(args) -> dict:
     nprime = cfg["infer"]["nprime"]
     if nprime != "gt" and (type(nprime) is not int or nprime < 1):
         raise ConfigError(f"infer: nprime must be 'gt' or an integer >= 1, got {nprime!r}")
-    _check_number(cfg, "infer", "sigma", lambda x: x > 0, "> 0")
-    _check_number(cfg, "infer", "eta", lambda x: 0 <= x < 1, "in [0, 1)")
-    _check_number(cfg, "recognize", "wp", lambda x: x >= 0, ">= 0")
-    _check_number(cfg, "recognize", "wg", lambda x: x >= 0, ">= 0")
+    for section, key, ok, rule in (
+        ("infer", "sigma", lambda x: x > 0, "> 0"),
+        ("infer", "eta", lambda x: 0 <= x < 1, "in [0, 1)"),
+        ("recognize", "wp", lambda x: x >= 0, ">= 0"),
+        ("recognize", "wg", lambda x: x >= 0, ">= 0"),
+    ):
+        _build(section, require_number, name=key, value=cfg[section][key], ok=ok, rule=rule)
     if cfg["recognize"]["wp"] + cfg["recognize"]["wg"] == 0:
         raise ConfigError("recognize: wp and wg must not both be zero")
     for section, keys in (("infer", ("smooth", "decode")), ("eval", ("kl", "f1"))):
@@ -151,16 +153,10 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _check_number(cfg: dict, section: str, key: str, ok, rule: str) -> None:
-    value = cfg[section][key]
-    if type(value) not in (int, float) or not math.isfinite(value) or not ok(value):
-        raise ConfigError(f"{section}: {key} must be a number {rule}, got {value!r}")
-
-
-def _build(section: str, cls, **fields):
-    """`cls(**fields)`, with a value the dataclass rejects as a config error."""
+def _build(section: str, make, **fields):
+    """`make(**fields)`, with a value it rejects as a config error."""
     try:
-        return cls(**fields)
+        return make(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import re
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -72,6 +73,13 @@ def require_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def require_number(name: str, value, ok, rule: str) -> None:
+    """Reject a config value that is not a finite real number satisfying `ok`; bools included."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and ok(value)):
+        raise ValueError(f"{name} must be a number {rule}, got {value!r}")
+
+
 @dataclass
 class CorpusSpec:
     """Knobs for the procedural corpus generator."""
@@ -104,12 +112,10 @@ class CorpusSpec:
             raise ValueError("shared actions need at least two activities")
         if self.actions_per_activity[0] > self.n_actions:
             raise ValueError("actions_per_activity lower bound exceeds n_actions")
-        if self.cluster_separation <= 0.0:
-            raise ValueError("cluster_separation must be > 0")
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise ValueError("drop_prob must lie in [0, 1)")
-        if self.noise < 0.0 or self.background_ratio < 0.0:
-            raise ValueError("noise and background_ratio must be >= 0")
+        require_number("cluster_separation", self.cluster_separation, lambda x: x > 0, "> 0")
+        require_number("drop_prob", self.drop_prob, lambda x: 0 <= x < 1, "in [0, 1)")
+        for name in ("noise", "background_ratio"):
+            require_number(name, getattr(self, name), lambda x: x >= 0, ">= 0")
 
 
 def _activity_pairs(c: int) -> list:

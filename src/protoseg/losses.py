@@ -8,6 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
+from .data import require_number
 
 # Softmax outputs can saturate numerically; clamp before logs.
 PROB_EPS = 1e-7
@@ -22,12 +23,9 @@ class LossConfig:
     truncation: float = 4.0  # tau on log-affinity jumps
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if not self.smooth_weight >= 0.0:
-            raise ValueError("smooth_weight must be >= 0")
-        if not self.truncation > 0.0:
-            raise ValueError("truncation must be > 0")
+        require_number("alpha", self.alpha, lambda x: 0 <= x <= 1, "in [0, 1]")
+        require_number("smooth_weight", self.smooth_weight, lambda x: x >= 0, ">= 0")
+        require_number("truncation", self.truncation, lambda x: x > 0, "> 0")
 
 
 def one_hot(label: int, n_classes: int) -> np.ndarray:

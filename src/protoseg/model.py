@@ -11,7 +11,7 @@ path then costs T·N·d + N·d² per video instead of T·N·d + 2·T·d².
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict
 
 import numpy as np
@@ -41,47 +41,24 @@ class ModelConfig:
         return 20 if self.input_dim <= 64 else min(self.input_dim, 1024)
 
 
-# Serialization and initialization follow this order.
-PARAM_NAMES = (
-    "embed_w",
-    "embed_b",
-    "prototypes",
-    "latent_w1",
-    "latent_b1",
-    "latent_w2",
-    "latent_b2",
-    "head_p_w",
-    "head_p_b",
-    "head_g_w",
-    "head_g_b",
-)
-
-
 @dataclass
 class ModelParameters:
-    """All trainable tensors, as plain float64 arrays."""
+    """All trainable tensors, as plain float64 arrays shaped by `parameter_layout`."""
 
-    embed_w: np.ndarray  # input_dim x d
-    embed_b: np.ndarray  # d
-    prototypes: np.ndarray  # N x d
-    latent_w1: np.ndarray  # d x d
-    latent_b1: np.ndarray  # d
-    latent_w2: np.ndarray  # d x d
-    latent_b2: np.ndarray  # d
-    head_p_w: np.ndarray  # N x C
-    head_p_b: np.ndarray  # C
-    head_g_w: np.ndarray  # d x C
-    head_g_b: np.ndarray  # C
+    embed_w: np.ndarray
+    embed_b: np.ndarray
+    prototypes: np.ndarray
+    latent_w1: np.ndarray
+    latent_b1: np.ndarray
+    latent_w2: np.ndarray
+    latent_b2: np.ndarray
+    head_p_w: np.ndarray
+    head_p_b: np.ndarray
+    head_g_w: np.ndarray
+    head_g_b: np.ndarray
 
     def as_dict(self) -> Dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    @classmethod
-    def from_dict(cls, tensors: Dict[str, np.ndarray]) -> "ModelParameters":
-        missing = [n for n in PARAM_NAMES if n not in tensors]
-        if missing:
-            raise ValueError(f"missing parameter tensors: {missing}")
-        return cls(**{n: np.asarray(tensors[n], dtype=np.float64) for n in PARAM_NAMES})
 
     def copy(self) -> "ModelParameters":
         return ModelParameters(**{n: getattr(self, n).copy() for n in PARAM_NAMES})
@@ -93,6 +70,10 @@ class ModelParameters:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
+
+
+# Serialization, initialization and the Adam update follow this order.
+PARAM_NAMES = tuple(f.name for f in fields(ModelParameters))
 
 
 def parameter_layout(cfg: ModelConfig) -> Dict[str, tuple[tuple[int, ...], int]]:

@@ -1,7 +1,7 @@
 """Mini-batch Adam training with seeded, reproducible shuffling."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
@@ -10,9 +10,14 @@ from . import losses as losses_mod
 from . import model as model_mod
 from .model import ModelConfig, ModelParameters, PARAM_NAMES
 from .autodiff import Tape
-from .data import require_int
+from .data import require_int, require_number
 from .losses import LossConfig
 from .rng import Xoshiro256StarStar
+
+# Adam's decay rates and denominator guard (Kingma & Ba 2015 defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -21,16 +26,12 @@ class TrainConfig:
     epochs: int = 240
     batch_size: int = 8
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         require_int("epochs", self.epochs, 1)
         require_int("batch_size", self.batch_size, 1)
         require_int("seed", self.seed, 0)
-        if self.lr < 0.0:
-            raise ValueError("lr must be >= 0")
+        require_number("lr", self.lr, lambda x: x >= 0.0, ">= 0")
 
 
 class NonFiniteLossError(RuntimeError):
@@ -62,11 +63,11 @@ def adam_step(
     t = state.step
     for name in PARAM_NAMES:
         g = grads[name]
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        m_hat = state.m[name] / (1.0 - cfg.beta1**t)
-        v_hat = state.v[name] / (1.0 - cfg.beta2**t)
-        getattr(params, name)[...] -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - BETA1**t)
+        v_hat = state.v[name] / (1.0 - BETA2**t)
+        getattr(params, name)[...] -= cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def video_loss(video, params: ModelParameters, model_cfg: ModelConfig, loss_cfg: LossConfig):

@@ -187,6 +187,18 @@ class TestErrors:
             ("train", [], {"model": {"embed_dim": 0}}, "model"),
             ("train", [], {"loss": {"tau": float("nan")}}, "loss"),
             ("train", [], {"loss": {"lambda": float("nan")}}, "loss"),
+            *[
+                (command, [], {section: {key: value}}, section)
+                for command, section, key in [
+                    ("generate", "corpus", "noise"),
+                    ("generate", "corpus", "background_ratio"),
+                    ("generate", "corpus", "cluster_separation"),
+                    ("train", "train", "lr"),
+                    ("train", "loss", "alpha"),
+                ]
+                for value in (float("nan"), float("inf"), True)
+            ],
+            ("train", [], {"loss": {"lambda": float("inf")}}, "loss"),
         ],
     )
     def test_bad_config_value_is_config_error(

@@ -26,6 +26,13 @@ class TestLossConfig:
         for bad in ({"smooth_weight": math.nan}, {"truncation": math.nan}):
             with pytest.raises(ValueError):
                 LossConfig(**bad)
+        for bad in ({"alpha": True}, {"smooth_weight": math.inf}, {"truncation": "4"}):
+            with pytest.raises(ValueError):
+                LossConfig(**bad)
+
+    def test_integers_and_numpy_scalars_accepted(self):
+        cfg = LossConfig(alpha=np.float64(0.25), smooth_weight=0, truncation=np.float32(4.0))
+        assert (cfg.alpha, cfg.smooth_weight, cfg.truncation) == (0.25, 0, 4.0)
 
 
 class TestActivityLoss:

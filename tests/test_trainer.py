@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import re
@@ -248,6 +249,13 @@ class TestCheckpointIO:
         save_checkpoint(ckpt, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
+    def test_save_rejects_parameters_that_do_not_fit_the_model(self, tmp_path):
+        ckpt = self._make()
+        ckpt.model = dataclasses.replace(ckpt.model, n_prototypes=ckpt.model.n_prototypes + 1)
+        with pytest.raises(ValueError, match="prototypes has shape"):
+            save_checkpoint(ckpt, tmp_path / "model.ckpt")
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_truncated_file_errors_with_offset(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(self._make(), path)
@@ -265,14 +273,27 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "version", [FORMAT_VERSION - 1, FORMAT_VERSION + 1], ids=["older", "newer"]
+    )
+    def test_version_mismatch_rejected(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
         save_checkpoint(self._make(), path)
         blob = bytearray(path.read_bytes())
-        blob[4:8] = (FORMAT_VERSION + 1).to_bytes(4, "little")
+        blob[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(CheckpointError, match=r"version.*byte offset 4\)"):
             load_checkpoint(path)
+
+    def test_body_is_raw_tensors_in_param_names_order(self, tmp_path):
+        ckpt = self._make()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack("<I", blob[8:12])
+        assert "tensors" not in json.loads(blob[12 : 12 + meta_len])
+        body = b"".join(getattr(ckpt.params, name).astype("<f8").tobytes() for name in PARAM_NAMES)
+        assert blob[12 + meta_len :] == body
 
     def _with_metadata(self, path, edit):
         blob = path.read_bytes()
@@ -299,13 +320,16 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: .*'{key}'"):
             load_checkpoint(path)
 
-    def test_declared_tensor_size_beyond_file_is_truncation(self, tmp_path):
+    def test_metadata_dimension_beyond_file_is_truncation(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(self._make(), path)
-        blob = bytearray(path.read_bytes())
-        (meta_len,) = struct.unpack("<I", blob[8:12])
-        shape_at = 12 + meta_len + 4 + len(PARAM_NAMES[0])
-        blob[shape_at : shape_at + 8] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: truncated.*offset"):
+        self._with_metadata(path, lambda meta: meta["model"].update(input_dim=2**31))
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: truncated.*byte offset"):
+            load_checkpoint(path)
+
+    def test_invalid_model_section_is_metadata_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._make(), path)
+        self._with_metadata(path, lambda meta: meta["model"].update(n_prototypes=0))
+        with pytest.raises(CheckpointError, match=r"n_prototypes.*\(byte offset 12\)$"):
             load_checkpoint(path)
