@@ -20,9 +20,14 @@ freed as soon as nothing else refers to it.
 `pairwise_distance` works in Gram form: its memory grows with
 T*N + (T+N)*D rather than T*N*D, and its arithmetic runs as matrix products.
 
-`affinity` and `tmse` are fused chains: each is one tape record whose
-forward and backward run the kernels of the primitives it replaces, in
-the same order, so its value and gradients are bitwise those of the chain.
+`affinity`, `tmse`, `mean_latent`, `softmax_affine` and `bce` are fused
+chains: each is one tape record whose forward and backward run the
+arithmetic of the primitives it replaces, in the same order.  Where
+several of the chain's records add into one operand, the fused backward
+adds in their order, so its value and gradients are bitwise those of the
+chain.  A training video takes 15 records.  `relu`, `softmax`, `mul`,
+`clamped_log` and the affinity's and T-MSE's stages stay defined as
+standalone primitives, though `src/` no longer calls them.
 """
 from __future__ import annotations
 
@@ -181,6 +186,18 @@ def _square_kernel(x):
     return x * x, vjp
 
 
+def _relu_kernel(x):
+    mask = x > 0.0
+    return np.where(mask, x, 0.0), lambda g: g * mask
+
+
+def _softmax_kernel(x):
+    shifted = x - x.max()
+    e = np.exp(shifted)
+    p = e / e.sum()
+    return p, lambda g: p * (g - float(g @ p))
+
+
 def _log_kernel(x):
     return np.log(x), lambda g: g / x
 
@@ -192,6 +209,11 @@ def _clip(x, lo, hi):
     if hi is not None:
         x = np.minimum(x, hi)
     return x
+
+
+def _clamped_log_kernel(x, lo, hi):
+    clipped = _clip(x, lo, hi)
+    return np.log(clipped), lambda g: g / clipped
 
 
 def _clamp_kernel(x, lo, hi):
@@ -347,17 +369,8 @@ def axis0_sum(a: Var) -> Var:
     return a.tape._record(_checked("axis0_sum", a.value.sum(axis=0)), (a,), bw)
 
 
-def axis0_mean(a: Var) -> Var:
-    return scale(axis0_sum(a), 1.0 / a.value.shape[0])
-
-
 def relu(a: Var) -> Var:
-    mask = a.value > 0.0
-
-    def bw(g):
-        a.accumulate(g * mask)
-
-    return a.tape._record(_checked("relu", np.where(mask, a.value, 0.0)), (a,), bw)
+    return _unary("relu", a, _relu_kernel)
 
 
 def log(a: Var) -> Var:
@@ -377,12 +390,7 @@ def clamped_log(a: Var, lo: float, hi: float | None = None) -> Var:
     Unlike clamp+log, the gradient stays 1/clip(x) outside the interval so
     saturated probabilities keep pulling back toward it.
     """
-    clipped = _clip(a.value, lo, hi)
-
-    def bw(g):
-        a.accumulate(g / clipped)
-
-    return a.tape._record(_checked("clamped_log", np.log(clipped)), (a,), bw)
+    return _unary("clamped_log", a, _clamped_log_kernel, lo, hi)
 
 
 def absval(a: Var) -> Var:
@@ -393,14 +401,7 @@ def softmax(a: Var) -> Var:
     """Softmax over a 1D vector of logits."""
     if a.value.ndim != 1:
         raise ValueError("softmax expects a 1D vector")
-    shifted = a.value - a.value.max()
-    e = np.exp(shifted)
-    p = e / e.sum()
-
-    def bw(g):
-        a.accumulate(p * (g - float(g @ p)))
-
-    return a.tape._record(_checked("softmax", p), (a,), bw)
+    return _unary("softmax", a, _softmax_kernel)
 
 
 def time_diff(a: Var) -> Var:
@@ -495,6 +496,101 @@ def affinity(f: Var, p: Var) -> Var:
     # each stage's adjoint is built from C-ordered arrays only, so it has the
     # layout `Var.accumulate` would copy it into between two records
     return f.tape._record(value, (f, p), lambda g: dist_bw(invert_vjp(normalize_vjp(g))))
+
+
+# ---------------------------------------------------------------------------
+# the classifier side of a training video
+
+
+def mean_latent(a: Var, vp: Var, p: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+    """Time average of A·P + relu(A·(P·W1) + b1)·W2 + b2, as one record.
+
+    `vp` is the time sum of `a`, so A·P averages to (vp/T)·P.  Runs the
+    chain matmul(P, W1) -> matmul(A, .) -> add b1 -> relu, scale(vp, 1/T)
+    -> matmul(., P), axis0_sum -> scale(1/T) -> matmul(., W2) -> add b2 ->
+    add.  Its backward adds into P the (vp/T)·P term before the P·W1 term,
+    as the chain's records do.
+    """
+    av, pv, w1v, w2v = a.value, p.value, w1.value, w2.value
+    c = 1.0 / av.shape[0]
+    p_w1 = _checked("matmul", pv @ w1v)
+    pre = _checked("matmul", av @ p_w1)
+    pre += b1.value
+    _checked("add", pre)
+    # relu, and the 1/T scale of a finite sum, keep finite values finite
+    hidden, relu_vjp = _relu_kernel(pre)
+    vp_mean, vp_vjp = _scale_kernel(vp.value, c)
+    g0 = _checked("matmul", _checked("scale", vp_mean) @ pv)
+    hidden_mean, mean_vjp = _scale_kernel(_checked("axis0_sum", hidden.sum(axis=0)), c)
+    hb = _checked("add", _checked("matmul", hidden_mean @ w2v) + b2.value)
+    value = _checked("add", g0 + hb)
+
+    def bw(g):
+        if b2.needs_grad:
+            b2.accumulate(g)
+        if w2.needs_grad:
+            w2.accumulate(np.outer(hidden_mean, g))
+        if p.needs_grad:
+            p.accumulate(np.outer(vp_mean, g))
+        if vp.needs_grad:
+            vp.accumulate(vp_vjp(pv @ g))
+        if not (a.needs_grad or p.needs_grad or w1.needs_grad or b1.needs_grad):
+            return
+        g_pre = relu_vjp(mean_vjp(w2v @ g)[None, :])
+        if b1.needs_grad:
+            b1.accumulate(g_pre.sum(axis=0))
+        if a.needs_grad:
+            a.accumulate(g_pre @ p_w1.T)
+        if p.needs_grad or w1.needs_grad:
+            g_p_w1 = av.T @ g_pre
+            if p.needs_grad:
+                p.accumulate(g_p_w1 @ w1v.T)
+            if w1.needs_grad:
+                w1.accumulate(pv.T @ g_p_w1)
+
+    return a.tape._record(value, (a, vp, p, w1, b1, w2, b2), bw)
+
+
+def softmax_affine(v: Var, w: Var, b: Var) -> Var:
+    """softmax(v·W + b) for a vector v and a bias of W's width, as one record:
+    the chain matmul -> add -> softmax."""
+    if v.value.ndim != 1 or w.value.ndim != 2 or v.value.shape[0] != w.value.shape[0]:
+        raise ValueError(f"softmax_affine needs a vector and a matching matrix: "
+                         f"{v.value.shape} x {w.value.shape}")
+    logits = _checked("add", _checked("matmul", v.value @ w.value) + b.value)
+    # softmax of finite logits is finite
+    probs, softmax_vjp = _softmax_kernel(logits)
+
+    def bw(g):
+        g = softmax_vjp(g)
+        if b.needs_grad:
+            b.accumulate(g)
+        if v.needs_grad:
+            v.accumulate(w.value @ g)
+        if w.needs_grad:
+            w.accumulate(np.outer(v.value, g))
+
+    return v.tape._record(probs, (v, w, b), bw)
+
+
+def bce(probs: Var, target: np.ndarray, eps: float) -> Var:
+    """Binary cross-entropy summed over entries against a 0/1 `target`, as one record.
+
+    -sum(log q) with q = p·(2y - 1) + (1 - y), each entry's likelihood of
+    its target value, clipped to [eps, 1 - eps] inside the log with
+    `clamped_log`'s saturating derivative: the chain mul -> add ->
+    clamped_log -> vsum -> scale(-1).
+    """
+    sign = 2.0 * target - 1.0
+    likelihood = _checked("mul", probs.value * sign)
+    likelihood = _checked("add", likelihood + (1.0 - target))
+    # the log of values clipped into [eps, 1 - eps] is finite, and so is its sum
+    logs, log_vjp = _clamped_log_kernel(likelihood, eps, 1.0 - eps)
+    total, sum_vjp = _vsum_kernel(logs)
+    value, scale_vjp = _scale_kernel(total, -1.0)
+    return probs.tape._record(
+        value, (probs,), lambda g: probs.accumulate(log_vjp(sum_vjp(scale_vjp(g))) * sign)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -126,16 +126,21 @@ def load_checkpoint(path) -> Checkpoint:
         except (TypeError, ValueError) as exc:
             raise CheckpointError(path, f"invalid metadata: {exc}", _META_OFFSET) from exc
 
-        tensors = {}
+        tensors, starts = {}, {}
         for name, (shape, _) in parameter_layout(model_cfg).items():
+            starts[name] = f.tell()
             raw = _read_exact(f, 8 * math.prod(shape), path, f"{name} values")
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise CheckpointError(path, "trailing bytes after last tensor", f.tell() - 1)
 
+    for name, values in tensors.items():
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise CheckpointError(
+                path,
+                f"invalid checkpoint contents: {name} contains non-finite values",
+                starts[name] + 8 * int(bad[0]),
+            )
     params = ModelParameters(**tensors)
-    try:
-        params.validate(model_cfg)
-    except ValueError as exc:
-        raise CheckpointError(path, f"invalid checkpoint contents: {exc}") from exc
     return Checkpoint(params, model_cfg, train_cfg, loss_cfg, epoch, rng_digest)

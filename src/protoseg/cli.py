@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import hashlib
 import json
 import os
@@ -183,16 +184,17 @@ def _require_path(cfg: dict, key: str, must_exist: bool = True) -> Path:
     return path
 
 
+# loss config key -> LossConfig field: the config names the paper's symbols,
+# checkpoints store the fields
+_LOSS_FIELDS = {"alpha": "alpha", "lambda": "smooth_weight", "tau": "truncation"}
+
+
 def _loss_config(cfg: dict) -> LossConfig:
-    # the config names the paper's symbols; checkpoints store LossConfig's fields
     section = cfg["loss"]
-    return _build(
-        "loss",
-        LossConfig,
-        alpha=section["alpha"],
-        smooth_weight=section["lambda"],
-        truncation=section["tau"],
-    )
+    for key, field in _LOSS_FIELDS.items():
+        ok, rule = LossConfig.RULES[field]
+        _build("loss", require_number, name=key, value=section[key], ok=ok, rule=rule)
+    return LossConfig(**{field: section[key] for key, field in _LOSS_FIELDS.items()})
 
 
 def _sha256_file(path: Path) -> str:
@@ -248,6 +250,29 @@ def _cmd_generate(cfg: dict) -> int:
     return 0
 
 
+# mallopt parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Let glibc keep the memory each training video frees, for the next one.
+
+    glibc returns free memory above 128 KiB at the heap's top to the kernel,
+    and serves arrays above its mmap threshold with mappings it unmaps on
+    free, so each video would fault its arrays in again.  The trim
+    threshold goes to 128 MiB, and the mmap threshold to 32 MiB (glibc's
+    ceiling) with it, since setting the trim threshold alone stops glibc
+    from raising its mmap threshold past 128 KiB.  No-op without mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def _cmd_train(cfg: dict) -> int:
     manifest = _require_path(cfg, "manifest")
     train_cfg = _build("train", TrainConfig, **cfg["train"])
@@ -262,6 +287,7 @@ def _cmd_train(cfg: dict) -> int:
         n_activities=corpus.n_activities,
         **cfg["model"],
     )
+    _keep_freed_heap()
     result = trainer_mod.train(corpus.videos, model_cfg, train_cfg, loss_cfg)
     ckpt_path = cfg["paths"]["checkpoint"] or str(out / "model.ckpt")
     save_checkpoint(

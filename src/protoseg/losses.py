@@ -22,10 +22,16 @@ class LossConfig:
     smooth_weight: float = 0.15  # lambda on the temporal smoothing term
     truncation: float = 4.0  # tau on log-affinity jumps
 
+    # field -> (test, rule); the CLI checks its config keys against these too
+    RULES = {
+        "alpha": (lambda x: 0 <= x <= 1, "in [0, 1]"),
+        "smooth_weight": (lambda x: x >= 0, ">= 0"),
+        "truncation": (lambda x: x > 0, "> 0"),
+    }
+
     def __post_init__(self):
-        require_number("alpha", self.alpha, lambda x: 0 <= x <= 1, "in [0, 1]")
-        require_number("smooth_weight", self.smooth_weight, lambda x: x >= 0, ">= 0")
-        require_number("truncation", self.truncation, lambda x: x > 0, "> 0")
+        for name, (ok, rule) in self.RULES.items():
+            require_number(name, getattr(self, name), ok, rule)
 
 
 def one_hot(label: int, n_classes: int) -> np.ndarray:
@@ -44,15 +50,14 @@ def activity_loss(probs: Var, target: np.ndarray) -> Var:
     value, q = p·(2y - 1) + (1 - y), which is p where y = 1 and 1 - p where
     y = 0.  q is clamped to [PROB_EPS, 1 - PROB_EPS] inside the log; the
     derivative saturates (1/eps) rather than cutting to zero, so badly
-    saturated predictions still receive gradient.
+    saturated predictions still receive gradient.  One tape record.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != probs.value.shape:
         raise ValueError("target shape does not match probabilities")
     if not (np.all((target == 0.0) | (target == 1.0)) and target.sum() == 1.0):
         raise ValueError("target must be one-hot")
-    likelihood = ad.add(ad.mul(probs, 2.0 * target - 1.0), 1.0 - target)
-    return ad.scale(ad.vsum(ad.clamped_log(likelihood, PROB_EPS, 1.0 - PROB_EPS)), -1.0)
+    return ad.bce(probs, target, PROB_EPS)
 
 
 def tmse_loss(affinity: Var, truncation: float) -> Var:

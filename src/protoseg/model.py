@@ -8,6 +8,10 @@ g = A·P + relu(A·P·W1 + b1)·W2 + b2.  Each representation feeds its own
 activity classifier head.  Only the mean of g is ever read, so it is
 computed in reassociated form and g itself is never built; the latent
 path then costs T·N·d + N·d² per video instead of T·N·d + 2·T·d².
+
+A training video records 7 tape operations: the embedding's product and
+bias, the fused affinity, V^p's time sum, the fused mean latent, and one
+fused softmax(v·W + b) per head; the losses add 8 more.
 """
 from __future__ import annotations
 
@@ -143,17 +147,14 @@ def mean_latent(a: Var, vp: Var, p: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> 
 
     Computed as (V^p/T)·P + mean_t(relu(A·(P·W1) + b1))·W2 + b2, where
     `vp` is V^p, the time sum of `a`: no product of a T-row operand with
-    a d x d weight is formed, forward or backward.
+    a d x d weight is formed, forward or backward.  One tape record.
     """
-    hidden = ad.relu(ad.matmul(a, ad.matmul(p, w1)) + b1)
-    g0 = ad.matmul(ad.scale(vp, 1.0 / a.value.shape[0]), p)
-    return g0 + (ad.matmul(ad.axis0_mean(hidden), w2) + b2)
+    return ad.mean_latent(a, vp, p, w1, b1, w2, b2)
 
 
 def classify(vp: Var, vg: Var, wp: Var, bp: Var, wg: Var, bg: Var) -> tuple[Var, Var]:
-    yp = ad.softmax(ad.matmul(vp, wp) + bp)
-    yg = ad.softmax(ad.matmul(vg, wg) + bg)
-    return yp, yg
+    """Each head's activity probabilities, softmax(v·W + b), one tape record per head."""
+    return ad.softmax_affine(vp, wp, bp), ad.softmax_affine(vg, wg, bg)
 
 
 def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardOutputs:

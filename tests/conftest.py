@@ -114,6 +114,29 @@ GRADCHECK_CASES = [
         lambda rng: [rng.uniform(0.05, 1.0, size=(5, 4))],
         lambda t, a: ad.tmse(a, 0.1, 1.5),
     ),
+    (
+        "mean_latent",
+        lambda rng: [
+            rng.dirichlet(np.ones(3), size=4),
+            rng.uniform(0.5, 2.0, size=3),
+            *(rng.normal(size=shape) for shape in ((3, 2), (2, 2), 2, (2, 2), 2, 2)),
+        ],
+        lambda t, a, vp, p, w1, b1, w2, b2, w: _weighted(
+            t, ad.mean_latent(a, vp, p, w1, b1, w2, b2), w
+        ),
+    ),
+    (
+        "softmax_affine",
+        lambda rng: [rng.normal(size=3), rng.normal(size=(3, 4)), rng.normal(size=4),
+                     rng.normal(size=4)],
+        lambda t, v, w, b, r: _weighted(t, ad.softmax_affine(v, w, b), r),
+    ),
+    (
+        # probabilities away from the clip bounds; target entries 0 and 1
+        "bce",
+        lambda rng: [rng.uniform(0.05, 0.95, size=5)],
+        lambda t, p: ad.bce(p, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), PROB_EPS),
+    ),
 ]
 
 
@@ -151,6 +174,26 @@ def unfused_tmse(affinity, truncation):
     delta = ad.absval(ad.time_diff(logs))
     trunc = ad.clamp(delta, None, float(truncation))
     return ad.scale(ad.vsum(ad.mul(trunc, trunc)), 1.0 / (t * n))
+
+
+def unfused_mean_latent(a, vp, p, w1, b1, w2, b2):
+    """Oracle: `model.mean_latent` as eleven records."""
+    hidden = ad.relu(ad.matmul(a, ad.matmul(p, w1)) + b1)
+    g0 = ad.matmul(ad.scale(vp, 1.0 / a.value.shape[0]), p)
+    hidden_mean = ad.scale(ad.axis0_sum(hidden), 1.0 / hidden.value.shape[0])
+    return g0 + (ad.matmul(hidden_mean, w2) + b2)
+
+
+def unfused_softmax_affine(v, w, b):
+    """Oracle: one `model.classify` head as three records, matmul -> add -> softmax."""
+    return ad.softmax(ad.matmul(v, w) + b)
+
+
+def unfused_activity_loss(probs, target):
+    """Oracle: `losses.activity_loss` as five records."""
+    target = np.asarray(target, dtype=np.float64)
+    likelihood = ad.add(ad.mul(probs, 2.0 * target - 1.0), 1.0 - target)
+    return ad.scale(ad.vsum(ad.clamped_log(likelihood, PROB_EPS, 1.0 - PROB_EPS)), -1.0)
 
 
 def brute_force_assignment_value(counts: np.ndarray) -> float:

@@ -3,9 +3,17 @@ import pytest
 
 from protoseg import autodiff as ad
 from protoseg.autodiff import Tape, finite_diff_check
-from protoseg.losses import LOG_EPS
+from protoseg.losses import LOG_EPS, PROB_EPS, one_hot
 
-from conftest import GRADCHECK_CASES, run_gradcheck_case, unfused_affinity, unfused_tmse
+from conftest import (
+    GRADCHECK_CASES,
+    run_gradcheck_case,
+    unfused_activity_loss,
+    unfused_affinity,
+    unfused_mean_latent,
+    unfused_softmax_affine,
+    unfused_tmse,
+)
 
 
 def _wrap(*arrays):
@@ -198,8 +206,26 @@ def _tmse_inputs(rng, case):
     return a, tau
 
 
+def _mean_latent_inputs(rng, case):
+    t, n, d = (int(rng.integers(1, k)) for k in (12, 9, 6))
+    if case % 3 == 0:  # one-hot rows and small integers: exact zeros before the relu
+        a = np.eye(n)[rng.integers(n, size=t)]
+        p, w1, b1 = (rng.integers(-1, 2, size=s).astype(np.float64) for s in ((n, d), (d, d), d))
+    else:
+        a = rng.dirichlet(np.ones(n), size=t)
+        p, w1, b1 = (rng.normal(size=s) for s in ((n, d), (d, d), d))
+    return a, a.sum(axis=0), p, w1, b1, rng.normal(size=(d, d)), rng.normal(size=d)
+
+
+def _needs(rng, k):
+    """Which of `k` operands need a gradient: at least one, often all."""
+    needs = rng.uniform(size=k) < 0.7
+    needs[rng.integers(k)] = True
+    return tuple(needs)
+
+
 class TestFusedPrimitives:
-    """`affinity` and `tmse` against their unfused chains, bit for bit."""
+    """The fused records against their unfused chains, bit for bit."""
 
     NEEDS = ((True, True), (True, False), (False, True))
 
@@ -243,6 +269,52 @@ class TestFusedPrimitives:
             seen["t2"] += a.shape[0] == 2
         assert all(count >= 50 for count in seen.values()), seen
 
+    def test_mean_latent_matches_unfused_chain_bitwise(self):
+        rng = np.random.default_rng(25)
+        for case in range(300):
+            arrays = _mean_latent_inputs(rng, case)
+            r = rng.normal(size=arrays[-1].shape)
+            needs = (True,) * 7 if case % 2 == 0 else _needs(rng, 7)
+            fused, oracle = (
+                _value_and_grads(fn, arrays, needs, lambda out: ad.vsum(ad.mul(out, r)))
+                for fn in (ad.mean_latent, unfused_mean_latent)
+            )
+            for got, want in zip(fused, oracle):
+                assert np.array_equal(got, want), case
+
+    def test_softmax_affine_matches_unfused_chain_bitwise(self):
+        rng = np.random.default_rng(26)
+        for case in range(300):
+            k, c = int(rng.integers(1, 60)), int(rng.integers(2, 12))
+            spread = 30.0 if case % 4 == 0 else 1.0  # saturated heads too
+            arrays = (rng.normal(scale=spread, size=k), rng.normal(size=(k, c)), rng.normal(size=c))
+            r = rng.normal(size=c)
+            needs = (True,) * 3 if case % 2 == 0 else _needs(rng, 3)
+            fused, oracle = (
+                _value_and_grads(fn, arrays, needs, lambda out: ad.vsum(ad.mul(out, r)))
+                for fn in (ad.softmax_affine, unfused_softmax_affine)
+            )
+            for got, want in zip(fused, oracle):
+                assert np.array_equal(got, want), case
+
+    def test_bce_matches_unfused_chain_bitwise(self):
+        rng = np.random.default_rng(27)
+        for case in range(300):
+            n = int(rng.integers(2, 12))
+            probs = np.exp(rng.normal(scale=3.0, size=n))
+            probs /= probs.sum()
+            if case % 3 == 0:  # at and beyond the clip bounds
+                probs[rng.integers(n)] = (0.0, 1.0, PROB_EPS, 1e-9, 1.0 - 1e-9)[case // 3 % 5]
+            target = one_hot(int(rng.integers(1, n + 1)), n)
+            c = float(rng.normal())
+            fused, oracle = (
+                _value_and_grads(fn, (probs,), (True,), lambda out: ad.scale(out, c))
+                for fn in (lambda p: ad.bce(p, target, PROB_EPS),
+                           lambda p: unfused_activity_loss(p, target))
+            )
+            for got, want in zip(fused, oracle):
+                assert np.array_equal(got, want), case
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_inputs_fail_like_the_chain(self, bad):
         rng = np.random.default_rng(23)
@@ -255,6 +327,21 @@ class TestFusedPrimitives:
             (ad.affinity, unfused_affinity, (f, bad_p), "pairwise_distance"),
             (*tmse_pair, (bad_a,), "clamp"),
         ]
+        latent = list(_mean_latent_inputs(rng, 1))
+        for i, stage in ((0, "matmul"), (1, "scale"), (3, "matmul"), (4, "add"), (6, "add")):
+            bad_latent = [x.copy() for x in latent]
+            bad_latent[i].flat[0] = bad
+            cases.append((ad.mean_latent, unfused_mean_latent, bad_latent, stage))
+        v, w, b = rng.normal(size=3), rng.normal(size=(3, 4)), rng.normal(size=4)
+        bad_v, bad_b = v.copy(), b.copy()
+        bad_v[1] = bad_b[2] = bad
+        cases += [
+            (ad.softmax_affine, unfused_softmax_affine, (bad_v, w, b), "matmul"),
+            (ad.softmax_affine, unfused_softmax_affine, (v, w, bad_b), "add"),
+        ]
+        target = one_hot(2, 3)
+        cases.append((lambda q: ad.bce(q, target, PROB_EPS),
+                      lambda q: unfused_activity_loss(q, target), ([0.2, bad, 0.3],), "mul"))
         for fused, oracle, arrays, stage in cases:
             with np.errstate(invalid="ignore"):
                 want, got = _outcome(oracle, *arrays), _outcome(fused, *arrays)
@@ -270,7 +357,12 @@ class TestFusedPrimitives:
         tape = Tape()
         a = ad.affinity(tape.var(rng.normal(size=(5, 3))), tape.var(rng.normal(size=(4, 3))))
         ad.tmse(a, LOG_EPS, 4.0)
-        assert len(tape._records) == 2
+        vp = ad.axis0_sum(a)
+        d = (tape.var(rng.normal(size=s)) for s in ((4, 3), (3, 3), 3, (3, 3), 3))
+        vg = ad.mean_latent(a, vp, *d)
+        ad.bce(ad.softmax_affine(vg, tape.var(rng.normal(size=(3, 2))), tape.var(np.zeros(2))),
+               one_hot(1, 2), PROB_EPS)
+        assert len(tape._records) == 6
 
     def test_tmse_rejects_nonpositive_eps_or_tau(self):
         tape = Tape()

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from protoseg import cli
 from protoseg.checkpoint import load_checkpoint
 from protoseg.cli import _read_segment_file, _write_segment_file, main
 from protoseg.data import FEATURE_MAGIC, GT_MAGIC, _write_array, read_corpus
@@ -221,6 +223,22 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {section or bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [("tau", 0, "> 0"), ("tau", float("nan"), "> 0"), ("lambda", float("inf"), ">= 0"),
+         ("lambda", -1, ">= 0"), ("alpha", 2, "in [0, 1]")],
+    )
+    def test_loss_error_names_the_config_key(self, trained, tmp_path, capsys, key, value, rule):
+        _, manifest, _ = trained
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY_CONFIG, "loss": {key: value}}))
+        code = run(["train", "--config", bad, "--manifest", manifest, "--out-dir", tmp_path])
+        assert code == 2
+        got = f"{value:g}" if isinstance(value, float) else str(value)
+        assert capsys.readouterr().err == (
+            f"error: config: loss: {key} must be a number {rule}, got {got}\n"
+        )
 
     def test_checkpoint_of_another_feature_dim_names_both_files(self, workdir, capsys):
         tmp_path, cfg_path = workdir
@@ -486,3 +504,47 @@ class TestConfigHandling:
             a = [l.split()[:2] for l in seg.read_text().splitlines()]
             b = [l.split()[:2] for l in twin.read_text().splitlines()]
             assert a == b
+
+
+class TestKeepFreedHeap:
+    TRIM, MMAP = (-1, 128 << 20), (-3, 32 << 20)  # glibc's parameter ids, and the values
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        cli._keep_freed_heap()
+        assert calls == [self.TRIM, self.MMAP]
+
+    def test_glibc_accepts_both_values(self):
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, AttributeError):
+            pytest.skip("this C library has no mallopt")
+        assert mallopt(*self.TRIM) == 1 and mallopt(*self.MMAP) == 1
+
+    @pytest.mark.parametrize("missing", ["library", "mallopt"])
+    def test_does_nothing_without_mallopt(self, monkeypatch, missing):
+        def cdll(name):
+            if missing == "library":
+                raise OSError("cannot open the C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert cli._keep_freed_heap() is None
+
+    def test_train_sets_them_before_training(self, trained, tmp_path, monkeypatch):
+        cfg_path, manifest, _ = trained
+        events = []
+        train = cli.trainer_mod.train
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: events.append("mallopt"))
+        monkeypatch.setattr(cli.trainer_mod, "train",
+                            lambda *args: events.append("train") or train(*args))
+        assert run(["train", "--config", cfg_path, "--manifest", manifest,
+                    "--out-dir", tmp_path, "--checkpoint", tmp_path / "m.ckpt"]) == 0
+        assert events == ["mallopt", "train"]

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from protoseg import autodiff as ad
 from protoseg import losses as losses_mod
 from protoseg import model as model_mod
 from protoseg.checkpoint import (
@@ -29,7 +30,13 @@ from protoseg.trainer import (
     video_loss,
 )
 
-from conftest import unfused_affinity, unfused_tmse
+from conftest import (
+    unfused_activity_loss,
+    unfused_affinity,
+    unfused_mean_latent,
+    unfused_softmax_affine,
+    unfused_tmse,
+)
 
 
 def toy_corpus(seed=0, separation=10.0, videos_per_class=3, t_frames=10):
@@ -111,13 +118,16 @@ class TestTrain:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_fused_records_train_like_the_unfused_chains(self, monkeypatch):
-        # the fused affinity and T-MSE records must leave training bitwise unchanged
+        # the fused records must leave training bitwise unchanged
         corpus = toy_corpus(seed=5, separation=1.0, t_frames=12)
         cfg = ModelConfig(input_dim=3, n_activities=2, n_prototypes=4, embed_dim=3)
         tc = TrainConfig(lr=0.01, epochs=4, batch_size=2, seed=3)
         fused = train(corpus, cfg, tc, LossConfig())
         monkeypatch.setattr(model_mod, "compute_affinity", unfused_affinity)
         monkeypatch.setattr(losses_mod, "tmse_loss", unfused_tmse)
+        monkeypatch.setattr(model_mod, "mean_latent", unfused_mean_latent)
+        monkeypatch.setattr(ad, "softmax_affine", unfused_softmax_affine)  # each classify head
+        monkeypatch.setattr(losses_mod, "activity_loss", unfused_activity_loss)
         oracle = train(corpus, cfg, tc, LossConfig())
         for name in PARAM_NAMES:
             assert np.array_equal(getattr(fused.params, name), getattr(oracle.params, name))
@@ -333,3 +343,26 @@ class TestCheckpointIO:
         self._with_metadata(path, lambda meta: meta["model"].update(n_prototypes=0))
         with pytest.raises(CheckpointError, match=r"n_prototypes.*\(byte offset 12\)$"):
             load_checkpoint(path)
+
+    def test_nonfinite_value_errors_with_its_offset(self, tmp_path):
+        ckpt = self._make()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        blob = bytearray(path.read_bytes())
+        (meta_len,) = struct.unpack("<I", blob[8:12])
+        starts, offset = {}, 12 + meta_len
+        for name in PARAM_NAMES:
+            starts[name] = offset
+            offset += getattr(ckpt.params, name).nbytes
+        first = starts["embed_w"] + 8 * 3
+        later = starts["head_g_w"] + 8 * 1
+        blob[first : first + 8] = struct.pack("<d", np.nan)
+        blob[later : later + 8] = struct.pack("<d", -np.inf)
+        path.write_bytes(bytes(blob))
+        for name, offset in (("embed_w", first), ("head_g_w", later)):
+            want = (f"{path}: invalid checkpoint contents: {name} contains non-finite values "
+                    f"(byte offset {offset})")
+            with pytest.raises(CheckpointError, match=f"^{re.escape(want)}$"):
+                load_checkpoint(path)
+            blob[first : first + 8] = struct.pack("<d", 0.5)  # the later value is then the first
+            path.write_bytes(bytes(blob))
