@@ -13,9 +13,7 @@ import copy
 import ctypes
 import hashlib
 import json
-import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -388,43 +386,49 @@ def _cmd_segment(cfg: dict) -> int:
     return 0
 
 
-def _write_segment_file(path: Path, labeling: inference.Labeling, matched=None) -> None:
-    """One line per frame: frame_index prototype(-1=background) matched_action.
+def _write_segment_file(path: Path, labeling: inference.Labeling) -> None:
+    """One line per frame: its prototype id, or -1 for background.
 
-    An existing file is overwritten from its first byte and then cut to the
-    new length, never truncated to zero first: ext4 starts writing back a
-    file on close once it has been truncated to zero (`auto_da_alloc`), and
-    that made every rewrite in `eval` slow.
+    `segment` writes each file once and `eval` only reads it; a frame's
+    matched action is its prototype mapped through its unit's `assignment`
+    in `metrics_<scope>.json`.
     """
     proto = np.asarray(labeling.labels, dtype=np.int64)
     if labeling.background is not None:
         proto = np.where(labeling.background, -1, proto)
-    action = np.full_like(proto, -1) if matched is None else np.where(proto == -1, -1, matched)
-    table = np.column_stack([np.arange(len(proto)), proto, action])
-    text = ("%d %d %d\n" * len(proto)) % tuple(table.ravel().tolist())
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(text.encode("ascii"))
-        f.truncate()
+    with open(path, "wb") as f:
+        f.write((("%d\n" * len(proto)) % tuple(proto.tolist())).encode("ascii"))
 
 
 def _read_segment_file(path: Path) -> inference.Labeling:
-    """Parse a labeling file in one step into a T x 3 integer array."""
+    """Parse a labeling file: one integer prototype id per line, -1 for background."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
     try:
-        # a handle, not a path: numpy opens paths through its slower `_datasource`
-        with open(path, encoding="utf-8") as f, warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty file is an error, not a warning
-            rows = np.loadtxt(f, dtype=np.int64, ndmin=2)
-    except (ValueError, UserWarning) as exc:
-        raise CorpusError(f"{path}: malformed labeling file: {exc}") from None
-    if rows.shape[1] != 3:
-        raise CorpusError(f"{path}: expected 3 fields per line, got {rows.shape[1]}")
-    if not np.array_equal(rows[:, 0], np.arange(len(rows))):
-        raise CorpusError(f"{path}: frame column is not 0, 1, ..., {len(rows) - 1}")
-    proto = rows[:, 1]
+        proto = np.array([int(line) for line in lines], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise CorpusError(f"{path}: expected one prototype id per line: {exc}") from None
+    if not len(proto):
+        raise CorpusError(f"{path}: empty labeling file")
     if np.any((proto < 1) & (proto != -1)):
         raise CorpusError(f"{path}: prototype ids must be >= 1, or -1 for background")
     background = proto == -1
     return inference.Labeling(np.where(background, 1, proto), background)
+
+
+def _segment_index(index_path: Path, manifest: Path, checkpoint: Path | None) -> dict:
+    """`segments/index.json`, once its digests match the manifest and any checkpoint given."""
+    try:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{index_path}: unparseable segmentation index: {exc}") from None
+    inputs = {"manifest_sha256": manifest, "checkpoint_sha256": checkpoint}
+    if not isinstance(index, dict) or not all(key in index for key in inputs):
+        raise ValueError(f"{index_path}: segmentation index lacks {' or '.join(inputs)}")
+    for key, path in inputs.items():
+        if path is not None and index[key] != _sha256_file(path):
+            raise ValueError(f"{index_path}: {key} does not match {path}; rerun segment")
+    return index
 
 
 def _cmd_eval(cfg: dict) -> int:
@@ -438,9 +442,9 @@ def _cmd_eval(cfg: dict) -> int:
     corpus = read_corpus(manifest)
     scope = cfg["eval"]["scope"]
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest) if cfg["eval"]["kl"] else None
+    index = _segment_index(seg_dir / "index.json", manifest, ckpt_path if ckpt else None)
 
     videos = []
-    labelings = {}
     for video in corpus.videos:
         if video.gt_actions is None:
             raise ConfigError(f"video {video.video_id!r} has no ground truth to evaluate")
@@ -450,7 +454,6 @@ def _cmd_eval(cfg: dict) -> int:
             raise CorpusError(
                 f"{seg_path}: has {len(labeling.labels)} frames, corpus says {video.n_frames}"
             )
-        labelings[video.video_id] = labeling
         videos.append(
             matching.VideoEval(
                 video_id=video.video_id,
@@ -462,13 +465,10 @@ def _cmd_eval(cfg: dict) -> int:
         )
     result = matching.match_at_level(videos, scope)
 
-    # fill matched action labels back into the segmentation files
-    for vid, labeling in labelings.items():
-        _write_segment_file(seg_dir / f"{vid}.seg.txt", labeling, result.mapped[vid])
-
     report = {
         "scope": scope,
         "mof": result.mof,
+        "segments": {key: value for key, value in index.items() if key != "videos"},
         "units": [
             {key: value for key, value in vars(rep).items() if key != "scope"}
             for rep in result.reports

@@ -1,7 +1,9 @@
 import ctypes
 import hashlib
+import importlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from protoseg.checkpoint import load_checkpoint
 from protoseg.cli import _read_segment_file, _write_segment_file, main
 from protoseg.data import FEATURE_MAGIC, GT_MAGIC, _write_array, read_corpus
 from protoseg.inference import Labeling, naive_labels
+from protoseg.matching import VideoEval, match_at_level
 from protoseg.model import infer
 
 
@@ -65,10 +68,27 @@ class TestPipeline:
         assert 0.0 <= report["mof"] <= 1.0
         seg_files = list((out_dir / "segments").glob("*.seg.txt"))
         assert len(seg_files) == 6
-        # matched labels were filled in after eval
-        line = seg_files[0].read_text().splitlines()[0]
-        frame, proto, action = line.split()
-        assert frame == "0" and int(proto) >= 1
+        # one prototype id per frame, and no matched labels written by eval
+        lines = seg_files[0].read_text().splitlines()
+        assert all(len(line.split()) == 1 for line in lines)
+        assert int(lines[0]) >= 1
+
+    def test_benchmark_output_checks_pass(self, workdir, monkeypatch):
+        tmp_path, cfg_path = workdir
+        out_dir, manifest, ckpt = _pipeline(tmp_path, cfg_path)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        checks = importlib.import_module("checks")
+        entries = json.loads(manifest.read_text())["videos"]
+        lengths = {e["id"]: int(e["T"]) for e in entries}
+        files, err = checks.segment_files(out_dir, lengths)
+        assert err is None and len(files) == len(lengths)
+        base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                "--checkpoint", ckpt]
+        for scope in ("video", "activity", "global"):
+            assert run(["eval", *base, "--scope", scope]) == 0
+            mof, err = checks.eval_mof(out_dir, scope)
+            assert err is None and mof is not None
 
     def test_segment_index_records_digests_not_paths(self, workdir):
         tmp_path, cfg_path = workdir
@@ -102,7 +122,7 @@ class TestPipeline:
             affinity, _, _ = infer(video.features, checkpoint.params, checkpoint.model)
             expected = naive_labels(affinity)
             lines = (out_dir / "segments" / f"{video.video_id}.seg.txt").read_text()
-            got = np.array([int(l.split()[1]) for l in lines.splitlines()])
+            got = np.array([int(l) for l in lines.splitlines()])
             assert np.array_equal(got, expected)
 
     def test_activity_scope_segment_and_eval(self, workdir):
@@ -280,20 +300,19 @@ def trained(tmp_path_factory):
 
 class TestSegmentFiles:
     @pytest.mark.parametrize(
-        "labels, background, matched, text",
+        "labels, background, text",
         [
-            ([2, 2, 5], None, None, "0 2 -1\n1 2 -1\n2 5 -1\n"),
-            ([1, 3, 3, 4], [False, True, False, False], [0, 9, 7, 0],
-             "0 1 0\n1 -1 -1\n2 3 7\n3 4 0\n"),
-            ([7], None, [3], "0 7 3\n"),
+            ([2, 2, 5], None, "2\n2\n5\n"),
+            ([1, 3, 3, 4], [False, True, False, False], "1\n-1\n3\n4\n"),
+            ([7], None, "7\n"),
         ],
-        ids=["plain", "background-and-unmatched", "one-frame"],
+        ids=["plain", "background", "one-frame"],
     )
-    def test_bytes_and_read_back(self, tmp_path, labels, background, matched, text):
+    def test_bytes_and_read_back(self, tmp_path, labels, background, text):
         bg = None if background is None else np.array(background)
         path = tmp_path / "v.seg.txt"
         assert not path.exists()
-        _write_segment_file(path, Labeling(np.array(labels), bg), matched)
+        _write_segment_file(path, Labeling(np.array(labels), bg))
         assert path.read_bytes() == text.encode("ascii")
         back = _read_segment_file(path)
         expected_bg = np.zeros(len(labels), dtype=bool) if bg is None else bg
@@ -302,29 +321,68 @@ class TestSegmentFiles:
 
     def test_shorter_labeling_leaves_no_stale_tail(self, tmp_path):
         path = tmp_path / "v.seg.txt"
-        _write_segment_file(path, Labeling(np.full(12, 40)), np.full(12, 30))
+        _write_segment_file(path, Labeling(np.full(12, 40)))
         long = path.read_bytes()
-        _write_segment_file(path, Labeling(np.array([1, 2])), np.array([5, 0]))
+        _write_segment_file(path, Labeling(np.array([1, 2])))
         assert len(long) > len(path.read_bytes())
-        assert path.read_bytes() == b"0 1 5\n1 2 0\n"
+        assert path.read_bytes() == b"1\n2\n"
         assert np.array_equal(_read_segment_file(path).labels, [1, 2])
 
-    def test_rewrites_at_every_scope_equal_one_fresh_eval(self, trained, tmp_path):
+    def test_eval_in_any_order_keeps_labelings_and_metrics(self, trained, tmp_path):
         cfg_path, manifest, ckpt = trained
-        outs = {}
-        for name, scopes in (("rewritten", ["video", "activity", "global"]),
-                             ("fresh", ["global"])):
+        scopes = ["video", "activity", "global"]
+        outs = []
+        for name, order in (("forward", scopes), ("reverse", scopes[::-1])):
             out_dir = tmp_path / name
             base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
                     "--checkpoint", ckpt]
             assert run(["segment", *base]) == 0
-            for scope in scopes:
+            seg_dir = out_dir / "segments"
+
+            def labelings():
+                # a rewrite with the same bytes would still move the mtime
+                return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                        for p in sorted(seg_dir.iterdir())}
+
+            written = labelings()
+            for scope in order:
                 assert run(["eval", *base, "--scope", scope]) == 0
-            files = sorted((out_dir / "segments").glob("*.seg.txt"))
-            files.append(out_dir / "metrics_global.json")
-            outs[name] = {p.relative_to(out_dir): p.read_bytes() for p in files}
-        assert len(outs["fresh"]) == 7
-        assert outs["rewritten"] == outs["fresh"]
+                assert labelings() == written
+            scored = {p.name: p.read_bytes() for scope in scopes
+                      for p in (out_dir / f"metrics_{scope}.json",
+                                out_dir / f"per_video_mof_{scope}.tsv")}
+            outs.append(({f: data for f, (data, _) in written.items()}, scored))
+        assert len(outs[0][0]) == 7 and len(outs[0][1]) == 6
+        assert outs[0] == outs[1]
+
+    def test_labelings_and_assignments_give_the_matched_labels(self, trained, tmp_path):
+        cfg_path, manifest, ckpt = trained
+        out_dir = tmp_path / "out"
+        base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                "--checkpoint", ckpt]
+        assert run(["segment", *base, "--scope", "activity", "--eta", "0.5"]) == 0
+        corpus = read_corpus(manifest)
+        read = {v.video_id: _read_segment_file(out_dir / "segments" / f"{v.video_id}.seg.txt")
+                for v in corpus.videos}
+        assert any(lab.background.any() for lab in read.values())
+        videos = [VideoEval(v.video_id, v.activity, read[v.video_id].labels, v.gt_actions,
+                            read[v.video_id].background) for v in corpus.videos]
+        for scope in ("video", "activity", "global"):
+            assert run(["eval", *base, "--scope", scope]) == 0
+            report = json.loads((out_dir / f"metrics_{scope}.json").read_text())
+            assignments = {u["unit"]: {c: a for c, a in u["assignment"]} for u in report["units"]}
+            tsv = (out_dir / f"per_video_mof_{scope}.tsv").read_text().splitlines()[1:]
+            mof = dict(line.split("\t") for line in tsv)
+            expected = match_at_level(videos, scope)
+            assert len(mof) == len(corpus.videos)
+            for v in corpus.videos:
+                unit = {"video": v.video_id, "activity": str(v.activity), "global": "corpus"}
+                assignment = assignments[unit[scope]]
+                labels = [assignment.get(int(p), 0) for p in read[v.video_id].labels]
+                assert np.array_equal(labels, expected.mapped[v.video_id])
+                keep = (v.gt_actions != 0) & ~read[v.video_id].background
+                hits = np.sum((np.array(labels) == v.gt_actions) & keep)
+                assert mof[v.video_id] == f"{hits / keep.sum():.10g}"
 
 
 def _one_line_runtime_error(capsys, kind, path):
@@ -388,15 +446,15 @@ class TestBadInputFiles:
         "edit",
         [
             lambda lines: [*lines[:3], "3 1", *lines[4:]],
-            lambda lines: [*lines[:3], "3 x -1", *lines[4:]],
-            lambda lines: [*lines[:3], "4 1 -1", *lines[4:]],
-            lambda lines: [*lines[:3], "3 0 -1", *lines[4:]],
-            lambda lines: [l.rsplit(" ", 1)[0] for l in lines],
+            lambda lines: [*lines[:3], "x", *lines[4:]],
+            lambda lines: [*lines[:3], "0", *lines[4:]],
+            lambda lines: [f"{t} {l}" for t, l in enumerate(lines)],
             lambda lines: [],
             lambda lines: lines[:-1],
+            lambda lines: [f"{t} {l} -1" for t, l in enumerate(lines)],
         ],
-        ids=["two-fields", "not-integer", "frame-column", "prototype-0", "all-two-fields",
-             "empty", "frame-count"],
+        ids=["two-fields", "not-integer", "prototype-0", "all-two-fields", "empty",
+             "frame-count", "old-three-fields"],
     )
     def test_malformed_labeling_file_is_named_corpus_error(
         self, trained, tmp_path, capsys, edit
@@ -434,6 +492,97 @@ class TestBadInputFiles:
         assert err.startswith("error: config: ") and err.count("\n") == 1
         assert "activity 2" in err and str(bad) in err and "--nprime" in err
         assert not list(out_dir.rglob("*.seg.txt"))
+
+
+# criterion 9's config
+SMALL_CONFIG = {
+    "model": {"n_prototypes": 5, "embed_dim": 8},
+    "train": {"epochs": 3, "batch_size": 4, "seed": 11},
+    "eval": {"kl": True, "f1": True},
+    "corpus": {
+        "n_activities": 2,
+        "n_actions": 5,
+        "shared_actions": 1,
+        "videos_per_activity": 4,
+        "frames_range": [30, 60],
+        "feature_dim": 8,
+        "seed": 11,
+    },
+}
+
+
+def _without(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+class TestProvenance:
+    @pytest.fixture
+    def segmented(self, tmp_path):
+        """Labelings from checkpoint A (train seed 11); B (seed 12) is trained too."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        manifest = tmp_path / "corpus" / "manifest.json"
+        assert run(["generate", "--config", cfg_path, "--manifest", manifest,
+                    "--out-dir", tmp_path / "gen"]) == 0
+        ckpts = {}
+        for seed in (11, 12):
+            ckpts[seed] = tmp_path / f"seed{seed}.ckpt"
+            assert run(["train", "--config", cfg_path, "--manifest", manifest, "--seed", seed,
+                        "--out-dir", tmp_path / "train", "--checkpoint", ckpts[seed]]) == 0
+        out_dir = tmp_path / "out"
+        assert run(["segment", "--config", cfg_path, "--manifest", manifest,
+                    "--out-dir", out_dir, "--checkpoint", ckpts[11]]) == 0
+        return cfg_path, manifest, ckpts, out_dir
+
+    def test_eval_refuses_labelings_of_another_checkpoint(self, segmented, capsys):
+        cfg_path, manifest, ckpts, out_dir = segmented
+        base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                "--scope", "activity"]
+        capsys.readouterr()
+        assert run(["eval", *base, "--checkpoint", ckpts[12]]) == 1
+        index = out_dir / "segments" / "index.json"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: runtime: ValueError: {index}: checkpoint_sha256 ")
+        assert str(ckpts[12]) in err and err.count("\n") == 1
+        assert not (out_dir / "metrics_activity.json").exists()
+
+        assert run(["eval", *base, "--checkpoint", ckpts[11]]) == 0
+        report = json.loads((out_dir / "metrics_activity.json").read_text())
+        recorded = json.loads(index.read_text())
+        del recorded["videos"]
+        assert report["segments"] == recorded and "kl" in report
+
+    def test_eval_refuses_labelings_of_another_manifest(self, segmented, capsys):
+        cfg_path, manifest, ckpts, out_dir = segmented
+        before = manifest.read_bytes()
+        assert run(["generate", "--config", cfg_path, "--manifest", manifest,
+                    "--out-dir", out_dir.parent / "gen", "--seed", 13]) == 0
+        assert manifest.read_bytes() != before
+        capsys.readouterr()
+        assert run(["eval", "--config", cfg_path, "--manifest", manifest,
+                    "--out-dir", out_dir, "--checkpoint", ckpts[11]]) == 1
+        index = out_dir / "segments" / "index.json"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: runtime: ValueError: {index}: manifest_sha256 ")
+        assert str(manifest) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda text: text[:-5], lambda text: "[]", _without("manifest_sha256"),
+         _without("checkpoint_sha256")],
+        ids=["unparseable", "not-an-object", "no-manifest-digest", "no-checkpoint-digest"],
+    )
+    def test_bad_index_is_named_error(self, trained, tmp_path, capsys, edit):
+        cfg_path, manifest, ckpt = trained
+        out_dir = tmp_path / "out"
+        base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                "--checkpoint", ckpt]
+        assert run(["segment", *base]) == 0
+        index = out_dir / "segments" / "index.json"
+        index.write_text(edit(index.read_text()))
+        capsys.readouterr()
+        assert run(["eval", *base]) == 1
+        _one_line_runtime_error(capsys, "ValueError", index)
 
 
 class TestConfigHandling:
@@ -497,13 +646,10 @@ class TestConfigHandling:
         base = ["--config", cfg_path, "--manifest", manifest, "--checkpoint", ckpt]
         out2 = tmp_path / "out_threads"
         assert run(["segment", *base, "--out-dir", out2, "--threads", "4"]) == 0
-        for seg in sorted((out1 / "segments").glob("*.seg.txt")):
-            twin = out2 / "segments" / seg.name
-            # eval already rewrote out1's files with matched labels; compare
-            # prototype columns only
-            a = [l.split()[:2] for l in seg.read_text().splitlines()]
-            b = [l.split()[:2] for l in twin.read_text().splitlines()]
-            assert a == b
+        files = sorted((out1 / "segments").iterdir())
+        assert len(files) == 7
+        for path in files:
+            assert path.read_bytes() == (out2 / "segments" / path.name).read_bytes()
 
 
 class TestKeepFreedHeap:
