@@ -9,7 +9,7 @@ activity-, and corpus-level Hungarian matching.
 from .autodiff import Tape, Var, finite_diff_check
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import Corpus, CorpusError, CorpusSpec, FeatureSequence, generate_corpus, read_corpus, write_corpus
-from .inference import Labeling, background_mask, gaussian_smooth, naive_labels, recognize_activity, segment_corpus, viterbi_decode
+from .inference import background_mask, gaussian_smooth, naive_labels, recognize_activity, segment_corpus, viterbi_decode
 from .losses import LossConfig
 from .matching import (
     AssignmentReport,

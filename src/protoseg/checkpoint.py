@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .data import read_exact
 from .losses import LossConfig
 from .model import ModelConfig, ModelParameters, PARAM_NAMES, parameter_layout
 from .trainer import TrainConfig
@@ -72,16 +72,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             f.write(np.asarray(getattr(ckpt.params, name), dtype="<f8").tobytes())
 
 
-def _read_exact(f, n: int, path: Path, what: str) -> bytes:
-    """`n` bytes, or a CheckpointError when the file holds fewer."""
-    offset = f.tell()
-    left = os.fstat(f.fileno()).st_size - offset
-    data = f.read(n) if n <= left else b""
-    if len(data) != n:
-        raise CheckpointError(path, f"truncated checkpoint while reading {what}", offset)
-    return data
-
-
 def _check_keys(path: Path, found, expected, what: str) -> None:
     """`found` must be a JSON object holding exactly the `expected` keys."""
     if not isinstance(found, dict):
@@ -96,11 +86,15 @@ def _check_keys(path: Path, found, expected, what: str) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
+
+    def truncated(what: str, offset: int) -> CheckpointError:
+        return CheckpointError(path, f"truncated checkpoint while reading {what}", offset)
+
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path, "magic")
+        magic = read_exact(f, 4, "magic", truncated)
         if magic != MAGIC:
             raise CheckpointError(path, f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-        (version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
+        (version,) = struct.unpack("<I", read_exact(f, 4, "version", truncated))
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 path,
@@ -108,8 +102,8 @@ def load_checkpoint(path) -> Checkpoint:
                 f"this build reads version {FORMAT_VERSION}",
                 4,
             )
-        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, path, "metadata length"))
-        meta_bytes = _read_exact(f, meta_len, path, "metadata")
+        (meta_len,) = struct.unpack("<I", read_exact(f, 4, "metadata length", truncated))
+        meta_bytes = read_exact(f, meta_len, "metadata", truncated)
         try:
             meta = json.loads(meta_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -129,7 +123,7 @@ def load_checkpoint(path) -> Checkpoint:
         tensors, starts = {}, {}
         for name, (shape, _) in parameter_layout(model_cfg).items():
             starts[name] = f.tell()
-            raw = _read_exact(f, 8 * math.prod(shape), path, f"{name} values")
+            raw = read_exact(f, 8 * math.prod(shape), f"{name} values", truncated)
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise CheckpointError(path, "trailing bytes after last tensor", f.tell() - 1)

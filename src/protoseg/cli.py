@@ -15,7 +15,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +27,15 @@ from .losses import LossConfig
 from .model import ModelConfig
 from .trainer import TrainConfig
 
+# loss config key -> LossConfig field: the config names the paper's symbols,
+# checkpoints store the fields
+_LOSS_FIELDS = {"alpha": "alpha", "lambda": "smooth_weight", "tau": "truncation"}
+
 DEFAULT_CONFIG = {
-    "model": {"n_prototypes": 50, "embed_dim": None},
-    "loss": {"alpha": 0.5, "lambda": 0.15, "tau": 4.0},
-    "train": {"lr": 0.001, "epochs": 240, "batch_size": 8, "seed": 0},
+    # input_dim and n_activities come from the corpus
+    "model": {f.name: f.default for f in fields(ModelConfig) if f.default is not MISSING},
+    "loss": {key: getattr(LossConfig(), field) for key, field in _LOSS_FIELDS.items()},
+    "train": asdict(TrainConfig()),
     # nprime: "gt" (true action count per activity) or an integer
     "infer": {"sigma": 5.0, "nprime": "gt", "eta": 0.0, "smooth": True, "decode": True},
     "eval": {"scope": "global", "kl": False, "f1": False},
@@ -180,11 +185,6 @@ def _require_path(cfg: dict, key: str, must_exist: bool = True) -> Path:
     if must_exist and not path.exists():
         raise ConfigError(f"paths.{key} {path} does not exist")
     return path
-
-
-# loss config key -> LossConfig field: the config names the paper's symbols,
-# checkpoints store the fields
-_LOSS_FIELDS = {"alpha": "alpha", "lambda": "smooth_weight", "tau": "truncation"}
 
 
 def _loss_config(cfg: dict) -> LossConfig:
@@ -337,14 +337,14 @@ def _nprime_by_activity(cfg: dict, corpus: Corpus, manifest: Path):
 def _cmd_segment(cfg: dict) -> int:
     manifest = _require_path(cfg, "manifest")
     ckpt_path = _require_path(cfg, "checkpoint")
-    out = _out_dir(cfg)
-    _echo_config(cfg, out)
-    corpus = read_corpus(manifest)
-    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
     scope = cfg["eval"]["scope"]
     if scope == "video":
         raise ConfigError("segment supports --scope global or activity")
+    corpus = read_corpus(manifest)
     n_keep = _nprime_by_activity(cfg, corpus, manifest) if scope == "activity" else None
+    out = _out_dir(cfg)
+    _echo_config(cfg, out)
+    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
     # hashlib releases the GIL on large updates, so the digests are taken
     # on a worker thread while inference runs
     with ThreadPoolExecutor(max_workers=1) as hasher:
@@ -367,8 +367,8 @@ def _cmd_segment(cfg: dict) -> int:
     )
     seg_dir = out / "segments"
     seg_dir.mkdir(exist_ok=True)
-    for vid, labeling in sorted(labelings.items()):
-        _write_segment_file(seg_dir / f"{vid}.seg.txt", labeling)
+    for vid, labels in sorted(labelings.items()):
+        _write_segment_file(seg_dir / f"{vid}.seg.txt", labels)
     index = {
         "scope": scope,
         "smooth": smooth,
@@ -386,21 +386,18 @@ def _cmd_segment(cfg: dict) -> int:
     return 0
 
 
-def _write_segment_file(path: Path, labeling: inference.Labeling) -> None:
-    """One line per frame: its prototype id, or -1 for background.
+def _write_segment_file(path: Path, labels: np.ndarray) -> None:
+    """One line per frame of `labels`, as it is: a prototype id, or -1 for background.
 
     `segment` writes each file once and `eval` only reads it; a frame's
     matched action is its prototype mapped through its unit's `assignment`
     in `metrics_<scope>.json`.
     """
-    proto = np.asarray(labeling.labels, dtype=np.int64)
-    if labeling.background is not None:
-        proto = np.where(labeling.background, -1, proto)
     with open(path, "wb") as f:
-        f.write((("%d\n" * len(proto)) % tuple(proto.tolist())).encode("ascii"))
+        f.write((("%d\n" * len(labels)) % tuple(labels.tolist())).encode("ascii"))
 
 
-def _read_segment_file(path: Path) -> inference.Labeling:
+def _read_segment_file(path: Path) -> np.ndarray:
     """Parse a labeling file: one integer prototype id per line, -1 for background."""
     with open(path, "rb") as f:
         lines = f.read().splitlines()
@@ -412,8 +409,7 @@ def _read_segment_file(path: Path) -> inference.Labeling:
         raise CorpusError(f"{path}: empty labeling file")
     if np.any((proto < 1) & (proto != -1)):
         raise CorpusError(f"{path}: prototype ids must be >= 1, or -1 for background")
-    background = proto == -1
-    return inference.Labeling(np.where(background, 1, proto), background)
+    return proto
 
 
 def _segment_index(index_path: Path, manifest: Path, checkpoint: Path | None) -> dict:
@@ -449,20 +445,10 @@ def _cmd_eval(cfg: dict) -> int:
         if video.gt_actions is None:
             raise ConfigError(f"video {video.video_id!r} has no ground truth to evaluate")
         seg_path = seg_dir / f"{video.video_id}.seg.txt"
-        labeling = _read_segment_file(seg_path)
-        if len(labeling.labels) != video.n_frames:
-            raise CorpusError(
-                f"{seg_path}: has {len(labeling.labels)} frames, corpus says {video.n_frames}"
-            )
-        videos.append(
-            matching.VideoEval(
-                video_id=video.video_id,
-                activity=video.activity,
-                pred=labeling.labels,
-                gt=video.gt_actions,
-                background=labeling.background,
-            )
-        )
+        pred = _read_segment_file(seg_path)
+        if len(pred) != video.n_frames:
+            raise CorpusError(f"{seg_path}: has {len(pred)} frames, corpus says {video.n_frames}")
+        videos.append(matching.VideoEval(video.video_id, video.activity, pred, video.gt_actions))
     result = matching.match_at_level(videos, scope)
 
     report = {

@@ -259,26 +259,31 @@ def _write_array(path: Path, magic: bytes, array: np.ndarray, dtype: str) -> Non
         f.write(array.tobytes())
 
 
-def _read_exact(f, n: int, path: Path, what: str) -> bytes:
-    """`n` bytes, or a CorpusError when the file holds fewer."""
-    data = f.read(n) if n <= os.fstat(f.fileno()).st_size - f.tell() else b""
+def read_exact(f, n: int, what: str, truncated) -> bytes:
+    """The next `n` bytes of `f`, or `truncated(what, offset)` raised when it holds fewer."""
+    offset = f.tell()
+    data = f.read(n) if n <= os.fstat(f.fileno()).st_size - offset else b""
     if len(data) != n:
-        raise CorpusError(f"{path}: truncated while reading {what}")
+        raise truncated(what, offset)
     return data
 
 
 def _read_array(path: Path, magic: bytes, dtype: str, ndim: int, what: str) -> np.ndarray:
     """The `ndim`-d array `_write_array` wrote; each CorpusError names `path` first."""
+
+    def truncated(part: str, _offset: int) -> CorpusError:
+        return CorpusError(f"{path}: truncated while reading {part}")
+
     header = f"<{1 + ndim}I"
     with open(path, "rb") as f:
-        found = _read_exact(f, 4, path, "magic")
+        found = read_exact(f, 4, "magic", truncated)
         if found != magic:
             raise CorpusError(f"{path}: bad magic {found!r}, expected {magic!r}")
-        raw = _read_exact(f, struct.calcsize(header), path, "header")
+        raw = read_exact(f, struct.calcsize(header), "header", truncated)
         version, *shape = struct.unpack(header, raw)
         if version != FORMAT_VERSION:
             raise CorpusError(f"{path}: unsupported {magic.decode()} format version {version}")
-        raw = _read_exact(f, math.prod(shape) * np.dtype(dtype).itemsize, path, what)
+        raw = read_exact(f, math.prod(shape) * np.dtype(dtype).itemsize, what, truncated)
         if f.read(1):
             raise CorpusError(f"{path}: trailing bytes after {what}")
     return np.frombuffer(raw, dtype=dtype).reshape(shape)

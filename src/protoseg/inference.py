@@ -1,32 +1,18 @@
 """Turning affinity matrices into frame labelings.
 
-All label arrays use 1-based prototype ids; ties in argmax, ordering, and
-decoding resolve toward the lowest index so runs are reproducible.
+All label arrays use 1-based prototype ids, and a labeling of a whole video
+(what `segment_corpus` returns, and what a labeling file holds) marks a
+masked background frame with -1.  Ties in argmax, ordering, and decoding
+resolve toward the lowest index so runs are reproducible.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
 
 LOG_EPS = 1e-12
-
-
-@dataclass
-class Labeling:
-    """Per-frame prototype ids plus an optional background mask."""
-
-    labels: np.ndarray  # int64, 1-based prototype ids
-    background: np.ndarray | None = None  # bool, True = excluded from metrics
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.background is not None:
-            self.background = np.asarray(self.background, dtype=bool)
-            if self.background.shape != self.labels.shape:
-                raise ValueError("background mask length differs from labels")
 
 
 def naive_labels(affinity: np.ndarray) -> np.ndarray:
@@ -194,10 +180,10 @@ def background_mask(affinity: np.ndarray, eta: float) -> np.ndarray:
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
     a = np.asarray(affinity, dtype=np.float64)
-    labels = naive_labels(a)
     mask = np.zeros(a.shape[0], dtype=bool)
     if eta == 0.0:
         return mask
+    labels = naive_labels(a)
     for pid in np.unique(labels):
         frames = np.flatnonzero(labels == pid)
         keep = math.ceil((1.0 - eta) * frames.size)
@@ -233,53 +219,43 @@ def segment_corpus(
     decode: bool = False,
     n_keep: int | Dict[int, int] | None = None,
     eta: float = 0.0,
-) -> Dict[str, Labeling]:
-    """Label every video, globally or per activity.
+) -> Dict[str, np.ndarray]:
+    """Label every video, globally or per activity: video id -> int64 labels.
 
     Global scope takes the naive argmax (optionally after smoothing the
     full affinity matrix).  Activity scope restricts each activity's
     videos to their `n_keep` busiest prototypes (int, or dict keyed by
     activity), optionally smooths, then either relabels naively or runs
     the ordered Viterbi decoding.  `eta` > 0 additionally masks low
-    affinity frames per prototype, computed on the full matrices.
+    affinity frames per prototype, computed on the full matrices; a
+    masked frame is labeled -1.
     """
     if scope not in ("global", "activity"):
         raise ValueError(f"unknown segmentation scope {scope!r}")
     ids = sorted(affinities)
-    masks = {
-        vid: background_mask(affinities[vid], eta) if eta > 0.0 else None for vid in ids
-    }
-    out: Dict[str, Labeling] = {}
+    labels: Dict[str, np.ndarray] = {}
 
     if scope == "global":
         for vid in ids:
             a = affinities[vid]
+            labels[vid] = naive_labels(gaussian_smooth(a, sigma) if smooth else a)
+    else:
+        by_activity: Dict[int, list[str]] = {}
+        for vid in ids:
+            by_activity.setdefault(activities[vid], []).append(vid)
+        n_total = next(iter(affinities.values())).shape[1]
+        for activity in sorted(by_activity):
+            vids = by_activity[activity]
+            keep = n_keep.get(activity) if isinstance(n_keep, dict) else n_keep
+            keep = n_total if keep is None else min(keep, n_total)
+            kept_ids, reduced = activity_reduce([affinities[v] for v in vids], keep)
             if smooth:
-                a = gaussian_smooth(a, sigma)
-            out[vid] = Labeling(naive_labels(a), masks[vid])
-        return out
-
-    by_activity: Dict[int, list[str]] = {}
+                reduced = [gaussian_smooth(a, sigma) for a in reduced]
+            relabeled = [kept_ids[np.argmax(a, axis=1)] for a in reduced]
+            if decode:
+                order = action_ordering(relabeled, kept_ids)
+                relabeled = [viterbi_decode(a, order, kept_ids) for a in reduced]
+            labels.update(zip(vids, relabeled))
     for vid in ids:
-        by_activity.setdefault(activities[vid], []).append(vid)
-    n_total = next(iter(affinities.values())).shape[1]
-    for activity in sorted(by_activity):
-        vids = by_activity[activity]
-        if isinstance(n_keep, dict):
-            keep = n_keep.get(activity)
-        else:
-            keep = n_keep
-        keep = n_total if keep is None else min(keep, n_total)
-        kept_ids, reduced = activity_reduce([affinities[v] for v in vids], keep)
-        if smooth:
-            reduced = [gaussian_smooth(a, sigma) for a in reduced]
-        relabeled = [kept_ids[np.argmax(a, axis=1)] for a in reduced]
-        if decode:
-            order = action_ordering(relabeled, kept_ids)
-            for vid, a in zip(vids, reduced):
-                labels = viterbi_decode(a, order, kept_ids)
-                out[vid] = Labeling(labels, masks[vid])
-        else:
-            for vid, labels in zip(vids, relabeled):
-                out[vid] = Labeling(labels, masks[vid])
-    return out
+        labels[vid][background_mask(affinities[vid], eta)] = -1
+    return labels

@@ -1,9 +1,9 @@
 """Cluster-to-action assignment and evaluation metrics.
 
-Predicted labelings carry 1-based cluster (prototype) ids; ground truth
-carries 1-based action ids with 0 meaning background.  `VideoEval.evaluated`
-alone decides which frames are scored: not background, and not masked by
-the prediction.  Every metric reads that mask.
+Predicted labelings carry 1-based cluster (prototype) ids, with -1 for a
+frame masked as background; ground truth carries 1-based action ids with 0
+meaning background.  `VideoEval.evaluated` alone decides which frames are
+scored: not background in either.  Every metric reads that mask.
 """
 from __future__ import annotations
 
@@ -21,15 +21,11 @@ class VideoEval:
 
     video_id: str
     activity: int
-    pred: np.ndarray  # 1-based cluster ids
+    pred: np.ndarray  # 1-based cluster ids, -1 = masked as background
     gt: np.ndarray  # 1-based action ids, 0 = background
-    background: np.ndarray | None = None
 
     def evaluated(self) -> np.ndarray:
-        keep = np.asarray(self.gt) != 0
-        if self.background is not None:
-            keep &= ~np.asarray(self.background, dtype=bool)
-        return keep
+        return (np.asarray(self.gt) != 0) & (np.asarray(self.pred) != -1)
 
 
 @dataclass
@@ -157,7 +153,7 @@ class MatchResult:
     reports: list
     mof: float  # pooled correct frames / evaluated frames
     per_video_mof: Dict[str, float]
-    mapped: Dict[str, np.ndarray]  # video id -> matched action per frame, 0 = unmatched
+    mapped: Dict[str, np.ndarray]  # video id -> matched action, 0 = unmatched, -1 = masked
 
 
 def _report(scope: str, unit: str, cont: Contingency) -> AssignmentReport:
@@ -237,9 +233,9 @@ def match_at_level(videos: Sequence[VideoEval], scope: str) -> MatchResult:
 
 
 def apply_assignment(pred, mapping: Dict[int, int]) -> np.ndarray:
-    """Map cluster ids to matched action ids; unmatched clusters become 0."""
+    """Map cluster ids to matched action ids; unmatched clusters become 0, -1 stays -1."""
     pred = np.asarray(pred, dtype=np.int64)
-    mapped = np.zeros_like(pred)
+    mapped = np.where(pred == -1, -1, 0)
     for cluster, action in mapping.items():
         mapped[pred == cluster] = action
     return mapped

@@ -44,8 +44,8 @@ def _mof(affinities, corpus, scope, labelings):
     activities = {v.video_id: v.activity for v in corpus.videos}
     gt = {v.video_id: v for v in corpus.videos}
     vids = [
-        VideoEval(vid, activities[vid], lab.labels, gt[vid].gt_actions, lab.background)
-        for vid, lab in labelings.items()
+        VideoEval(vid, activities[vid], labels, gt[vid].gt_actions)
+        for vid, labels in labelings.items()
     ]
     return match_at_level(vids, scope).mof
 

@@ -13,7 +13,7 @@ from protoseg import cli
 from protoseg.checkpoint import load_checkpoint
 from protoseg.cli import _read_segment_file, _write_segment_file, main
 from protoseg.data import FEATURE_MAGIC, GT_MAGIC, _write_array, read_corpus
-from protoseg.inference import Labeling, naive_labels
+from protoseg.inference import naive_labels
 from protoseg.matching import VideoEval, match_at_level
 from protoseg.model import infer
 
@@ -160,7 +160,10 @@ class TestErrors:
         out_dir, manifest, ckpt = _pipeline(tmp_path, cfg_path)
         base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
                 "--checkpoint", ckpt]
+        written = {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
         assert run(["segment", *base, "--scope", "video"]) == 2
+        # the labelings and effective_config.json of the earlier segment stay
+        assert {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()} == written
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -300,33 +303,30 @@ def trained(tmp_path_factory):
 
 class TestSegmentFiles:
     @pytest.mark.parametrize(
-        "labels, background, text",
+        "labels, text",
         [
-            ([2, 2, 5], None, "2\n2\n5\n"),
-            ([1, 3, 3, 4], [False, True, False, False], "1\n-1\n3\n4\n"),
-            ([7], None, "7\n"),
+            ([2, 2, 5], "2\n2\n5\n"),
+            ([1, -1, 3, 4], "1\n-1\n3\n4\n"),
+            ([7], "7\n"),
         ],
         ids=["plain", "background", "one-frame"],
     )
-    def test_bytes_and_read_back(self, tmp_path, labels, background, text):
-        bg = None if background is None else np.array(background)
+    def test_bytes_and_read_back(self, tmp_path, labels, text):
         path = tmp_path / "v.seg.txt"
         assert not path.exists()
-        _write_segment_file(path, Labeling(np.array(labels), bg))
+        _write_segment_file(path, np.array(labels))
         assert path.read_bytes() == text.encode("ascii")
         back = _read_segment_file(path)
-        expected_bg = np.zeros(len(labels), dtype=bool) if bg is None else bg
-        assert np.array_equal(back.background, expected_bg)
-        assert np.array_equal(back.labels, np.where(expected_bg, 1, labels))
+        assert back.dtype == np.int64 and np.array_equal(back, labels)
 
     def test_shorter_labeling_leaves_no_stale_tail(self, tmp_path):
         path = tmp_path / "v.seg.txt"
-        _write_segment_file(path, Labeling(np.full(12, 40)))
+        _write_segment_file(path, np.full(12, 40))
         long = path.read_bytes()
-        _write_segment_file(path, Labeling(np.array([1, 2])))
+        _write_segment_file(path, np.array([1, 2]))
         assert len(long) > len(path.read_bytes())
         assert path.read_bytes() == b"1\n2\n"
-        assert np.array_equal(_read_segment_file(path).labels, [1, 2])
+        assert np.array_equal(_read_segment_file(path), [1, 2])
 
     def test_eval_in_any_order_keeps_labelings_and_metrics(self, trained, tmp_path):
         cfg_path, manifest, ckpt = trained
@@ -364,9 +364,9 @@ class TestSegmentFiles:
         corpus = read_corpus(manifest)
         read = {v.video_id: _read_segment_file(out_dir / "segments" / f"{v.video_id}.seg.txt")
                 for v in corpus.videos}
-        assert any(lab.background.any() for lab in read.values())
-        videos = [VideoEval(v.video_id, v.activity, read[v.video_id].labels, v.gt_actions,
-                            read[v.video_id].background) for v in corpus.videos]
+        assert any(np.any(pred == -1) for pred in read.values())
+        videos = [VideoEval(v.video_id, v.activity, read[v.video_id], v.gt_actions)
+                  for v in corpus.videos]
         for scope in ("video", "activity", "global"):
             assert run(["eval", *base, "--scope", scope]) == 0
             report = json.loads((out_dir / f"metrics_{scope}.json").read_text())
@@ -378,9 +378,10 @@ class TestSegmentFiles:
             for v in corpus.videos:
                 unit = {"video": v.video_id, "activity": str(v.activity), "global": "corpus"}
                 assignment = assignments[unit[scope]]
-                labels = [assignment.get(int(p), 0) for p in read[v.video_id].labels]
+                pred = read[v.video_id]
+                labels = [-1 if p == -1 else assignment.get(int(p), 0) for p in pred]
                 assert np.array_equal(labels, expected.mapped[v.video_id])
-                keep = (v.gt_actions != 0) & ~read[v.video_id].background
+                keep = (v.gt_actions != 0) & (pred != -1)
                 hits = np.sum((np.array(labels) == v.gt_actions) & keep)
                 assert mof[v.video_id] == f"{hits / keep.sum():.10g}"
 
@@ -491,7 +492,7 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and err.count("\n") == 1
         assert "activity 2" in err and str(bad) in err and "--nprime" in err
-        assert not list(out_dir.rglob("*.seg.txt"))
+        assert not out_dir.exists()  # not even effective_config.json
 
 
 # criterion 9's config

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from protoseg.inference import (
-    Labeling,
     action_ordering,
     activity_reduce,
     background_mask,
@@ -255,24 +254,35 @@ class TestSegmentCorpus:
     def test_global_is_naive(self):
         affinities, activities = self._affinities()
         out = segment_corpus(affinities, activities, scope="global")
-        for vid, labeling in out.items():
-            assert np.array_equal(labeling.labels, naive_labels(affinities[vid]))
-            assert labeling.background is None
+        for vid, labels in out.items():
+            assert labels.dtype == np.int64
+            assert np.array_equal(labels, naive_labels(affinities[vid]))
 
     def test_activity_scope_labels_are_kept_ids(self):
         affinities, activities = self._affinities()
         out = segment_corpus(
             affinities, activities, scope="activity", n_keep=3, smooth=True, decode=True
         )
-        for labeling in out.values():
-            assert np.all((labeling.labels >= 1) & (labeling.labels <= 5))
+        for labels in out.values():
+            assert np.all((labels >= 1) & (labels <= 5))
 
     def test_deterministic(self):
         affinities, activities = self._affinities()
         a = segment_corpus(affinities, activities, scope="activity", n_keep=2, decode=True)
         b = segment_corpus(affinities, activities, scope="activity", n_keep=2, decode=True)
         for vid in a:
-            assert np.array_equal(a[vid].labels, b[vid].labels)
+            assert np.array_equal(a[vid], b[vid])
+
+    @pytest.mark.parametrize("scope", ["global", "activity"])
+    def test_masked_frames_are_minus_one(self, scope):
+        affinities, activities = self._affinities()
+        plain = segment_corpus(affinities, activities, scope=scope, n_keep=3, decode=True)
+        masked = segment_corpus(affinities, activities, scope=scope, n_keep=3, decode=True,
+                                eta=0.5)
+        for vid, labels in masked.items():
+            mask = background_mask(affinities[vid], 0.5)
+            assert mask.any() and not mask.all()
+            assert np.array_equal(labels, np.where(mask, -1, plain[vid]))
 
     def test_unknown_scope_rejected(self):
         with pytest.raises(ValueError):

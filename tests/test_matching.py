@@ -90,7 +90,9 @@ class TestHungarian:
 
 
 def _video(vid, activity, pred, gt, background=None):
-    return VideoEval(vid, activity, np.array(pred), np.array(gt), background)
+    """A VideoEval whose prediction reads -1 where `background` is set."""
+    pred = np.array(pred) if background is None else np.where(background, -1, pred)
+    return VideoEval(vid, activity, pred, np.array(gt))
 
 
 class TestMatchLevels:
@@ -117,6 +119,16 @@ class TestMatchLevels:
         assert 2 not in assignment
         assert assignment[1] == 1 and assignment[3] in (2, 3)
         assert np.all(result.mapped["v0"][5:9] == 0)
+
+    @pytest.mark.parametrize("scope", ["video", "activity", "global"])
+    def test_mapped_is_minus_one_at_masked_and_zero_at_unmatched_frames(self, scope):
+        # cluster 2 overlaps no action that cluster 1 leaves free; cluster 1
+        # also covers the masked frames, which must not take its action
+        background = np.array([False] * 9 + [True] * 3)
+        v = _video("v0", 1, [1] * 5 + [2] * 4 + [1] * 3, [1] * 9 + [2] * 3, background)
+        result = match_at_level([v], scope)
+        assert dict(result.reports[0].assignment) == {1: 1}
+        assert np.array_equal(result.mapped["v0"], [1] * 5 + [0] * 4 + [-1] * 3)
 
     def test_scope_ordering_on_random_corpora(self):
         rng = np.random.default_rng(2)
@@ -164,7 +176,7 @@ class TestMatchLevels:
                    rng.random(50) < 0.2)  # gt zeros are background
             for i in range(3)
         ]
-        scored = sum(int(np.sum((v.gt != 0) & ~v.background)) for v in videos)
+        scored = sum(int(np.sum((v.gt != 0) & (v.pred != -1))) for v in videos)
         for scope in ("video", "activity", "global"):
             reports = match_at_level(videos, scope).reports
             assert sum(r.n_evaluated for r in reports) == scored
@@ -217,8 +229,9 @@ class TestMatchedLabeling:
         rng = np.random.default_rng(5)
         changed = [
             _video(v.video_id, v.activity,
-                   np.where(v.evaluated(), v.pred, rng.integers(5, 9, size=len(v.pred))),
-                   v.gt, v.background)
+                   np.where(v.evaluated() | (v.pred == -1), v.pred,
+                            rng.integers(5, 9, size=len(v.pred))),
+                   v.gt)
             for v in videos
         ]
         assert any(not np.array_equal(a.pred, b.pred) for a, b in zip(videos, changed))
