@@ -2,8 +2,8 @@
 
 Layout (all integers little-endian u32):
   magic "CADC" | format version | metadata length | metadata JSON (utf-8)
-  then each tensor of `PARAM_NAMES` in order, as row-major float64
-  little-endian values.
+  then each tensor in `model.parameter_layout` order, as row-major
+  float64 little-endian values.
 
 The tensors carry no headers: their shapes follow from the metadata's
 model section through `model.parameter_layout`.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import read_exact
 from .losses import LossConfig
-from .model import ModelConfig, ModelParameters, PARAM_NAMES, parameter_layout
+from .model import ModelConfig, parameter_layout, validate_parameters
 from .trainer import TrainConfig
 
 MAGIC = b"CADC"
@@ -43,7 +43,7 @@ class CheckpointError(Exception):
 
 @dataclass
 class Checkpoint:
-    params: ModelParameters
+    params: dict[str, np.ndarray]  # keyed by model.parameter_layout
     model: ModelConfig
     train: TrainConfig
     loss: LossConfig
@@ -52,7 +52,7 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    ckpt.params.validate(ckpt.model)
+    validate_parameters(ckpt.params, ckpt.model)
     meta = {
         "model": asdict(ckpt.model),
         "train": asdict(ckpt.train),
@@ -68,8 +68,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         f.write(struct.pack("<I", FORMAT_VERSION))
         f.write(struct.pack("<I", len(meta_bytes)))
         f.write(meta_bytes)
-        for name in PARAM_NAMES:
-            f.write(np.asarray(getattr(ckpt.params, name), dtype="<f8").tobytes())
+        for name in parameter_layout(ckpt.model):
+            f.write(np.asarray(ckpt.params[name], dtype="<f8").tobytes())
 
 
 def _check_keys(path: Path, found, expected, what: str) -> None:
@@ -136,5 +136,4 @@ def load_checkpoint(path) -> Checkpoint:
                 f"invalid checkpoint contents: {name} contains non-finite values",
                 starts[name] + 8 * int(bad[0]),
             )
-    params = ModelParameters(**tensors)
-    return Checkpoint(params, model_cfg, train_cfg, loss_cfg, epoch, rng_digest)
+    return Checkpoint(tensors, model_cfg, train_cfg, loss_cfg, epoch, rng_digest)

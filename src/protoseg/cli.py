@@ -1,10 +1,10 @@
 """Command-line pipeline: generate, train, segment, eval, recognize.
 
 One JSON config file drives every stage; each stage's flags override the
-config values that stage reads, and the effective config is echoed into the
-output directory, where it is itself a valid --config.  Exit status 2
-flags usage/config problems, 1 runtime failures, each with a one-line
-machine-parsable error on stderr.
+config values that stage reads, and a stage that succeeds echoes the
+effective config into the output directory, where it is itself a valid
+--config.  Exit status 2 flags usage/config problems, 1 runtime failures,
+each with a one-line machine-parsable error on stderr.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import copy
 import ctypes
 import hashlib
 import json
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, fields
@@ -232,16 +233,11 @@ def _affinities(corpus: Corpus, ckpt: Checkpoint, threads: int):
 
 def _cmd_generate(cfg: dict) -> int:
     spec = _build("corpus", CorpusSpec, **cfg["corpus"])
-    out = _out_dir(cfg)
-    _echo_config(cfg, out)
     manifest_cfg = cfg["paths"]["manifest"]
-    if manifest_cfg:
-        manifest_path = Path(manifest_cfg)
-        if manifest_path.name != "manifest.json":
-            raise ConfigError("generate writes 'manifest.json'; point paths.manifest there")
-        corpus_dir = manifest_path.parent
-    else:
-        corpus_dir = out / "corpus"
+    if manifest_cfg and Path(manifest_cfg).name != "manifest.json":
+        raise ConfigError("generate writes 'manifest.json'; point paths.manifest there")
+    out = _out_dir(cfg)
+    corpus_dir = Path(manifest_cfg).parent if manifest_cfg else out / "corpus"
     corpus = generate_corpus(spec)
     manifest_path = write_corpus(corpus, corpus_dir)
     print(f"wrote {len(corpus.videos)} videos to {manifest_path}")
@@ -276,7 +272,6 @@ def _cmd_train(cfg: dict) -> int:
     train_cfg = _build("train", TrainConfig, **cfg["train"])
     loss_cfg = _loss_config(cfg)
     out = _out_dir(cfg)
-    _echo_config(cfg, out)
     corpus = read_corpus(manifest)
     model_cfg = _build(
         "model",
@@ -343,7 +338,6 @@ def _cmd_segment(cfg: dict) -> int:
     corpus = read_corpus(manifest)
     n_keep = _nprime_by_activity(cfg, corpus, manifest) if scope == "activity" else None
     out = _out_dir(cfg)
-    _echo_config(cfg, out)
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
     # hashlib releases the GIL on large updates, so the digests are taken
     # on a worker thread while inference runs
@@ -397,19 +391,20 @@ def _write_segment_file(path: Path, labels: np.ndarray) -> None:
         f.write((("%d\n" * len(labels)) % tuple(labels.tolist())).encode("ascii"))
 
 
+# one or more lines, each -1 or a prototype id as `%d` writes it: no sign,
+# space, underscore or leading zero, and at most 18 digits, so it fits int64
+_LABELING = re.compile(rb"(?:(?:-1|[1-9][0-9]{0,17})\n)+")
+
+
 def _read_segment_file(path: Path) -> np.ndarray:
-    """Parse a labeling file: one integer prototype id per line, -1 for background."""
+    """Parse a labeling file: one prototype id per line, -1 for background."""
     with open(path, "rb") as f:
-        lines = f.read().splitlines()
-    try:
-        proto = np.array([int(line) for line in lines], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise CorpusError(f"{path}: expected one prototype id per line: {exc}") from None
-    if not len(proto):
-        raise CorpusError(f"{path}: empty labeling file")
-    if np.any((proto < 1) & (proto != -1)):
-        raise CorpusError(f"{path}: prototype ids must be >= 1, or -1 for background")
-    return proto
+        data = f.read()
+    if not _LABELING.fullmatch(data):
+        raise CorpusError(
+            f"{path}: expected one prototype id >= 1, or -1 for background, on each line"
+        )
+    return np.array(data.split(), dtype=np.int64)
 
 
 def _segment_index(index_path: Path, manifest: Path, checkpoint: Path | None) -> dict:
@@ -429,16 +424,16 @@ def _segment_index(index_path: Path, manifest: Path, checkpoint: Path | None) ->
 
 def _cmd_eval(cfg: dict) -> int:
     manifest = _require_path(cfg, "manifest")
-    ckpt_path = _require_path(cfg, "checkpoint")
-    out = _out_dir(cfg)
+    # only the KL diagnostics run the model
+    ckpt_path = _require_path(cfg, "checkpoint") if cfg["eval"]["kl"] else None
+    out = Path(cfg["paths"]["out_dir"])  # segment made it
     seg_dir = out / "segments"
     if not (seg_dir / "index.json").exists():
         raise ConfigError(f"no segmentation index under {seg_dir}; run segment first")
-    _echo_config(cfg, out)
     corpus = read_corpus(manifest)
     scope = cfg["eval"]["scope"]
-    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest) if cfg["eval"]["kl"] else None
-    index = _segment_index(seg_dir / "index.json", manifest, ckpt_path if ckpt else None)
+    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest) if ckpt_path else None
+    index = _segment_index(seg_dir / "index.json", manifest, ckpt_path)
 
     videos = []
     for video in corpus.videos:
@@ -455,10 +450,7 @@ def _cmd_eval(cfg: dict) -> int:
         "scope": scope,
         "mof": result.mof,
         "segments": {key: value for key, value in index.items() if key != "videos"},
-        "units": [
-            {key: value for key, value in vars(rep).items() if key != "scope"}
-            for rep in result.reports
-        ],
+        "units": [vars(rep) for rep in result.reports],
     }
     if cfg["eval"]["f1"]:
         report["f1"] = matching.corpus_f1(videos, result.mapped)
@@ -499,7 +491,6 @@ def _cmd_recognize(cfg: dict) -> int:
     manifest = _require_path(cfg, "manifest")
     ckpt_path = _require_path(cfg, "checkpoint")
     out = _out_dir(cfg)
-    _echo_config(cfg, out)
     corpus = read_corpus(manifest)
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
     wp, wg = cfg["recognize"]["wp"], cfg["recognize"]["wg"]
@@ -537,7 +528,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg)
+        code = _COMMANDS[args.command](cfg)
+        if code == 0:
+            _echo_config(cfg, _out_dir(cfg))
+        return code
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -137,7 +137,6 @@ def hungarian_solve(counts: np.ndarray) -> tuple[list[tuple[int, int]], float]:
 
 @dataclass
 class AssignmentReport:
-    scope: str  # video | activity | global
     unit: str  # video id, activity id, or "corpus"
     assignment: list  # (cluster_id, action_id) pairs
     n_evaluated: int
@@ -171,7 +170,6 @@ def _report(scope: str, unit: str, cont: Contingency) -> AssignmentReport:
         (int(cont.cluster_ids[i]), int(cont.action_ids[j])) for i, j in pairs
     ]
     return AssignmentReport(
-        scope=scope,
         unit=unit,
         assignment=assignment,
         n_evaluated=total,

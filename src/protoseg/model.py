@@ -15,7 +15,7 @@ fused softmax(v·W + b) per head; the losses add 8 more.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -45,43 +45,13 @@ class ModelConfig:
         return 20 if self.input_dim <= 64 else min(self.input_dim, 1024)
 
 
-@dataclass
-class ModelParameters:
-    """All trainable tensors, as plain float64 arrays shaped by `parameter_layout`."""
-
-    embed_w: np.ndarray
-    embed_b: np.ndarray
-    prototypes: np.ndarray
-    latent_w1: np.ndarray
-    latent_b1: np.ndarray
-    latent_w2: np.ndarray
-    latent_b2: np.ndarray
-    head_p_w: np.ndarray
-    head_p_b: np.ndarray
-    head_g_w: np.ndarray
-    head_g_b: np.ndarray
-
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    def copy(self) -> "ModelParameters":
-        return ModelParameters(**{n: getattr(self, n).copy() for n in PARAM_NAMES})
-
-    def validate(self, cfg: ModelConfig) -> None:
-        for name, (shape, _) in parameter_layout(cfg).items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
-
-
-# Serialization, initialization and the Adam update follow this order.
-PARAM_NAMES = tuple(f.name for f in fields(ModelParameters))
-
-
 def parameter_layout(cfg: ModelConfig) -> Dict[str, tuple[tuple[int, ...], int]]:
-    """Each parameter's shape and init fan-in, in PARAM_NAMES order."""
+    """Each parameter's shape and init fan-in.
+
+    A model's parameters are a dict of float64 arrays with exactly these
+    keys; initialization, serialization and the Adam update follow this
+    order.
+    """
     d_in, d, n, c = cfg.input_dim, cfg.resolved_embed_dim, cfg.n_prototypes, cfg.n_activities
     return {
         "embed_w": ((d_in, d), d_in),
@@ -98,22 +68,36 @@ def parameter_layout(cfg: ModelConfig) -> Dict[str, tuple[tuple[int, ...], int]]
     }
 
 
-def init_parameters(cfg: ModelConfig, seed: int) -> ModelParameters:
+def validate_parameters(params: Dict[str, np.ndarray], cfg: ModelConfig) -> None:
+    """Check that `params` holds exactly the layout's tensors, shaped and finite."""
+    layout = parameter_layout(cfg)
+    missing = [name for name in layout if name not in params]
+    unknown = [name for name in params if name not in layout]
+    if missing or unknown:
+        raise ValueError(f"parameters have missing keys {missing}, unknown keys {unknown}")
+    for name, (shape, _) in layout.items():
+        arr = params[name]
+        if arr.shape != shape:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite values")
+
+
+def init_parameters(cfg: ModelConfig, seed: int) -> Dict[str, np.ndarray]:
     """Seeded init: uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) per tensor, drawn
-    in PARAM_NAMES order; the prototypes' fan-in is d."""
+    in `parameter_layout` order; the prototypes' fan-in is d."""
     rng = np.random.default_rng(seed)
-    tensors = {}
+    params = {}
     for name, (shape, fan_in) in parameter_layout(cfg).items():
         bound = 1.0 / np.sqrt(fan_in)
-        tensors[name] = rng.uniform(-bound, bound, size=shape)
-    params = ModelParameters(**tensors)
-    params.validate(cfg)
+        params[name] = rng.uniform(-bound, bound, size=shape)
+    validate_parameters(params, cfg)
     return params
 
 
-def bind_parameters(params: ModelParameters, tape: Tape) -> Dict[str, Var]:
+def bind_parameters(params: Dict[str, np.ndarray], tape: Tape) -> Dict[str, Var]:
     """Wrap every parameter tensor as a leaf on `tape`."""
-    return {name: tape.var(arr) for name, arr in params.as_dict().items()}
+    return {name: tape.var(arr) for name, arr in params.items()}
 
 
 @dataclass
@@ -132,31 +116,6 @@ def embed_frames(x: Var, w: Var, b: Var) -> Var:
     return ad.matmul(x, w) + b
 
 
-def compute_affinity(f: Var, p: Var) -> Var:
-    """Distances -> per-row min/max inversion -> row normalization, one tape record."""
-    return ad.affinity(f, p)
-
-
-def prototype_representation(a: Var) -> Var:
-    """Sum affinities over time: occurrence and frequency evidence per prototype."""
-    return ad.axis0_sum(a)
-
-
-def mean_latent(a: Var, vp: Var, p: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
-    """Time average of the reconstructed frames A·P + relu(A·P·W1 + b1)·W2 + b2.
-
-    Computed as (V^p/T)·P + mean_t(relu(A·(P·W1) + b1))·W2 + b2, where
-    `vp` is V^p, the time sum of `a`: no product of a T-row operand with
-    a d x d weight is formed, forward or backward.  One tape record.
-    """
-    return ad.mean_latent(a, vp, p, w1, b1, w2, b2)
-
-
-def classify(vp: Var, vg: Var, wp: Var, bp: Var, wg: Var, bg: Var) -> tuple[Var, Var]:
-    """Each head's activity probabilities, softmax(v·W + b), one tape record per head."""
-    return ad.softmax_affine(vp, wp, bp), ad.softmax_affine(vg, wg, bg)
-
-
 def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardOutputs:
     """Run the full network for one video on the tape owning `bound`."""
     features = np.asarray(features, dtype=np.float64)
@@ -165,9 +124,11 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
     tape = bound["embed_w"].tape
     x = tape.const(features)
     f = embed_frames(x, bound["embed_w"], bound["embed_b"])
-    a = compute_affinity(f, bound["prototypes"])
-    vp = prototype_representation(a)
-    vg = mean_latent(
+    a = ad.affinity(f, bound["prototypes"])  # distance, min-max inversion, row norm
+    vp = ad.axis0_sum(a)  # V^p: occurrence and frequency evidence per prototype
+    # V^g = (V^p/T)·P + mean_t(relu(A·(P·W1) + b1))·W2 + b2: no T-row
+    # operand ever meets a d x d weight, forward or backward
+    vg = ad.mean_latent(
         a,
         vp,
         bound["prototypes"],
@@ -176,14 +137,14 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
         bound["latent_w2"],
         bound["latent_b2"],
     )
-    yp, yg = classify(
-        vp, vg, bound["head_p_w"], bound["head_p_b"], bound["head_g_w"], bound["head_g_b"]
-    )
+    # each head's activity probabilities, softmax(v·W + b)
+    yp = ad.softmax_affine(vp, bound["head_p_w"], bound["head_p_b"])
+    yg = ad.softmax_affine(vg, bound["head_g_w"], bound["head_g_b"])
     return ForwardOutputs(affinity=a, proto_probs=yp, visual_probs=yg)
 
 
-def infer(features: np.ndarray, params: ModelParameters, cfg: ModelConfig):
+def infer(features: np.ndarray, params: Dict[str, np.ndarray], cfg: ModelConfig):
     """Forward pass with constant parameters; returns (affinity, proto_probs, visual_probs)."""
     tape = Tape()
-    out = forward(features, {name: tape.const(arr) for name, arr in params.as_dict().items()}, cfg)
+    out = forward(features, {name: tape.const(arr) for name, arr in params.items()}, cfg)
     return out.affinity.value, out.proto_probs.value, out.visual_probs.value

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import model as model_mod
-from .model import ModelConfig, ModelParameters, PARAM_NAMES
+from .model import ModelConfig
 from .autodiff import Tape
 from .data import require_int, require_number
 from .losses import LossConfig
@@ -45,32 +45,32 @@ class AdamState:
     step: int = 0
 
     @classmethod
-    def zeros_like(cls, params: ModelParameters) -> "AdamState":
+    def zeros_like(cls, params: Dict[str, np.ndarray]) -> "AdamState":
         return cls(
-            m={n: np.zeros_like(a) for n, a in params.as_dict().items()},
-            v={n: np.zeros_like(a) for n, a in params.as_dict().items()},
+            m={n: np.zeros_like(a) for n, a in params.items()},
+            v={n: np.zeros_like(a) for n, a in params.items()},
         )
 
 
 def adam_step(
-    params: ModelParameters,
+    params: Dict[str, np.ndarray],
     grads: Dict[str, np.ndarray],
     state: AdamState,
     cfg: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of each tensor of `params`, in place."""
     state.step += 1
     t = state.step
-    for name in PARAM_NAMES:
+    for name, param in params.items():
         g = grads[name]
         state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
         state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / (1.0 - BETA1**t)
         v_hat = state.v[name] / (1.0 - BETA2**t)
-        getattr(params, name)[...] -= cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        param[...] -= cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-def video_loss(video, params: ModelParameters, model_cfg: ModelConfig, loss_cfg: LossConfig):
+def video_loss(video, params: Dict[str, np.ndarray], model_cfg: ModelConfig, loss_cfg: LossConfig):
     """Forward one video and return (loss Var, bound params, term values)."""
     tape = Tape()
     bound = model_mod.bind_parameters(params, tape)
@@ -86,7 +86,7 @@ def video_loss(video, params: ModelParameters, model_cfg: ModelConfig, loss_cfg:
 
 @dataclass
 class TrainResult:
-    params: ModelParameters
+    params: Dict[str, np.ndarray]
     trace: list  # one dict per epoch: epoch, loss, loss_p, loss_g, loss_smooth
     rng_digest: str
 
@@ -96,7 +96,6 @@ def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     loss_cfg: LossConfig,
-    init: ModelParameters | None = None,
 ) -> TrainResult:
     """Optimize the model on `corpus` (FeatureSequence-like objects).
 
@@ -113,10 +112,7 @@ def train(
                 f"[1, {model_cfg.n_activities}]"
             )
 
-    params = init.copy() if init is not None else model_mod.init_parameters(
-        model_cfg, train_cfg.seed
-    )
-    params.validate(model_cfg)
+    params = model_mod.init_parameters(model_cfg, train_cfg.seed)
     state = AdamState.zeros_like(params)
     shuffler = Xoshiro256StarStar(train_cfg.seed)
     order = list(range(len(corpus)))
@@ -127,7 +123,7 @@ def train(
         epoch_terms = np.zeros(4)
         for start in range(0, len(order), train_cfg.batch_size):
             batch = order[start : start + train_cfg.batch_size]
-            grads = {n: np.zeros_like(a) for n, a in params.as_dict().items()}
+            grads = {n: np.zeros_like(a) for n, a in params.items()}
             for idx in batch:
                 video = corpus[idx]
                 tape, loss, bound, terms = video_loss(video, params, model_cfg, loss_cfg)
@@ -136,11 +132,11 @@ def train(
                         f"non-finite loss on video {video.video_id!r} at epoch {epoch}"
                     )
                 tape.backward(loss)
-                for name in PARAM_NAMES:
-                    grads[name] += bound[name].grad
+                for name, grad in grads.items():
+                    grad += bound[name].grad
                 epoch_terms += (float(loss.value), *terms)
-            for name in PARAM_NAMES:
-                grads[name] /= len(batch)
+            for grad in grads.values():
+                grad /= len(batch)
             adam_step(params, grads, state, train_cfg)
         epoch_terms /= len(order)
         trace.append(

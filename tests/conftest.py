@@ -162,7 +162,7 @@ def two_log_bce(probs, target):
 
 
 def unfused_affinity(f, p):
-    """Oracle: `model.compute_affinity` as three records, distance -> min-max
+    """Oracle: `autodiff.affinity` as three records, distance -> min-max
     inversion -> row normalisation."""
     return ad.row_normalize(ad.minmax_invert_rows(ad.pairwise_distance(f, p)))
 
@@ -177,7 +177,7 @@ def unfused_tmse(affinity, truncation):
 
 
 def unfused_mean_latent(a, vp, p, w1, b1, w2, b2):
-    """Oracle: `model.mean_latent` as eleven records."""
+    """Oracle: `autodiff.mean_latent` as eleven records."""
     hidden = ad.relu(ad.matmul(a, ad.matmul(p, w1)) + b1)
     g0 = ad.matmul(ad.scale(vp, 1.0 / a.value.shape[0]), p)
     hidden_mean = ad.scale(ad.axis0_sum(hidden), 1.0 / hidden.value.shape[0])
@@ -185,7 +185,8 @@ def unfused_mean_latent(a, vp, p, w1, b1, w2, b2):
 
 
 def unfused_softmax_affine(v, w, b):
-    """Oracle: one `model.classify` head as three records, matmul -> add -> softmax."""
+    """Oracle: `autodiff.softmax_affine`, one activity head, as three records:
+    matmul -> add -> softmax."""
     return ad.softmax(ad.matmul(v, w) + b)
 
 

@@ -90,6 +90,16 @@ class TestPipeline:
             mof, err = checks.eval_mof(out_dir, scope)
             assert err is None and mof is not None
 
+    def test_traced_benchmark_targets_resolve(self, monkeypatch):
+        # the benchmark's tracer rebinds these names; reading them installs nothing
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        tracing = importlib.import_module("tracing")
+        missing = [f"{module}.{attr}" for module, attr, _ in tracing.TARGETS
+                   if not hasattr(importlib.import_module(module), attr)]
+        assert tracing.TARGETS and missing == []
+        assert callable(importlib.import_module("protoseg.autodiff").Tape.backward)
+
     def test_segment_index_records_digests_not_paths(self, workdir):
         tmp_path, cfg_path = workdir
         out_dir, manifest, ckpt = _pipeline(tmp_path, cfg_path)
@@ -138,12 +148,33 @@ class TestPipeline:
 
 class TestErrors:
     def test_eval_without_checkpoint_is_config_error(self, workdir, capsys):
-        tmp_path, cfg_path = workdir
-        code = run(["eval", "--config", cfg_path, "--manifest", tmp_path / "nope.json",
+        # with kl on, eval runs the model, so it needs the checkpoint
+        tmp_path, _ = workdir
+        cfg_path = tmp_path / "kl.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"kl": True}}))
+        code = run(["eval", "--config", cfg_path, "--manifest", cfg_path,
                     "--out-dir", tmp_path / "out"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert err == "error: config: paths.checkpoint is required for this command\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_before_segment_is_config_error(self, trained, tmp_path, capsys):
+        cfg_path, manifest, _ = trained
+        code = run(["eval", "--config", cfg_path, "--manifest", manifest,
+                    "--out-dir", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: no segmentation index") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_generate_checks_manifest_name_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = run(["generate", "--manifest", tmp_path / "corpus" / "corpus.json",
+                    "--out-dir", out_dir])
+        assert code == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not out_dir.exists() and not (tmp_path / "corpus").exists()
 
     def test_unknown_command_exits_2(self, capsys):
         assert run(["transmogrify"]) == 2
@@ -453,9 +484,12 @@ class TestBadInputFiles:
             lambda lines: [],
             lambda lines: lines[:-1],
             lambda lines: [f"{t} {l} -1" for t, l in enumerate(lines)],
+            lambda lines: [*lines[:3], "1_0", *lines[4:]],
+            lambda lines: [*lines[:3], "+3", *lines[4:]],
+            lambda lines: [*lines[:3], " 7 ", *lines[4:]],
         ],
         ids=["two-fields", "not-integer", "prototype-0", "all-two-fields", "empty",
-             "frame-count", "old-three-fields"],
+             "frame-count", "old-three-fields", "underscore", "plus-sign", "spaces"],
     )
     def test_malformed_labeling_file_is_named_corpus_error(
         self, trained, tmp_path, capsys, edit
@@ -553,6 +587,19 @@ class TestProvenance:
         del recorded["videos"]
         assert report["segments"] == recorded and "kl" in report
 
+    def test_failed_eval_leaves_every_output_file(self, segmented, capsys):
+        cfg_path, manifest, ckpts, out_dir = segmented
+        base = ["--config", cfg_path, "--out-dir", out_dir, "--checkpoint", ckpts[11]]
+        assert run(["eval", *base, "--manifest", manifest, "--scope", "activity"]) == 0
+        written = {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        # the same corpus under other bytes, so only the digest check fails
+        other = manifest.with_name("other.json")
+        other.write_text(manifest.read_text() + "\n")
+        capsys.readouterr()
+        assert run(["eval", *base, "--manifest", other, "--scope", "video"]) == 1
+        assert "manifest_sha256 does not match" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()} == written
+
     def test_eval_refuses_labelings_of_another_manifest(self, segmented, capsys):
         cfg_path, manifest, ckpts, out_dir = segmented
         before = manifest.read_bytes()
@@ -584,6 +631,18 @@ class TestProvenance:
         capsys.readouterr()
         assert run(["eval", *base]) == 1
         _one_line_runtime_error(capsys, "ValueError", index)
+
+
+def test_eval_without_kl_needs_no_checkpoint(trained, tmp_path):
+    cfg_path, manifest, ckpt = trained
+    out_dir = tmp_path / "out"
+    base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir]
+    assert run(["segment", *base, "--checkpoint", ckpt]) == 0
+    outputs = [out_dir / "metrics_activity.json", out_dir / "per_video_mof_activity.tsv"]
+    assert run(["eval", *base, "--checkpoint", ckpt, "--scope", "activity"]) == 0
+    with_ckpt = [p.read_bytes() for p in outputs]
+    assert run(["eval", *base, "--scope", "activity"]) == 0
+    assert [p.read_bytes() for p in outputs] == with_ckpt
 
 
 class TestConfigHandling:

@@ -11,12 +11,11 @@ from protoseg.losses import LossConfig
 from protoseg.model import (
     ForwardOutputs,
     ModelConfig,
-    ModelParameters,
-    PARAM_NAMES,
     bind_parameters,
     forward,
     init_parameters,
     parameter_layout,
+    validate_parameters,
 )
 
 
@@ -43,12 +42,31 @@ def tiny_config(**kw):
 def test_init_draws_each_layout_entry_in_param_names_order():
     cfg = tiny_config()
     layout = parameter_layout(cfg)
-    assert tuple(layout) == PARAM_NAMES
     params = init_parameters(cfg, seed=7)
+    assert list(params) == list(layout)
     rng = np.random.default_rng(7)
     for name, (shape, fan_in) in layout.items():
         bound = 1.0 / np.sqrt(fan_in)
-        assert np.array_equal(getattr(params, name), rng.uniform(-bound, bound, size=shape))
+        assert np.array_equal(params[name], rng.uniform(-bound, bound, size=shape))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.pop("latent_b2"), r"missing keys \['latent_b2'\], unknown keys \[\]"),
+        (lambda p: p.update(head_x=np.zeros(3)), r"missing keys \[\], unknown keys \['head_x'\]"),
+        (lambda p: p.update(embed_b=np.zeros(5)), r"embed_b has shape \(5,\), expected \(4,\)"),
+        (lambda p: p["head_g_b"].__setitem__(1, np.nan), "head_g_b contains non-finite values"),
+    ],
+    ids=["missing", "unknown", "shape", "non-finite"],
+)
+def test_validate_parameters_names_the_offending_tensor(edit, message):
+    cfg = tiny_config()
+    params = init_parameters(cfg, seed=0)
+    validate_parameters(params, cfg)
+    edit(params)
+    with pytest.raises(ValueError, match=f"{message}$"):
+        validate_parameters(params, cfg)
 
 
 class TestEmbedFrames:
@@ -91,7 +109,7 @@ class TestComputeAffinity:
         tape = Tape()
         p_val = np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, -5.0]])
         f = tape.var(p_val[1:2])
-        a = model_mod.compute_affinity(f, tape.var(p_val))
+        a = ad.affinity(f, tape.var(p_val))
         assert np.argmax(a.value[0]) == 1
 
     def test_hand_distances(self):
@@ -99,7 +117,7 @@ class TestComputeAffinity:
         tape = Tape()
         f = tape.var(np.array([[0.0]]))
         p = tape.var(np.array([[2.0], [4.0], [6.0]]))
-        a = model_mod.compute_affinity(f, p)
+        a = ad.affinity(f, p)
         assert np.allclose(a.value, [[2 / 3, 1 / 3, 0.0]], atol=1e-9)
 
     def test_affinity_order_reverses_distance_order(self):
@@ -108,7 +126,7 @@ class TestComputeAffinity:
         f = tape.var(rng.normal(size=(8, 4)))
         p = tape.var(rng.normal(size=(5, 4)))
         d = ad.pairwise_distance(f, p).value
-        a = model_mod.compute_affinity(f, p).value
+        a = ad.affinity(f, p).value
         for t in range(8):
             assert np.array_equal(np.argsort(d[t]), np.argsort(-a[t], kind="stable"))
 
@@ -132,9 +150,9 @@ class TestMeanLatent:
     def _mean_latent(self, a_val, p, w1, b1, w2, b2):
         tape = Tape()
         a = tape.var(a_val)
-        vp = model_mod.prototype_representation(a)
+        vp = ad.axis0_sum(a)
         maps = [tape.var(v) for v in (p, w1, b1, w2, b2)]
-        return model_mod.mean_latent(a, vp, *maps).value
+        return ad.mean_latent(a, vp, *maps).value
 
     def _zero_maps(self, d=3, n=4):
         p = np.random.default_rng(0).normal(size=(n, d))
@@ -170,35 +188,30 @@ class TestRepresentations:
     def test_single_frame_proto_repr(self):
         tape = Tape()
         a = tape.var(np.array([[0.2, 0.8]]))
-        assert np.allclose(model_mod.prototype_representation(a).value, [0.2, 0.8])
+        assert np.allclose(ad.axis0_sum(a).value, [0.2, 0.8])
 
     def test_uniform_rows_hand_value(self):
         tape = Tape()
         a = tape.var(np.full((10, 5), 0.2))
-        assert np.allclose(model_mod.prototype_representation(a).value, [2.0] * 5)
+        assert np.allclose(ad.axis0_sum(a).value, [2.0] * 5)
 
     def test_proto_repr_sums_to_t(self):
         rng = np.random.default_rng(3)
         tape = Tape()
         raw = rng.uniform(0.01, 1.0, size=(13, 6))
         a = ad.row_normalize(tape.var(raw))
-        vp = model_mod.prototype_representation(a)
+        vp = ad.axis0_sum(a)
         assert vp.value.sum() == pytest.approx(13.0, abs=1e-6)
 
 
 class TestClassify:
+    """Each activity head is one softmax_affine record."""
+
     def test_zero_weights_uniform(self):
         tape = Tape()
-        yp, yg = model_mod.classify(
-            tape.var(np.ones(4)),
-            tape.var(np.ones(3)),
-            tape.var(np.zeros((4, 5))),
-            tape.var(np.zeros(5)),
-            tape.var(np.zeros((3, 5))),
-            tape.var(np.zeros(5)),
-        )
-        assert np.allclose(yp.value, 0.2)
-        assert np.allclose(yg.value, 0.2)
+        for v, w in ((np.ones(4), np.zeros((4, 5))), (np.ones(3), np.zeros((3, 5)))):
+            y = ad.softmax_affine(tape.var(v), tape.var(w), tape.var(np.zeros(5)))
+            assert np.allclose(y.value, 0.2)
 
     def test_argmax_matches_logits(self):
         rng = np.random.default_rng(5)
@@ -207,7 +220,7 @@ class TestClassify:
         wp = tape.var(rng.normal(size=(4, 6)))
         bp = tape.var(rng.normal(size=6))
         logits = vp.value @ wp.value + bp.value
-        yp, _ = model_mod.classify(vp, vp, wp, bp, wp, bp)
+        yp = ad.softmax_affine(vp, wp, bp)
         assert np.argmax(yp.value) == np.argmax(logits)
 
 
@@ -215,10 +228,10 @@ class TestForward:
     def test_frames_on_prototypes_win(self):
         cfg = tiny_config(input_dim=4, embed_dim=4, n_prototypes=4)
         params = init_parameters(cfg, seed=0)
-        params.embed_w = np.eye(4)
-        params.embed_b = np.zeros(4)
-        params.prototypes = np.eye(4) * 10.0
-        feats = params.prototypes[[2, 0, 3]]
+        params["embed_w"] = np.eye(4)
+        params["embed_b"] = np.zeros(4)
+        params["prototypes"] = np.eye(4) * 10.0
+        feats = params["prototypes"][[2, 0, 3]]
         tape = Tape()
         out = forward(feats, bind_parameters(params, tape), cfg)
         assert np.array_equal(np.argmax(out.affinity.value, axis=1), [2, 0, 3])
@@ -249,9 +262,9 @@ class TestForward:
         rng = np.random.default_rng(8)
         feats = rng.normal(size=(6, 5))
         perm = np.array([2, 0, 3, 1])
-        permuted = params.copy()
-        permuted.prototypes = params.prototypes[perm]
-        permuted.head_p_w = params.head_p_w[perm]
+        permuted = dict(params)
+        permuted["prototypes"] = params["prototypes"][perm]
+        permuted["head_p_w"] = params["head_p_w"][perm]
         a1, yp1, yg1 = model_mod.infer(feats, params, cfg)
         a2, yp2, yg2 = model_mod.infer(feats, permuted, cfg)
         assert np.allclose(a2, a1[:, perm], atol=1e-12)
@@ -281,13 +294,13 @@ class TestForward:
         bound = bind_parameters(params, tape)
         feats = np.random.default_rng(11).normal(size=(t, 5))
         f = model_mod.embed_frames(tape.const(feats), bound["embed_w"], bound["embed_b"])
-        a = model_mod.compute_affinity(f, bound["prototypes"])
-        vp = model_mod.prototype_representation(a)
+        a = ad.affinity(f, bound["prototypes"])
+        vp = ad.axis0_sum(a)
         operands = [a, vp] + [bound[k] for k in ("prototypes", "latent_w1", "latent_b1",
                                                  "latent_w2", "latent_b2")]
         for v in operands:
             v.value = v.value.view(Spy)
-        vg = model_mod.mean_latent(*operands)
+        vg = ad.mean_latent(*operands)
         tape.backward(ad.vsum(vg))  # the backward's products too
         assert ((t, n), (n, d)) in shapes and ((n, t), (t, d)) in shapes
         assert not [s for s in shapes if t in (s[0][0], s[1][-1]) and (d, d) in s]
@@ -304,7 +317,7 @@ class TestInfer:
         cfg = tiny_config()
         params = init_parameters(cfg, seed=4)
         model_mod.infer(np.random.default_rng(9).normal(size=(7, 5)), params, cfg)
-        assert len(made_vars) > len(PARAM_NAMES)
+        assert len(made_vars) > len(params)
         assert all(v.grad is None and not v.needs_grad for v in made_vars)
         tape = made_vars[0].tape
         assert all(v.tape is tape for v in made_vars) and tape._records == []
@@ -345,7 +358,7 @@ def full_loss_gradient_error(seed: int, t_frames=6) -> float:
     feats = rng.normal(size=(t_frames, cfg.input_dim))
     label = int(rng.integers(1, cfg.n_activities + 1))
     params = init_parameters(cfg, seed=seed)
-    names = list(PARAM_NAMES)
+    names = list(params)
 
     def fn(tape, *arrs):
         bound = {name: var for name, var in zip(names, arrs)}
@@ -356,7 +369,7 @@ def full_loss_gradient_error(seed: int, t_frames=6) -> float:
         ls = losses_mod.tmse_loss(out.affinity, loss_cfg.truncation)
         return losses_mod.total_loss(lp, lg, ls, loss_cfg)
 
-    return finite_diff_check(fn, [getattr(params, n) for n in names])
+    return finite_diff_check(fn, [params[n] for n in names])
 
 
 def test_full_loss_gradient_toy_instance():
@@ -388,7 +401,7 @@ def test_training_tape_prunes_features_and_constants(made_vars):
     constants = [v for v in made_vars if not v.needs_grad]
     # the one-hot targets stay plain arrays inside the fused activity loss
     assert constants == [x] and x.grad is None
-    assert len(made_vars) == len(PARAM_NAMES) + 1 + 15  # leaves, then one Var per record
-    for name in PARAM_NAMES:
-        assert bound[name].grad.shape == getattr(params, name).shape
+    assert len(made_vars) == len(params) + 1 + 15  # leaves, then one Var per record
+    for name, arr in params.items():
+        assert bound[name].grad.shape == arr.shape
     assert tape._records == []

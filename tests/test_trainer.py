@@ -9,7 +9,6 @@ import pytest
 
 from protoseg import autodiff as ad
 from protoseg import losses as losses_mod
-from protoseg import model as model_mod
 from protoseg.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -19,7 +18,7 @@ from protoseg.checkpoint import (
 )
 from protoseg.data import FeatureSequence
 from protoseg.losses import LossConfig
-from protoseg.model import ModelConfig, ModelParameters, PARAM_NAMES, infer, init_parameters
+from protoseg.model import ModelConfig, infer, init_parameters, parameter_layout
 from protoseg.rng import Xoshiro256StarStar
 from protoseg.trainer import (
     AdamState,
@@ -64,32 +63,32 @@ class TestAdamStep:
 
     def test_zero_gradient_leaves_parameters(self):
         cfg, params = self._scalar_params()
-        before = params.copy()
-        grads = {n: np.zeros_like(a) for n, a in params.as_dict().items()}
+        before = {n: a.copy() for n, a in params.items()}
+        grads = {n: np.zeros_like(a) for n, a in params.items()}
         adam_step(params, grads, AdamState.zeros_like(params), TrainConfig())
-        for name in PARAM_NAMES:
-            assert np.array_equal(getattr(params, name), getattr(before, name))
+        for name, arr in before.items():
+            assert np.array_equal(params[name], arr)
 
     def test_first_step_magnitude_is_lr(self):
         # p=0, g=1: bias correction makes |delta| = lr/(1 + eps) ~ lr
         cfg, params = self._scalar_params()
-        params.embed_b[...] = 0.0
-        grads = {n: np.zeros_like(a) for n, a in params.as_dict().items()}
+        params["embed_b"][...] = 0.0
+        grads = {n: np.zeros_like(a) for n, a in params.items()}
         grads["embed_b"][...] = 1.0
         tc = TrainConfig(lr=0.001)
         adam_step(params, grads, AdamState.zeros_like(params), tc)
-        assert np.allclose(params.embed_b, -tc.lr, atol=1e-9)
+        assert np.allclose(params["embed_b"], -tc.lr, atol=1e-9)
 
     def test_constant_gradient_moves_against_sign(self):
         cfg, params = self._scalar_params()
-        start = params.embed_b.copy()
-        grads = {n: np.zeros_like(a) for n, a in params.as_dict().items()}
+        start = params["embed_b"].copy()
+        grads = {n: np.zeros_like(a) for n, a in params.items()}
         grads["embed_b"][...] = 0.7
         state = AdamState.zeros_like(params)
         tc = TrainConfig(lr=0.01)
         for _ in range(50):
             adam_step(params, grads, state, tc)
-        assert np.all(params.embed_b < start - 0.1)
+        assert np.all(params["embed_b"] < start - 0.1)
 
 
 class TestTrain:
@@ -97,10 +96,11 @@ class TestTrain:
         corpus = toy_corpus(videos_per_class=1)
         cfg = toy_model_cfg()
         tc = TrainConfig(lr=0.0, epochs=1, batch_size=8, seed=0)
-        init = init_parameters(cfg, tc.seed)
-        result = train(corpus, cfg, tc, LossConfig(), init=init)
-        for name in PARAM_NAMES:
-            assert np.array_equal(getattr(result.params, name), getattr(init, name))
+        result = train(corpus, cfg, tc, LossConfig())
+        init = init_parameters(cfg, tc.seed)  # the draw train starts from
+        assert list(result.params) == list(init)
+        for name, arr in init.items():
+            assert np.array_equal(result.params[name], arr)
 
     def test_same_seed_bit_identical(self, tmp_path):
         corpus = toy_corpus()
@@ -123,14 +123,14 @@ class TestTrain:
         cfg = ModelConfig(input_dim=3, n_activities=2, n_prototypes=4, embed_dim=3)
         tc = TrainConfig(lr=0.01, epochs=4, batch_size=2, seed=3)
         fused = train(corpus, cfg, tc, LossConfig())
-        monkeypatch.setattr(model_mod, "compute_affinity", unfused_affinity)
+        monkeypatch.setattr(ad, "affinity", unfused_affinity)
         monkeypatch.setattr(losses_mod, "tmse_loss", unfused_tmse)
-        monkeypatch.setattr(model_mod, "mean_latent", unfused_mean_latent)
-        monkeypatch.setattr(ad, "softmax_affine", unfused_softmax_affine)  # each classify head
+        monkeypatch.setattr(ad, "mean_latent", unfused_mean_latent)
+        monkeypatch.setattr(ad, "softmax_affine", unfused_softmax_affine)  # each head
         monkeypatch.setattr(losses_mod, "activity_loss", unfused_activity_loss)
         oracle = train(corpus, cfg, tc, LossConfig())
-        for name in PARAM_NAMES:
-            assert np.array_equal(getattr(fused.params, name), getattr(oracle.params, name))
+        for name, arr in fused.params.items():
+            assert np.array_equal(arr, oracle.params[name])
         assert fused.trace == oracle.trace
         assert fused.trace[-1]["loss"] < fused.trace[0]["loss"]
 
@@ -155,12 +155,12 @@ class TestTrain:
             )
 
         before = total(params)
-        grads = {n: np.zeros_like(a) for n, a in params.as_dict().items()}
+        grads = {n: np.zeros_like(a) for n, a in params.items()}
         for video in corpus:
             tape, loss, bound, _ = video_loss(video, params, cfg, lc)
             tape.backward(loss)
-            for name in PARAM_NAMES:
-                grads[name] += bound[name].grad / len(corpus)
+            for name, grad in grads.items():
+                grad += bound[name].grad / len(corpus)
         adam_step(params, grads, AdamState.zeros_like(params), TrainConfig(lr=1e-5))
         assert total(params) < before
 
@@ -244,8 +244,9 @@ class TestCheckpointIO:
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
-        for name in PARAM_NAMES:
-            a, b = getattr(ckpt.params, name), getattr(loaded.params, name)
+        assert list(loaded.params) == list(ckpt.params)
+        for name, a in ckpt.params.items():
+            b = loaded.params[name]
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
         assert loaded.train == ckpt.train
@@ -302,8 +303,13 @@ class TestCheckpointIO:
         blob = path.read_bytes()
         (meta_len,) = struct.unpack("<I", blob[8:12])
         assert "tensors" not in json.loads(blob[12 : 12 + meta_len])
-        body = b"".join(getattr(ckpt.params, name).astype("<f8").tobytes() for name in PARAM_NAMES)
+        layout = parameter_layout(ckpt.model)
+        body = b"".join(ckpt.params[name].astype("<f8").tobytes() for name in layout)
         assert blob[12 + meta_len :] == body
+        # the layout, not the dict's own order, fixes the bytes
+        ckpt.params = dict(reversed(ckpt.params.items()))
+        save_checkpoint(ckpt, path)
+        assert path.read_bytes() == blob
 
     def _with_metadata(self, path, edit):
         blob = path.read_bytes()
@@ -351,9 +357,9 @@ class TestCheckpointIO:
         blob = bytearray(path.read_bytes())
         (meta_len,) = struct.unpack("<I", blob[8:12])
         starts, offset = {}, 12 + meta_len
-        for name in PARAM_NAMES:
+        for name, arr in ckpt.params.items():
             starts[name] = offset
-            offset += getattr(ckpt.params, name).nbytes
+            offset += arr.nbytes
         first = starts["embed_w"] + 8 * 3
         later = starts["head_g_w"] + 8 * 1
         blob[first : first + 8] = struct.pack("<d", np.nan)
