@@ -129,7 +129,7 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config file {path} not found")
         try:
             from_file = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"unparseable config {path}: {exc}") from exc
         cfg = _merge(cfg, from_file, str(path))
     for flag, (keys, _) in _FLAGS.items():
@@ -218,13 +218,19 @@ def _load_checkpoint_for(ckpt_path: Path, corpus: Corpus, manifest: Path) -> Che
 
 
 def _affinities(corpus: Corpus, ckpt: Checkpoint, threads: int):
-    """Affinity matrix and head probabilities per video id."""
+    """Affinity matrix and head probabilities per video id, in corpus order.
 
-    def run(video):
-        return video.video_id, model_mod.infer(video.features, ckpt.params, ckpt.model)
+    Each worker runs one task: a contiguous shard of the videos.
+    """
+    videos = corpus.videos
+    cuts = [len(videos) * i // threads for i in range(threads + 1)]
+
+    def run(shard):
+        return [(v.video_id, model_mod.infer(v.features, ckpt.params, ckpt.model)) for v in shard]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return dict(pool.map(run, corpus.videos))
+        shards = pool.map(run, (videos[a:b] for a, b in zip(cuts, cuts[1:])))
+        return dict(pair for shard in shards for pair in shard)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +277,6 @@ def _cmd_train(cfg: dict) -> int:
     manifest = _require_path(cfg, "manifest")
     train_cfg = _build("train", TrainConfig, **cfg["train"])
     loss_cfg = _loss_config(cfg)
-    out = _out_dir(cfg)
     corpus = read_corpus(manifest)
     model_cfg = _build(
         "model",
@@ -280,6 +285,7 @@ def _cmd_train(cfg: dict) -> int:
         n_activities=corpus.n_activities,
         **cfg["model"],
     )
+    out = _out_dir(cfg)
     _keep_freed_heap()
     result = trainer_mod.train(corpus.videos, model_cfg, train_cfg, loss_cfg)
     ckpt_path = cfg["paths"]["checkpoint"] or str(out / "model.ckpt")
@@ -337,8 +343,8 @@ def _cmd_segment(cfg: dict) -> int:
         raise ConfigError("segment supports --scope global or activity")
     corpus = read_corpus(manifest)
     n_keep = _nprime_by_activity(cfg, corpus, manifest) if scope == "activity" else None
-    out = _out_dir(cfg)
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
+    out = _out_dir(cfg)
     # hashlib releases the GIL on large updates, so the digests are taken
     # on a worker thread while inference runs
     with ThreadPoolExecutor(max_workers=1) as hasher:
@@ -404,7 +410,7 @@ def _read_segment_file(path: Path) -> np.ndarray:
         raise CorpusError(
             f"{path}: expected one prototype id >= 1, or -1 for background, on each line"
         )
-    return np.array(data.split(), dtype=np.int64)
+    return np.fromstring(data, dtype=np.int64, sep="\n")
 
 
 def _segment_index(index_path: Path, manifest: Path, checkpoint: Path | None) -> dict:
@@ -490,9 +496,9 @@ def _cmd_eval(cfg: dict) -> int:
 def _cmd_recognize(cfg: dict) -> int:
     manifest = _require_path(cfg, "manifest")
     ckpt_path = _require_path(cfg, "checkpoint")
-    out = _out_dir(cfg)
     corpus = read_corpus(manifest)
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
+    out = _out_dir(cfg)
     wp, wg = cfg["recognize"]["wp"], cfg["recognize"]["wg"]
     outputs = _affinities(corpus, ckpt, cfg["threads"])
     rows = []

@@ -269,24 +269,31 @@ def read_exact(f, n: int, what: str, truncated) -> bytes:
 
 
 def _read_array(path: Path, magic: bytes, dtype: str, ndim: int, what: str) -> np.ndarray:
-    """The `ndim`-d array `_write_array` wrote; each CorpusError names `path` first."""
+    """The `ndim`-d array `_write_array` wrote, from one read of the file.
 
-    def truncated(part: str, _offset: int) -> CorpusError:
-        return CorpusError(f"{path}: truncated while reading {part}")
-
+    Each CorpusError names `path` first.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise CorpusError(f"{path}: referenced by manifest but missing") from None
     header = f"<{1 + ndim}I"
-    with open(path, "rb") as f:
-        found = read_exact(f, 4, "magic", truncated)
-        if found != magic:
-            raise CorpusError(f"{path}: bad magic {found!r}, expected {magic!r}")
-        raw = read_exact(f, struct.calcsize(header), "header", truncated)
-        version, *shape = struct.unpack(header, raw)
-        if version != FORMAT_VERSION:
-            raise CorpusError(f"{path}: unsupported {magic.decode()} format version {version}")
-        raw = read_exact(f, math.prod(shape) * np.dtype(dtype).itemsize, what, truncated)
-        if f.read(1):
-            raise CorpusError(f"{path}: trailing bytes after {what}")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+    start = 4 + struct.calcsize(header)
+    if len(data) < 4:
+        raise CorpusError(f"{path}: truncated while reading magic")
+    if data[:4] != magic:
+        raise CorpusError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
+    if len(data) < start:
+        raise CorpusError(f"{path}: truncated while reading header")
+    version, *shape = struct.unpack_from(header, data, 4)
+    if version != FORMAT_VERSION:
+        raise CorpusError(f"{path}: unsupported {magic.decode()} format version {version}")
+    end = start + math.prod(shape) * np.dtype(dtype).itemsize
+    if len(data) < end:
+        raise CorpusError(f"{path}: truncated while reading {what}")
+    if len(data) > end:
+        raise CorpusError(f"{path}: trailing bytes after {what}")
+    return np.frombuffer(data, dtype=dtype, offset=start).reshape(shape)
 
 
 def write_corpus(corpus: Corpus, out_dir) -> Path:
@@ -368,15 +375,13 @@ def read_corpus(manifest_path) -> Corpus:
         raise CorpusError(f"{manifest_path}: manifest not found")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CorpusError(f"{manifest_path}: unparseable manifest: {exc}") from exc
     _check_manifest(manifest, manifest_path)
     base = manifest_path.parent
     videos = []
     for entry in manifest["videos"]:
         feature_path = base / entry["feature_file"]
-        if not feature_path.exists():
-            raise CorpusError(f"{feature_path}: referenced by manifest but missing")
         features = _read_array(feature_path, FEATURE_MAGIC, "<f4", 2, "feature values")
         features = features.astype(np.float64)
         if features.shape[0] != entry["T"]:
@@ -391,8 +396,6 @@ def read_corpus(manifest_path) -> Corpus:
         gt = None
         if entry.get("gt_file"):
             gt_path = base / entry["gt_file"]
-            if not gt_path.exists():
-                raise CorpusError(f"{gt_path}: referenced by manifest but missing")
             gt = _read_array(gt_path, GT_MAGIC, "<u4", 1, "action ids").astype(np.int64)
             if len(gt) != entry["T"]:
                 raise CorpusError(

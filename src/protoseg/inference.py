@@ -3,7 +3,9 @@
 All label arrays use 1-based prototype ids, and a labeling of a whole video
 (what `segment_corpus` returns, and what a labeling file holds) marks a
 masked background frame with -1.  Ties in argmax, ordering, and decoding
-resolve toward the lowest index so runs are reproducible.
+resolve toward the lowest index so runs are reproducible.  The ordered
+Viterbi decoding runs over all of an activity's videos at once
+(`viterbi_decode_batch`), and labels each video as it would alone.
 """
 from __future__ import annotations
 
@@ -129,7 +131,22 @@ def viterbi_decode(
     The path starts at the first ordering element and may stay or advance
     one element per frame; it need not reach the end.  Frame likelihoods
     are the affinity entries under a uniform prototype prior, clamped at
-    1e-12 before the log.  Returns 1-based prototype ids.
+    1e-12 before the log.  Returns 1-based prototype ids.  This is
+    `viterbi_decode_batch` on one video.
+    """
+    return viterbi_decode_batch([affinity], ordering, column_ids)[0]
+
+
+def viterbi_decode_batch(
+    affinities: Sequence[np.ndarray], ordering: Sequence[int], column_ids: Sequence[int]
+) -> list[np.ndarray]:
+    """`viterbi_decode` of every matrix, in one recursion over a V x K array per frame.
+
+    The videos run longest first, so those still running at frame t are a
+    prefix of the batch, and each keeps the score of its own last frame.
+    Every video sees the same float64 additions and tie rules as alone:
+    on a tie the earlier ordering element is the predecessor, and the
+    final argmax takes the lowest index.
     """
     ordering = np.asarray(ordering, dtype=np.int64)
     column_ids = np.asarray(column_ids, dtype=np.int64)
@@ -142,32 +159,50 @@ def viterbi_decode(
         cols = np.array([col_of[int(pid)] for pid in ordering])
     except KeyError as exc:
         raise ValueError(f"ordering id {exc} not among affinity columns") from None
+    if not affinities:
+        return []
 
-    a = np.asarray(affinity, dtype=np.float64)
-    # the recursion runs on Python floats: numpy scalar indexing per cell
-    # costs several times the arithmetic
-    emit = np.log(np.maximum(a[:, cols], LOG_EPS)).tolist()  # T x K in ordering order
-    score = [emit[0][0]] + [-math.inf] * (ordering.size - 1)
-    advanced = [None]  # advanced[t][j]: frame t entered element j by advancing
-    for row in emit[1:]:
-        nxt = [score[0] + row[0]]
-        moved = [False]
-        for adv, stay, e in zip(score, score[1:], row[1:]):
-            # on ties, prefer the earlier ordering element as predecessor
-            up = adv >= stay
-            nxt.append((adv if up else stay) + e)
-            moved.append(up)
-        score = nxt
-        advanced.append(moved)
+    order = sorted(range(len(affinities)), key=lambda i: -len(affinities[i]))
+    lengths = [len(affinities[i]) for i in order]
+    n_videos, n_states, t_max = len(order), ordering.size, lengths[0]
+    emit = np.zeros((t_max, n_videos, n_states))  # frame x video x ordering element
+    for v, i in enumerate(order):
+        a = np.asarray(affinities[i], dtype=np.float64)
+        emit[: lengths[v], v] = np.log(np.maximum(a[:, cols], LOG_EPS))
+    # frames bounds[r]:bounds[r - 1] run the r longest videos, so the views
+    # are made once per span, not once per frame
+    bounds = lengths + [0]
+    score = np.full((n_videos, n_states), -np.inf)
+    score[:, 0] = emit[0, :, 0]
+    advanced = np.zeros((t_max, n_videos, n_states), dtype=bool)  # entered by advancing
+    for r in range(n_videos, 0, -1):
+        s, adv, stay = score[:r], score[:r, :-1], score[:r, 1:]
+        span = slice(max(bounds[r], 1), bounds[r - 1])
+        for up, e in zip(advanced[span, :r, 1:], emit[span, :r]):
+            np.greater_equal(adv, stay, out=up)  # a tie takes the earlier element
+            np.copyto(stay, adv, where=up)  # reads all of `adv` before it writes
+            s += e
 
-    j = int(np.argmax(score))  # lowest index wins ties
-    ids = ordering.tolist()
-    path = [0] * len(emit)
-    for t in range(len(emit) - 1, -1, -1):
-        path[t] = ids[j]
-        if t > 0 and advanced[t][j]:
-            j -= 1
-    return np.array(path, dtype=np.int64)
+    # Walk each path back one element at a time, not one frame at a time:
+    # it entered its element j at the last frame before `until` (where it
+    # entered j + 1, or its end) that `advanced` marks for j; when no frame
+    # is marked, j is its first element, held from frame 0.
+    j = np.argmax(score, axis=1)  # lowest index wins ties
+    until = np.array(lengths)
+    frames, videos = np.arange(t_max)[:, None], np.arange(n_videos)
+    moves = np.zeros((t_max, n_videos), dtype=bool)  # the path enters its next element
+    for _ in range(n_states - 1):
+        hit = advanced[:, videos, j] & (frames < until)
+        found = hit.any(axis=0)
+        last = t_max - 1 - np.argmax(hit[::-1], axis=0)
+        moves[last[found], videos[found]] = True
+        j = j - found
+        until = np.where(found, last, 0)
+    path = j + np.cumsum(moves, axis=0)
+    labels: list = [None] * n_videos
+    for v, i in enumerate(order):
+        labels[i] = ordering[path[: lengths[v], v]]
+    return labels
 
 
 def background_mask(affinity: np.ndarray, eta: float) -> np.ndarray:
@@ -254,7 +289,7 @@ def segment_corpus(
             relabeled = [kept_ids[np.argmax(a, axis=1)] for a in reduced]
             if decode:
                 order = action_ordering(relabeled, kept_ids)
-                relabeled = [viterbi_decode(a, order, kept_ids) for a in reduced]
+                relabeled = viterbi_decode_batch(reduced, order, kept_ids)
             labels.update(zip(vids, relabeled))
     for vid in ids:
         labels[vid][background_mask(affinities[vid], eta)] = -1

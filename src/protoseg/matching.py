@@ -4,6 +4,10 @@ Predicted labelings carry 1-based cluster (prototype) ids, with -1 for a
 frame masked as background; ground truth carries 1-based action ids with 0
 meaning background.  `VideoEval.evaluated` alone decides which frames are
 scored: not background in either.  Every metric reads that mask.
+
+`match_at_level` and `corpus_f1` score the corpus as one flat array of
+frames, with ids compacted to their ranks; only the Hungarian solve runs
+once per unit.
 """
 from __future__ import annotations
 
@@ -180,13 +184,35 @@ def _report(scope: str, unit: str, cont: Contingency) -> AssignmentReport:
     )
 
 
-def _scored(videos: Sequence[VideoEval], labels: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """`labels` (one array per video) and the ground truth, pooled over the scored frames."""
-    keeps = [v.evaluated() for v in videos]
-    return (
-        np.concatenate([np.asarray(x)[keep] for x, keep in zip(labels, keeps)]),
-        np.concatenate([np.asarray(v.gt)[keep] for v, keep in zip(videos, keeps)]),
-    )
+@dataclass
+class _Flat:
+    """A corpus's frames end to end, in video order."""
+
+    gt: np.ndarray
+    keep: np.ndarray  # scored: `VideoEval.evaluated` of each video
+    first: np.ndarray  # true at each video's first frame
+    bounds: np.ndarray  # video i holds frames bounds[i]:bounds[i + 1]
+
+    def per_video(self, frames: np.ndarray) -> np.ndarray:
+        """How many of the ascending frame indices `frames` fall in each video."""
+        return np.diff(np.searchsorted(frames, self.bounds))
+
+
+def _flat(videos: Sequence[VideoEval], preds: Sequence) -> tuple[np.ndarray, _Flat]:
+    """`preds` (one array per video) and the ground truth of `videos`, each concatenated once."""
+    preds = [np.asarray(x, dtype=np.int64) for x in preds]
+    gts = [np.asarray(v.gt, dtype=np.int64) for v in videos]
+    for v, x, g in zip(videos, preds, gts):
+        if x.shape != g.shape:
+            raise ValueError(f"video {v.video_id!r}: pred {x.shape} vs gt {g.shape} frames")
+    lengths = np.array([len(g) for g in gts])
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    first = np.zeros(bounds[-1], dtype=bool)
+    first[bounds[:-1][lengths > 0]] = True
+    gt = np.concatenate(gts)
+    keep = gt != 0
+    keep &= np.concatenate([np.asarray(v.pred) for v in videos]) != -1
+    return np.concatenate(preds), _Flat(gt, keep, first, bounds)
 
 
 # scope -> (unit name, rank) of a video; units are matched in rank order,
@@ -199,28 +225,60 @@ _UNIT_OF = {
 
 
 def match_at_level(videos: Sequence[VideoEval], scope: str) -> MatchResult:
-    """Hungarian matching per video, per activity, or over the whole corpus."""
+    """Hungarian matching per video, per activity, or over the whole corpus.
+
+    The corpus is scored as one flat array: cluster and action ids are
+    compacted to their ranks, one bincount gives every unit's contingency,
+    and a unit x cluster lookup table applies each unit's assignment.
+    """
     if scope not in _UNIT_OF:
         raise ValueError(f"unknown matching scope {scope!r}")
     if not videos:
         raise ValueError("no videos to match")
     units: Dict[tuple, list] = {}
-    for v in videos:
-        units.setdefault(_UNIT_OF[scope](v), []).append(v)
+    for i, v in enumerate(videos):
+        units.setdefault(_UNIT_OF[scope](v), []).append(i)
+    unit_of = np.empty(len(videos), dtype=np.int64)
+    for u, members in enumerate(units.values()):
+        unit_of[members] = u
+
+    pred, flat = _flat(videos, [v.pred for v in videos])
+    cluster_ids, row = np.unique(pred, return_inverse=True)
+    n_units, n_clusters = len(units), cluster_ids.size
+    # each frame's row of the unit x cluster table; only scored frames enter
+    # a contingency, so only their actions get a column
+    row += np.repeat(unit_of * n_clusters, np.diff(flat.bounds))
+    action_ids, action = np.unique(flat.gt[flat.keep], return_inverse=True)
+    n_actions = action_ids.size
+    counts = np.bincount(
+        row[flat.keep] * n_actions + action, minlength=n_units * n_clusters * n_actions
+    ).reshape(n_units, n_clusters, n_actions)
 
     reports = []
+    lookup = np.zeros((n_units, n_clusters), dtype=np.int64)  # unit, cluster -> action
+    ranked = sorted(enumerate(units), key=lambda item: item[1][1])
+    for u, (unit, _) in ranked:
+        rows = np.flatnonzero(counts[u].sum(axis=1))
+        cols = np.flatnonzero(counts[u].sum(axis=0))
+        cont = Contingency(counts[u][np.ix_(rows, cols)], cluster_ids[rows], action_ids[cols])
+        rep = _report(scope, unit, cont)
+        reports.append(rep)
+        for cluster_id, action_id in rep.assignment:
+            lookup[u, np.searchsorted(cluster_ids, cluster_id)] = action_id
+    mapped_flat = lookup.ravel()[row]
+    mapped_flat[pred == -1] = -1
+    correct = flat.keep & (mapped_flat == flat.gt)
+    n_eval = flat.per_video(np.flatnonzero(flat.keep)).tolist()
+    n_corr = flat.per_video(np.flatnonzero(correct)).tolist()
+
     mapped: Dict[str, np.ndarray] = {}
     per_video_mof: Dict[str, float] = {}
-    for (unit, _), group in sorted(units.items(), key=lambda item: item[0][1]):
-        rep = _report(scope, unit, build_contingency(*_scored(group, [v.pred for v in group])))
-        reports.append(rep)
-        assignment = dict(rep.assignment)
-        for v in group:
-            keep = v.evaluated()
-            mapped[v.video_id] = labels = apply_assignment(v.pred, assignment)
-            n_eval = int(keep.sum())
-            n_corr = int(np.sum((labels == np.asarray(v.gt)) & keep))
-            per_video_mof[v.video_id] = n_corr / n_eval if n_eval else float("nan")
+    members = list(units.values())
+    for u, _ in ranked:
+        for i in members[u]:
+            vid = videos[i].video_id
+            mapped[vid] = mapped_flat[flat.bounds[i] : flat.bounds[i + 1]]
+            per_video_mof[vid] = n_corr[i] / n_eval[i] if n_eval[i] else float("nan")
     return MatchResult(
         scope=scope,
         reports=reports,
@@ -230,72 +288,68 @@ def match_at_level(videos: Sequence[VideoEval], scope: str) -> MatchResult:
     )
 
 
-def apply_assignment(pred, mapping: Dict[int, int]) -> np.ndarray:
-    """Map cluster ids to matched action ids; unmatched clusters become 0, -1 stays -1."""
-    pred = np.asarray(pred, dtype=np.int64)
-    mapped = np.where(pred == -1, -1, 0)
-    for cluster, action in mapping.items():
-        mapped[pred == cluster] = action
-    return mapped
-
-
 # ---------------------------------------------------------------------------
 # segment F1
 
 
-def _runs(labels: np.ndarray, keep: np.ndarray) -> list[tuple[int, int, int]]:
-    """Maximal constant-label runs over kept frames, split at excluded frames."""
-    labels = np.asarray(labels)
-    keep = np.asarray(keep, dtype=bool)
+def _run_bounds(labels: np.ndarray, keep: np.ndarray, first: np.ndarray):
+    """(starts, ends) of the maximal constant-label runs over kept frames.
+
+    Runs split at excluded frames and at each frame where `first` is true.
+    """
     # a run starts where a kept frame follows an excluded frame or another
     # label, and ends where the next frame is excluded or has another label
-    split = ~keep[1:] | ~keep[:-1] | (labels[1:] != labels[:-1])
+    split = ~keep[1:] | ~keep[:-1] | (labels[1:] != labels[:-1]) | first[1:]
     starts = np.flatnonzero(keep & np.concatenate(([True], split)))
     ends = np.flatnonzero(keep & np.concatenate((split, [True]))) + 1
-    return list(zip(labels[starts].tolist(), starts.tolist(), ends.tolist()))
+    return starts, ends
+
+
+def _segment_f1(mapped: np.ndarray, flat: _Flat, keep: np.ndarray) -> np.ndarray:
+    """Segment F1 of each video of `flat` over the frames where `keep` is true.
+
+    A ground-truth segment is recalled when strictly more than half of its
+    frames carry its action as the mapped prediction; a predicted segment
+    is precise when strictly more than half of its frames fall inside one
+    ground-truth segment of the same action.  Each such overlap is one
+    piece of the frames split at the boundaries of both segmentations.
+    """
+    gt, n_videos = flat.gt, len(flat.bounds) - 1
+    pred_starts, pred_ends = _run_bounds(mapped, keep, flat.first)
+    gt_starts, gt_ends = _run_bounds(gt, keep, flat.first)
+    hits = np.zeros(gt.size + 1, dtype=np.int64)  # hits[t]: frames before t where mapped == gt
+    np.cumsum(mapped == gt, out=hits[1:])
+    recalled = (hits[gt_ends] - hits[gt_starts]) * 2 > gt_ends - gt_starts
+    gt_changes = flat.first | np.concatenate(([False], gt[1:] != gt[:-1]))
+    piece_starts, piece_ends = _run_bounds(mapped, keep, gt_changes)
+    pred_of_piece = np.searchsorted(pred_starts, piece_starts, side="right") - 1
+    pred_len = (pred_ends - pred_starts)[pred_of_piece]
+    inside = (mapped[piece_starts] != 0) & (mapped[piece_starts] == gt[piece_starts])
+    precise = np.zeros(pred_starts.size, dtype=bool)
+    precise[pred_of_piece[inside & ((piece_ends - piece_starts) * 2 > pred_len)]] = True
+
+    # segments per video; a video without kept frames has no runs, and its
+    # precision and recall read 0
+    per_video = flat.per_video
+    precision = per_video(pred_starts[precise]) / np.maximum(per_video(pred_starts), 1)
+    recall = per_video(gt_starts[recalled]) / np.maximum(per_video(gt_starts), 1)
+    total = precision + recall
+    return np.divide(2.0 * precision * recall, total, out=np.zeros(n_videos), where=total > 0.0)
 
 
 def f1_segments(mapped_pred, gt, keep) -> float:
     """Segment-level F1 after matching, over the frames where `keep` is true.
 
-    A ground-truth segment is recalled when strictly more than half of its
-    frames carry its action as the mapped prediction; a predicted segment
-    is precise when strictly more than half of its frames fall inside one
-    ground-truth segment of the same action.
+    One video's `_segment_f1`.
     """
-    mapped_pred = np.asarray(mapped_pred, dtype=np.int64)
-    gt = np.asarray(gt, dtype=np.int64)
-    pred_segs = _runs(mapped_pred, keep)
-    gt_segs = _runs(gt, keep)
-    if not pred_segs or not gt_segs:
-        return 0.0
-
-    recalled = 0
-    for action, start, end in gt_segs:
-        hits = int(np.sum(mapped_pred[start:end] == action))
-        if hits * 2 > end - start:
-            recalled += 1
-    precise = 0
-    for action, start, end in pred_segs:
-        if action == 0:
-            continue
-        for g_action, g_start, g_end in gt_segs:
-            if g_action != action:
-                continue
-            overlap = min(end, g_end) - max(start, g_start)
-            if overlap * 2 > end - start:
-                precise += 1
-                break
-    precision = precise / len(pred_segs)
-    recall = recalled / len(gt_segs)
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    mapped, flat = _flat([VideoEval("", 0, mapped_pred, gt)], [mapped_pred])
+    return float(_segment_f1(mapped, flat, np.asarray(keep, dtype=bool))[0])
 
 
 def corpus_f1(videos: Sequence[VideoEval], mapped: Dict[str, np.ndarray]) -> float:
     """Per-video segment F1 of the matched labelings, averaged over the corpus."""
-    return float(np.mean([f1_segments(mapped[v.video_id], v.gt, v.evaluated()) for v in videos]))
+    labels, flat = _flat(videos, [mapped[v.video_id] for v in videos])
+    return float(np.mean(_segment_f1(labels, flat, flat.keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +378,8 @@ def kl_action_distribution(
     action ids of their ground truth; a frame mapped to no action adds no
     mass.  Returns (D(pred || gt), D(gt || pred)).
     """
-    pred, gt = _scored(videos, [mapped[v.video_id] for v in videos])
+    labels, flat = _flat(videos, [mapped[v.video_id] for v in videos])
+    pred, gt = labels[flat.keep], flat.gt[flat.keep]
     actions = np.unique(gt)
     p = smoothed_distribution([np.sum(pred == a) for a in actions])
     q = smoothed_distribution([np.sum(gt == a) for a in actions])

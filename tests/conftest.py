@@ -1,10 +1,13 @@
-"""Shared gradient-check scenarios and the assignment, run and contingency
-oracles used by unit and acceptance tests."""
+"""Shared gradient-check scenarios and the assignment, run, contingency,
+decoding and matching oracles used by unit and acceptance tests."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from protoseg import autodiff as ad
+from protoseg import matching
 from protoseg.losses import LOG_EPS, PROB_EPS
 
 
@@ -239,3 +242,123 @@ def add_at_contingency(pred, gt) -> np.ndarray:
     counts = np.zeros((cluster_ids.size, action_ids.size), dtype=np.int64)
     np.add.at(counts, (np.searchsorted(cluster_ids, pred), np.searchsorted(action_ids, gt)), 1)
     return counts
+
+
+def per_video_viterbi(affinity, ordering, column_ids) -> np.ndarray:
+    """Oracle: `inference.viterbi_decode` as one video's recursion on Python floats."""
+    ordering = np.asarray(ordering, dtype=np.int64)
+    column_ids = np.asarray(column_ids, dtype=np.int64)
+    col_of = {int(pid): j for j, pid in enumerate(column_ids)}
+    cols = np.array([col_of[int(pid)] for pid in ordering])
+    a = np.asarray(affinity, dtype=np.float64)
+    emit = np.log(np.maximum(a[:, cols], 1e-12)).tolist()  # T x K in ordering order
+    score = [emit[0][0]] + [-math.inf] * (ordering.size - 1)
+    advanced = [None]  # advanced[t][j]: frame t entered element j by advancing
+    for row in emit[1:]:
+        nxt = [score[0] + row[0]]
+        moved = [False]
+        for adv, stay, e in zip(score, score[1:], row[1:]):
+            # on ties, prefer the earlier ordering element as predecessor
+            up = adv >= stay
+            nxt.append((adv if up else stay) + e)
+            moved.append(up)
+        score = nxt
+        advanced.append(moved)
+
+    j = int(np.argmax(score))  # lowest index wins ties
+    ids = ordering.tolist()
+    path = [0] * len(emit)
+    for t in range(len(emit) - 1, -1, -1):
+        path[t] = ids[j]
+        if t > 0 and advanced[t][j]:
+            j -= 1
+    return np.array(path, dtype=np.int64)
+
+
+def split_runs(labels, keep) -> list[tuple[int, int, int]]:
+    """Oracle: maximal constant-label runs of one video over kept frames, from
+    array boundaries."""
+    labels = np.asarray(labels)
+    keep = np.asarray(keep, dtype=bool)
+    split = ~keep[1:] | ~keep[:-1] | (labels[1:] != labels[:-1])
+    starts = np.flatnonzero(keep & np.concatenate(([True], split)))
+    ends = np.flatnonzero(keep & np.concatenate((split, [True]))) + 1
+    return list(zip(labels[starts].tolist(), starts.tolist(), ends.tolist()))
+
+
+def per_video_f1(mapped_pred, gt, keep) -> float:
+    """Oracle: `matching.f1_segments` as a loop over one video's segments."""
+    mapped_pred = np.asarray(mapped_pred, dtype=np.int64)
+    gt = np.asarray(gt, dtype=np.int64)
+    pred_segs = split_runs(mapped_pred, keep)
+    gt_segs = split_runs(gt, keep)
+    if not pred_segs or not gt_segs:
+        return 0.0
+    recalled = 0
+    for action, start, end in gt_segs:
+        hits = int(np.sum(mapped_pred[start:end] == action))
+        if hits * 2 > end - start:
+            recalled += 1
+    precise = 0
+    for action, start, end in pred_segs:
+        if action == 0:
+            continue
+        for g_action, g_start, g_end in gt_segs:
+            if g_action != action:
+                continue
+            overlap = min(end, g_end) - max(start, g_start)
+            if overlap * 2 > end - start:
+                precise += 1
+                break
+    precision = precise / len(pred_segs)
+    recall = recalled / len(gt_segs)
+    if precision + recall == 0.0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def apply_assignment(pred, mapping) -> np.ndarray:
+    """Oracle: cluster ids mapped to matched action ids one cluster at a time;
+    unmatched clusters become 0, -1 stays -1."""
+    pred = np.asarray(pred, dtype=np.int64)
+    mapped = np.where(pred == -1, -1, 0)
+    for cluster, action in mapping.items():
+        mapped[pred == cluster] = action
+    return mapped
+
+
+_UNIT_OF = {
+    "video": lambda v: (v.video_id, 0),
+    "activity": lambda v: (str(v.activity), v.activity),
+    "global": lambda v: ("corpus", 0),
+}
+
+
+def per_unit_match(videos, scope: str) -> matching.MatchResult:
+    """Oracle: `matching.match_at_level` with one contingency per unit and one
+    assignment and MoF per video."""
+    units: dict = {}
+    for v in videos:
+        units.setdefault(_UNIT_OF[scope](v), []).append(v)
+    reports = []
+    mapped: dict = {}
+    per_video_mof: dict = {}
+    for (unit, _), group in sorted(units.items(), key=lambda item: item[0][1]):
+        keeps = [v.evaluated() for v in group]
+        pred = np.concatenate([np.asarray(v.pred)[k] for v, k in zip(group, keeps)])
+        gt = np.concatenate([np.asarray(v.gt)[k] for v, k in zip(group, keeps)])
+        rep = matching._report(scope, unit, matching.build_contingency(pred, gt))
+        reports.append(rep)
+        assignment = dict(rep.assignment)
+        for v, keep in zip(group, keeps):
+            mapped[v.video_id] = labels = apply_assignment(v.pred, assignment)
+            n_eval = int(keep.sum())
+            n_corr = int(np.sum((labels == np.asarray(v.gt)) & keep))
+            per_video_mof[v.video_id] = n_corr / n_eval if n_eval else float("nan")
+    return matching.MatchResult(
+        scope=scope,
+        reports=reports,
+        mof=sum(r.n_correct for r in reports) / sum(r.n_evaluated for r in reports),
+        per_video_mof=per_video_mof,
+        mapped=mapped,
+    )

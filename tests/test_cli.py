@@ -12,7 +12,7 @@ import pytest
 from protoseg import cli
 from protoseg.checkpoint import load_checkpoint
 from protoseg.cli import _read_segment_file, _write_segment_file, main
-from protoseg.data import FEATURE_MAGIC, GT_MAGIC, _write_array, read_corpus
+from protoseg.data import FEATURE_MAGIC, GT_MAGIC, CorpusError, _write_array, read_corpus
 from protoseg.inference import naive_labels
 from protoseg.matching import VideoEval, match_at_level
 from protoseg.model import infer
@@ -96,7 +96,7 @@ class TestPipeline:
         monkeypatch.setattr(sys, "dont_write_bytecode", True)
         tracing = importlib.import_module("tracing")
         missing = [f"{module}.{attr}" for module, attr, _ in tracing.TARGETS
-                   if not hasattr(importlib.import_module(module), attr)]
+                   if not callable(getattr(importlib.import_module(module), attr, None))]
         assert tracing.TARGETS and missing == []
         assert callable(importlib.import_module("protoseg.autodiff").Tape.backward)
 
@@ -179,6 +179,15 @@ class TestErrors:
     def test_unknown_command_exits_2(self, capsys):
         assert run(["transmogrify"]) == 2
         assert capsys.readouterr().err.startswith("error: usage:")
+
+    def test_config_not_utf8_is_named_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"threads": 1\xff}')
+        assert run(["generate", "--config", bad, "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: unparseable config {bad}: ")
+        assert "utf-8" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -350,6 +359,33 @@ class TestSegmentFiles:
         back = _read_segment_file(path)
         assert back.dtype == np.int64 and np.array_equal(back, labels)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["-1\n1\n999999999999999999\n", "999999999999999999\n", "-1\n", "1\n",
+         "".join(f"{i}\n" for i in [3, -1, 1, 50, 999999999999999999, 1, -1] * 40)],
+        ids=["all-three", "eighteen-digits", "background-only", "one", "long"],
+    )
+    def test_parse_equals_split(self, tmp_path, text):
+        path = tmp_path / "v.seg.txt"
+        path.write_bytes(text.encode("ascii"))
+        expected = np.array(text.encode("ascii").split(), dtype=np.int64)
+        back = _read_segment_file(path)
+        assert back.dtype == expected.dtype and np.array_equal(back, expected)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "\n", "1", "1\n\n", "\n1\n", "0\n", "-0\n", "-2\n", "01\n", "+3\n", " 7\n",
+         "7 \n", "1_0\n", "1 2\n", "x\n", "1.0\n", "1e3\n", "1\r\n", "1000000000000000000\n"],
+    )
+    def test_malformed_is_refused_with_one_line(self, tmp_path, text):
+        path = tmp_path / "v.seg.txt"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(CorpusError) as raised:
+            _read_segment_file(path)
+        assert str(raised.value) == (
+            f"{path}: expected one prototype id >= 1, or -1 for background, on each line"
+        )
+
     def test_shorter_labeling_leaves_no_stale_tail(self, tmp_path):
         path = tmp_path / "v.seg.txt"
         _write_segment_file(path, np.full(12, 40))
@@ -456,6 +492,44 @@ class TestBadInputFiles:
         _one_line_runtime_error(capsys, "CorpusError", bad)
         assert not list(tmp_path.rglob("*.seg.txt"))
         assert not list(manifest.parent.parent.rglob("escaped*"))
+
+    def test_manifest_not_utf8_is_named_corpus_error(self, trained, tmp_path, capsys):
+        cfg_path, _, _ = trained
+        bad = tmp_path / "manifest.json"
+        bad.write_bytes(b'{"C": 2\xff}')
+        out_dir = tmp_path / "out"
+        code = run(["train", "--config", cfg_path, "--manifest", bad, "--out-dir", out_dir,
+                    "--checkpoint", out_dir / "model.ckpt"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: runtime: CorpusError: {bad}: unparseable manifest: ")
+        assert "utf-8" in err and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command, broken",
+        [("train", "manifest"), ("segment", "checkpoint"), ("recognize", "manifest"),
+         ("recognize", "checkpoint")],
+    )
+    def test_failed_stage_leaves_no_output_directory(
+        self, trained, tmp_path, capsys, command, broken
+    ):
+        cfg_path, manifest, ckpt = trained
+        if broken == "manifest":
+            text = json.loads(manifest.read_text())
+            text["videos"][0]["feature_file"] = "features/missing.feat"
+            manifest = manifest.with_name(f"bad_{tmp_path.name}.json")
+            manifest.write_text(json.dumps(text))
+        else:
+            truncated = tmp_path / "model.ckpt"
+            truncated.write_bytes(ckpt.read_bytes()[:100])
+            ckpt = truncated
+        out_dir = tmp_path / "new" / "out"
+        code = run([command, "--config", cfg_path, "--manifest", manifest,
+                    "--out-dir", out_dir, "--checkpoint", ckpt])
+        assert code == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "new").exists()
 
     def test_mixed_feature_dims_is_named_corpus_error(self, trained, tmp_path, capsys):
         cfg_path, manifest, ckpt = trained

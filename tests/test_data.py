@@ -225,6 +225,41 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="not found"):
             read_corpus(tmp_path / "nope" / "manifest.json")
 
+    @pytest.mark.parametrize("kind", ["features", "gt"])
+    def test_each_damage_has_its_message(self, tmp_path, kind):
+        corpus = generate_corpus(small_spec(videos_per_activity=1, frames_range=(3, 4)))
+        manifest = write_corpus(corpus, tmp_path)
+        suffix, header, what = (
+            ("feat", 12, "feature values") if kind == "features" else ("gt", 8, "action ids")
+        )
+        path = tmp_path / kind / f"{corpus.videos[0].video_id}.{suffix}"
+        blob = path.read_bytes()
+
+        def message(damaged):
+            if damaged is None:
+                path.unlink()
+            else:
+                path.write_bytes(damaged)
+            with pytest.raises(CorpusError) as raised:
+                read_corpus(manifest)
+            return str(raised.value)
+
+        for cut in range(len(blob)):
+            part = "magic" if cut < 4 else "header" if cut < 4 + header else what
+            assert message(blob[:cut]) == f"{path}: truncated while reading {part}"
+        assert message(blob + b"\0") == f"{path}: trailing bytes after {what}"
+        bad = blob[:4] + struct.pack("<I", 2) + blob[8:]
+        assert message(bad) == f"{path}: unsupported {blob[:4].decode()} format version 2"
+        assert message(b"NOPE" + blob[4:]) == f"{path}: bad magic b'NOPE', expected {blob[:4]!r}"
+        assert message(None) == f"{path}: referenced by manifest but missing"
+
+    def test_manifest_not_utf8(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"C": 2\xff}')
+        with pytest.raises(CorpusError) as raised:
+            read_corpus(manifest)
+        assert str(raised.value).startswith(f"{manifest}: unparseable manifest: ")
+
 
 class TestFeatureSequence:
     def test_gt_length_validated(self):

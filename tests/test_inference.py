@@ -14,7 +14,10 @@ from protoseg.inference import (
     recognize_activity,
     segment_corpus,
     viterbi_decode,
+    viterbi_decode_batch,
 )
+
+from conftest import per_video_viterbi
 
 
 class TestNaiveLabels:
@@ -189,6 +192,48 @@ class TestViterbi:
     def test_rejects_unknown_ordering_id(self):
         with pytest.raises(ValueError):
             viterbi_decode(np.ones((3, 2)), [1, 9], [1, 2])
+
+
+class TestViterbiBatch:
+    """The batched recursion against the one-video loop it replaced."""
+
+    def test_equals_per_video_loop(self):
+        rng = np.random.default_rng(31)
+        for k in range(1, 9):
+            for _ in range(12):
+                column_ids = np.arange(1, k + 3) * 7
+                ordering = rng.permutation(column_ids)[:k]
+                affinities = []
+                for _ in range(int(rng.integers(1, 10))):
+                    t = 1 if rng.random() < 0.25 else int(rng.integers(2, 80))
+                    a = rng.uniform(size=(t, k + 2))
+                    a[rng.random(a.shape) < 0.3] = 0.0  # exact zeros tie after the clamp
+                    if rng.random() < 0.15:
+                        a[:] = 0.0  # every path ties
+                    affinities.append(a)
+                got = viterbi_decode_batch(affinities, ordering, column_ids)
+                assert len(got) == len(affinities)
+                for a, labels in zip(affinities, got):
+                    expected = per_video_viterbi(a, ordering, column_ids)
+                    assert labels.dtype == np.int64 and np.array_equal(labels, expected)
+                    assert np.array_equal(viterbi_decode(a, ordering, column_ids), expected)
+
+    def test_segment_corpus_decodes_each_video_as_alone(self):
+        rng = np.random.default_rng(32)
+        affinities, activities = {}, {}
+        for i in range(9):
+            raw = rng.uniform(size=(int(rng.integers(1, 40)), 6))
+            raw[rng.random(raw.shape) < 0.3] = 0.0
+            raw[:, 0] += 1e-3
+            affinities[f"v{i}"] = raw / raw.sum(axis=1, keepdims=True)
+            activities[f"v{i}"] = 1 + i % 3
+        got = segment_corpus(affinities, activities, scope="activity", n_keep=4, decode=True)
+        for activity in (1, 2, 3):
+            vids = sorted(v for v in affinities if activities[v] == activity)
+            kept, reduced = activity_reduce([affinities[v] for v in vids], 4)
+            order = action_ordering([kept[np.argmax(a, axis=1)] for a in reduced], kept)
+            for vid, a in zip(vids, reduced):
+                assert np.array_equal(got[vid], per_video_viterbi(a, order, kept))
 
 
 class TestBackgroundMask:

@@ -5,8 +5,7 @@ import pytest
 
 from protoseg.matching import (
     VideoEval,
-    _runs,
-    apply_assignment,
+    _run_bounds,
     build_contingency,
     corpus_f1,
     f1_segments,
@@ -18,7 +17,15 @@ from protoseg.matching import (
     smoothed_distribution,
 )
 
-from conftest import add_at_contingency, brute_force_assignment_value, loop_runs
+from conftest import (
+    add_at_contingency,
+    apply_assignment,
+    brute_force_assignment_value,
+    loop_runs,
+    per_unit_match,
+    per_video_f1,
+    split_runs,
+)
 
 
 class TestContingency:
@@ -301,6 +308,13 @@ def _random_runs_cases(rng, n):
     return cases
 
 
+def _runs(labels, keep):
+    """One video's runs from the flat run finder, as (label, start, end)."""
+    labels, keep = np.asarray(labels), np.asarray(keep, dtype=bool)
+    starts, ends = _run_bounds(labels, keep, np.arange(len(labels)) == 0)
+    return list(zip(labels[starts].tolist(), starts.tolist(), ends.tolist()))
+
+
 class TestRuns:
     def test_matches_loop_oracle(self):
         cases = _random_runs_cases(np.random.default_rng(12), 240)
@@ -312,6 +326,18 @@ class TestRuns:
         labels = np.array([0, 0, 1, 1, 1, 2])
         keep = np.array([1, 1, 1, 0, 1, 1], dtype=bool)
         assert _runs(labels, keep) == [(0, 0, 2), (1, 2, 3), (1, 4, 5), (2, 5, 6)]
+
+    def test_corpus_runs_are_each_videos_runs(self):
+        cases = _random_runs_cases(np.random.default_rng(13), 60)
+        labels = np.concatenate([labels for labels, _ in cases])
+        keep = np.concatenate([keep for _, keep in cases])
+        offsets = np.cumsum([0] + [len(labels) for labels, _ in cases])
+        first = np.isin(np.arange(len(labels)), offsets[:-1])
+        starts, ends = _run_bounds(labels, keep, first)
+        expected = [(label, start + offset, end + offset)
+                    for (lab, kp), offset in zip(cases, offsets)
+                    for label, start, end in split_runs(lab, kp)]
+        assert list(zip(labels[starts].tolist(), starts.tolist(), ends.tolist())) == expected
 
 
 class TestF1Segments:
@@ -409,6 +435,83 @@ class TestKL:
     def test_sharing_self_zero(self):
         matrix, _ = kl_prototype_sharing({1: [np.array([1, 2])]}, 3)
         assert matrix.shape == (1, 1) and matrix[0, 0] == 0.0
+
+
+PROTOTYPE_999 = 999999999999999999
+
+
+def _random_scoring_corpus(rng):
+    """VideoEvals with -1 masks, 0 background, one-video activities and huge ids."""
+    videos = []
+    for i in range(int(rng.integers(1, 9))):
+        t = 1 if rng.random() < 0.2 else int(rng.integers(2, 60))
+        ids = rng.choice([1, 2, 3, 7, 50, PROTOTYPE_999], size=int(rng.integers(1, 5)),
+                         replace=False)
+        pred = rng.choice(ids, size=t)
+        gt = rng.integers(0, int(rng.integers(2, 6)), size=t)
+        activity = 100 + i if rng.random() < 0.3 else int(rng.choice([1, 2, 10]))
+        videos.append(_video(f"v{i}", activity, pred, gt, rng.random(t) < 0.15))
+    return videos
+
+
+def _same_match(got, expected):
+    def mofs(result):
+        return {vid: "nan" if math.isnan(m) else m for vid, m in result.per_video_mof.items()}
+
+    return (
+        got.scope == expected.scope
+        and got.mof == expected.mof
+        and [vars(r) for r in got.reports] == [vars(r) for r in expected.reports]
+        and list(mofs(got).items()) == list(mofs(expected).items())
+        and list(got.mapped) == list(expected.mapped)
+        and all(got.mapped[vid].dtype == expected.mapped[vid].dtype
+                and np.array_equal(got.mapped[vid], expected.mapped[vid]) for vid in got.mapped)
+    )
+
+
+class TestFlatScoringOracles:
+    """The flat matching and F1 against the per-unit, per-video loops they replaced."""
+
+    def test_match_at_level_equals_per_unit_loop(self):
+        rng = np.random.default_rng(21)
+        compared = 0
+        for _ in range(150):
+            videos = _random_scoring_corpus(rng)
+            for scope in ("video", "activity", "global"):
+                try:
+                    expected = per_unit_match(videos, scope)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as raised:
+                        match_at_level(videos, scope)
+                    assert str(raised.value) == str(exc)
+                    continue
+                assert _same_match(match_at_level(videos, scope), expected)
+                compared += 1
+        assert compared >= 200
+
+    def test_prototype_999_is_matched_without_a_table_by_id(self):
+        v = _video("v", 1, [PROTOTYPE_999] * 3 + [2] * 2, [4, 4, 4, 0, 5])
+        result = match_at_level([v], "video")
+        assert result.reports[0].assignment == [(2, 5), (PROTOTYPE_999, 4)]
+        assert _same_match(result, per_unit_match([v], "video"))
+
+    def test_corpus_f1_equals_per_video_loop(self):
+        rng = np.random.default_rng(22)
+        for _ in range(150):
+            videos = _random_scoring_corpus(rng)
+            try:
+                mapped = per_unit_match(videos, "global").mapped
+            except ValueError:
+                continue
+            expected = np.mean([per_video_f1(mapped[v.video_id], v.gt, v.evaluated())
+                                for v in videos])
+            assert corpus_f1(videos, mapped) == expected
+
+    def test_f1_segments_equals_per_video_loop(self):
+        rng = np.random.default_rng(23)
+        for labels, keep in _random_runs_cases(rng, 300):
+            mapped = rng.integers(0, 4, size=len(labels))
+            assert f1_segments(mapped, labels, keep) == per_video_f1(mapped, labels, keep)
 
 
 class TestApplyAssignment:
