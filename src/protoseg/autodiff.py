@@ -20,14 +20,14 @@ freed as soon as nothing else refers to it.
 `pairwise_distance` works in Gram form: its memory grows with
 T*N + (T+N)*D rather than T*N*D, and its arithmetic runs as matrix products.
 
-`affinity`, `tmse`, `mean_latent`, `softmax_affine` and `bce` are fused
-chains: each is one tape record whose forward and backward run the
-arithmetic of the primitives it replaces, in the same order.  Where
+`linear`, `affinity`, `tmse`, `mean_latent`, `softmax_affine` and `bce`
+are fused chains: each is one tape record whose forward and backward run
+the arithmetic of the primitives it replaces, in the same order.  Where
 several of the chain's records add into one operand, the fused backward
 adds in their order, so its value and gradients are bitwise those of the
-chain.  A training video takes 15 records.  `relu`, `softmax`, `mul`,
-`clamped_log` and the affinity's and T-MSE's stages stay defined as
-standalone primitives, though `src/` no longer calls them.
+chain.  A training video takes 14 records.  `matmul`, `add`, `relu`,
+`softmax`, `mul`, `clamped_log` and the affinity's and T-MSE's stages
+stay defined as standalone primitives, though `src/` no longer calls them.
 """
 from __future__ import annotations
 
@@ -356,6 +356,26 @@ def matmul(a: Var, b: Var) -> Var:
     return a.tape._record(_checked("matmul", a.value @ b.value), (a, b), bw)
 
 
+def linear(x: Var, w: Var, b: Var) -> Var:
+    """x·W + b for a 2D x and a bias of W's width, as one record: the chain
+    matmul -> add, with the bias added into the product in place."""
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]:
+        raise ValueError(f"linear needs matching matrices: {x.value.shape} x {w.value.shape}")
+    value = _checked("matmul", x.value @ w.value)
+    value += b.value
+    _checked("add", value)
+
+    def bw(g):
+        if b.needs_grad:
+            b.accumulate(_unbroadcast(g, b.value.shape))
+        if x.needs_grad:
+            x.accumulate(g @ w.value.T)
+        if w.needs_grad:
+            w.accumulate(x.value.T @ g)
+
+    return x.tape._record(value, (x, w, b), bw)
+
+
 def vsum(a: Var) -> Var:
     return _unary("vsum", a, _vsum_kernel)
 
@@ -517,8 +537,11 @@ def mean_latent(a: Var, vp: Var, p: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> 
     pre = _checked("matmul", av @ p_w1)
     pre += b1.value
     _checked("add", pre)
-    # relu, and the 1/T scale of a finite sum, keep finite values finite
-    hidden, relu_vjp = _relu_kernel(pre)
+    # relu, and the 1/T scale of a finite sum, keep finite values finite.
+    # The relu overwrites `pre`, with +0.0 where pre <= 0, as `_relu_kernel` gives.
+    mask = pre > 0.0
+    np.copyto(pre, 0.0, where=~mask)
+    hidden, relu_vjp = pre, lambda g: g * mask
     vp_mean, vp_vjp = _scale_kernel(vp.value, c)
     g0 = _checked("matmul", _checked("scale", vp_mean) @ pv)
     hidden_mean, mean_vjp = _scale_kernel(_checked("axis0_sum", hidden.sum(axis=0)), c)

@@ -208,7 +208,7 @@ def _sha256_file(path: Path) -> str:
 def _load_checkpoint_for(ckpt_path: Path, corpus: Corpus, manifest: Path) -> Checkpoint:
     """Load a checkpoint and check that it takes the corpus's feature dimension."""
     ckpt = load_checkpoint(ckpt_path)
-    dim = corpus.videos[0].features.shape[1]
+    dim = corpus.videos[0].feature_dim
     if ckpt.model.input_dim != dim:
         raise ValueError(
             f"checkpoint {ckpt_path} takes feature dim {ckpt.model.input_dim}, "
@@ -217,16 +217,21 @@ def _load_checkpoint_for(ckpt_path: Path, corpus: Corpus, manifest: Path) -> Che
     return ckpt
 
 
-def _affinities(corpus: Corpus, ckpt: Checkpoint, threads: int):
-    """Affinity matrix and head probabilities per video id, in corpus order.
+def _infer_corpus(corpus: Corpus, ckpt: Checkpoint, threads: int, keep=lambda out: out[0]):
+    """`keep` of each video's `model.infer` outputs, by video id in corpus order.
 
-    Each worker runs one task: a contiguous shard of the videos.
+    By default that is the affinity matrix.  Each worker runs one task, a
+    contiguous shard of the videos, and reads a video's features only for
+    its forward pass, so it holds one video's features at a time.
     """
     videos = corpus.videos
     cuts = [len(videos) * i // threads for i in range(threads + 1)]
 
     def run(shard):
-        return [(v.video_id, model_mod.infer(v.features, ckpt.params, ckpt.model)) for v in shard]
+        return [
+            (v.video_id, keep(model_mod.infer(v.features, ckpt.params, ckpt.model)))
+            for v in shard
+        ]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         shards = pool.map(run, (videos[a:b] for a, b in zip(cuts, cuts[1:])))
@@ -281,13 +286,13 @@ def _cmd_train(cfg: dict) -> int:
     model_cfg = _build(
         "model",
         ModelConfig,
-        input_dim=corpus.videos[0].features.shape[1],
+        input_dim=corpus.videos[0].feature_dim,
         n_activities=corpus.n_activities,
         **cfg["model"],
     )
-    out = _out_dir(cfg)
     _keep_freed_heap()
     result = trainer_mod.train(corpus.videos, model_cfg, train_cfg, loss_cfg)
+    out = _out_dir(cfg)  # only now: training has read every feature file
     ckpt_path = cfg["paths"]["checkpoint"] or str(out / "model.ckpt")
     save_checkpoint(
         Checkpoint(
@@ -344,19 +349,18 @@ def _cmd_segment(cfg: dict) -> int:
     corpus = read_corpus(manifest)
     n_keep = _nprime_by_activity(cfg, corpus, manifest) if scope == "activity" else None
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
-    out = _out_dir(cfg)
     # hashlib releases the GIL on large updates, so the digests are taken
     # on a worker thread while inference runs
     with ThreadPoolExecutor(max_workers=1) as hasher:
         digests = hasher.map(_sha256_file, (manifest, ckpt_path))
-        affinities = _affinities(corpus, ckpt, cfg["threads"])
+        affinities = _infer_corpus(corpus, ckpt, cfg["threads"])
         manifest_sha256, checkpoint_sha256 = digests
-    affinity_only = {vid: a for vid, (a, _, _) in affinities.items()}
+    out = _out_dir(cfg)  # only now: inference has read every feature file
     activities = {v.video_id: v.activity for v in corpus.videos}
     smooth = scope == "activity" and cfg["infer"]["smooth"]
     decode = scope == "activity" and cfg["infer"]["decode"]
     labelings = inference.segment_corpus(
-        affinity_only,
+        affinities,
         activities,
         scope=scope,
         smooth=smooth,
@@ -461,10 +465,10 @@ def _cmd_eval(cfg: dict) -> int:
     if cfg["eval"]["f1"]:
         report["f1"] = matching.corpus_f1(videos, result.mapped)
     if ckpt is not None:
-        affinities = _affinities(corpus, ckpt, cfg["threads"])
+        affinities = _infer_corpus(corpus, ckpt, cfg["threads"])
         by_activity = {}
         for video in corpus.videos:
-            labels = inference.naive_labels(affinities[video.video_id][0])
+            labels = inference.naive_labels(affinities[video.video_id])
             by_activity.setdefault(video.activity, []).append(labels)
         sharing, activity_ids = matching.kl_prototype_sharing(
             by_activity, ckpt.model.n_prototypes
@@ -498,13 +502,14 @@ def _cmd_recognize(cfg: dict) -> int:
     ckpt_path = _require_path(cfg, "checkpoint")
     corpus = read_corpus(manifest)
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
-    out = _out_dir(cfg)
     wp, wg = cfg["recognize"]["wp"], cfg["recognize"]["wg"]
-    outputs = _affinities(corpus, ckpt, cfg["threads"])
+    # the two head-probability vectors of each video; its affinity is not kept
+    probs = _infer_corpus(corpus, ckpt, cfg["threads"], keep=lambda out: out[1:])
+    out = _out_dir(cfg)  # only now: inference has read every feature file
     rows = []
     correct = 0
     for video in corpus.videos:
-        _, yp, yg = outputs[video.video_id]
+        yp, yg = probs[video.video_id]
         pred = inference.recognize_activity(yp, yg, wp, wg)
         rows.append((video.video_id, video.activity, pred))
         correct += int(pred == video.activity)

@@ -2,7 +2,8 @@
 
 Feature files store float32 ("CADF"), ground truth stores u32 action ids
 with 0 = background ("CADG"); a JSON manifest ties a corpus together.
-Features are promoted to float64 when read.
+Features are promoted to float64 when read; a corpus read from a manifest
+reads each video's features when they are used.
 """
 from __future__ import annotations
 
@@ -32,30 +33,63 @@ class CorpusError(Exception):
     """Malformed corpus file or infeasible generator settings."""
 
 
-@dataclass
+@dataclass(frozen=True)
+class FeatureFile:
+    """A feature file whose header and size `read_corpus` has checked."""
+
+    path: Path
+    shape: tuple  # (T, d), from the header
+
+    def read(self) -> np.ndarray:
+        """The file's values as float64, checked again as `read_corpus` checked them."""
+        shape, values = _read_array(self.path, FEATURE_MAGIC, "<f4", 2, "feature values")
+        if shape != self.shape:
+            raise CorpusError(f"{self.path}: now holds {shape[0]} x {shape[1]} features, "
+                              f"not the {self.shape[0]} x {self.shape[1]} read before")
+        return values.astype(np.float64)
+
+
 class FeatureSequence:
-    """One video: frame features plus activity and optional frame actions."""
+    """One video: frame features plus activity and optional frame actions.
 
-    video_id: str
-    activity: int  # 1-based activity class
-    features: np.ndarray  # T x d_raw float64 (promoted from stored float32)
-    gt_actions: np.ndarray | None = None  # T action ids, 1-based, 0 = background
+    `features` is given as a T x d array, which is kept as float64, or as
+    the `FeatureFile` that `read_corpus` checked.  Then each use of
+    `.features` reads the file's float32 values, promoted to float64, and
+    nothing keeps them: a corpus read from a manifest holds only its
+    ground truth, and each stage holds a video's features while it uses
+    them.  `n_frames` and `feature_dim` come from the header.
+    """
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError(f"video {self.video_id!r}: features must be T x d, T >= 1")
-        if self.gt_actions is not None:
-            self.gt_actions = np.asarray(self.gt_actions, dtype=np.int64)
-            if self.gt_actions.shape != (self.features.shape[0],):
+    def __init__(self, video_id: str, activity: int, features, gt_actions=None):
+        if not isinstance(features, FeatureFile):
+            features = np.asarray(features, dtype=np.float64)
+        if len(features.shape) != 2 or features.shape[0] < 1:
+            raise ValueError(f"video {video_id!r}: features must be T x d, T >= 1")
+        if gt_actions is not None:
+            gt_actions = np.asarray(gt_actions, dtype=np.int64)
+            if gt_actions.shape != features.shape[:1]:
                 raise ValueError(
-                    f"video {self.video_id!r}: ground truth length "
-                    f"{self.gt_actions.shape} does not match T={self.features.shape[0]}"
+                    f"video {video_id!r}: ground truth length "
+                    f"{gt_actions.shape} does not match T={features.shape[0]}"
                 )
+        self.video_id = video_id
+        self.activity = activity  # 1-based activity class
+        self.gt_actions = gt_actions  # T action ids, 1-based, 0 = background
+        self._features = features
+
+    @property
+    def features(self) -> np.ndarray:
+        """T x d float64; read from the file at each use for a `FeatureFile`."""
+        features = self._features
+        return features.read() if isinstance(features, FeatureFile) else features
 
     @property
     def n_frames(self) -> int:
-        return self.features.shape[0]
+        return self._features.shape[0]
+
+    @property
+    def feature_dim(self) -> int:
+        return self._features.shape[1]
 
 
 @dataclass
@@ -268,32 +302,49 @@ def read_exact(f, n: int, what: str, truncated) -> bytes:
     return data
 
 
-def _read_array(path: Path, magic: bytes, dtype: str, ndim: int, what: str) -> np.ndarray:
-    """The `ndim`-d array `_write_array` wrote, from one read of the file.
+def _read_array(path: Path, magic: bytes, dtype: str, ndim: int, what: str, values=True):
+    """The shape of the `ndim`-d array `_write_array` wrote, and with `values` the array.
 
-    Each CorpusError names `path` first.
+    The header, and the file's size against it, are checked either way;
+    floating-point values must be finite.  Each CorpusError names `path`
+    first, and for a non-finite value gives its byte offset.
     """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise CorpusError(f"{path}: referenced by manifest but missing") from None
     header = f"<{1 + ndim}I"
     start = 4 + struct.calcsize(header)
-    if len(data) < 4:
-        raise CorpusError(f"{path}: truncated while reading magic")
-    if data[:4] != magic:
-        raise CorpusError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
-    if len(data) < start:
-        raise CorpusError(f"{path}: truncated while reading header")
-    version, *shape = struct.unpack_from(header, data, 4)
-    if version != FORMAT_VERSION:
-        raise CorpusError(f"{path}: unsupported {magic.decode()} format version {version}")
-    end = start + math.prod(shape) * np.dtype(dtype).itemsize
-    if len(data) < end:
+    try:
+        f = open(path, "rb")
+    except FileNotFoundError:
+        raise CorpusError(f"{path}: referenced by manifest but missing") from None
+    with f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(start)
+        if len(head) < 4:
+            raise CorpusError(f"{path}: truncated while reading magic")
+        if head[:4] != magic:
+            raise CorpusError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+        if len(head) < start:
+            raise CorpusError(f"{path}: truncated while reading header")
+        version, *shape = struct.unpack_from(header, head, 4)
+        if version != FORMAT_VERSION:
+            raise CorpusError(f"{path}: unsupported {magic.decode()} format version {version}")
+        n_bytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if size < start + n_bytes:
+            raise CorpusError(f"{path}: truncated while reading {what}")
+        if size > start + n_bytes:
+            raise CorpusError(f"{path}: trailing bytes after {what}")
+        if not values:
+            return tuple(shape), None
+        data = f.read(n_bytes)
+    if len(data) != n_bytes:  # the file shrank since its size was taken
         raise CorpusError(f"{path}: truncated while reading {what}")
-    if len(data) > end:
-        raise CorpusError(f"{path}: trailing bytes after {what}")
-    return np.frombuffer(data, dtype=dtype, offset=start).reshape(shape)
+    array = np.frombuffer(data, dtype=dtype).reshape(shape)
+    # a float64 sum of float32 values overflows only past 10**270 of them,
+    # so it is finite exactly when they all are
+    if array.dtype.kind == "f" and not math.isfinite(array.sum(dtype=np.float64)):
+        bad = int(np.flatnonzero(~np.isfinite(array))[0])
+        offset = start + bad * array.itemsize
+        raise CorpusError(f"{path}: non-finite value in {what} (byte offset {offset})")
+    return tuple(shape), array
 
 
 def write_corpus(corpus: Corpus, out_dir) -> Path:
@@ -345,7 +396,7 @@ def _check_manifest(manifest, path: Path) -> None:
         if not isinstance(manifest, dict) or key not in manifest:
             raise CorpusError(f"{path}: manifest has no {key!r}")
     n_activities = manifest["C"]
-    if not isinstance(n_activities, int) or n_activities < 1:
+    if type(n_activities) is not int or n_activities < 1:
         raise CorpusError(f"{path}: 'C' must be a positive integer, got {n_activities!r}")
     videos = manifest["videos"]
     if not isinstance(videos, list) or not videos:
@@ -362,14 +413,22 @@ def _check_manifest(manifest, path: Path) -> None:
             raise CorpusError(f"{path}: duplicate video id {vid!r}")
         seen.add(vid)
         activity = entry["activity"]
-        if not isinstance(activity, int) or not 1 <= activity <= n_activities:
+        if type(activity) is not int or not 1 <= activity <= n_activities:
             raise CorpusError(
                 f"{path}: video {vid!r} activity {activity!r} outside [1, {n_activities}]"
+            )
+        frames = entry["T"]
+        if type(frames) is not int or frames < 1:
+            raise CorpusError(
+                f"{path}: video {vid!r} 'T' must be a positive integer, got {frames!r}"
             )
 
 
 def read_corpus(manifest_path) -> Corpus:
-    """Load a corpus; validates magic numbers, manifest shapes and feature dims."""
+    """Load a corpus: the manifest, every file's header and size, and the ground truth.
+
+    Feature values are read where they are used (see `FeatureSequence`).
+    """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise CorpusError(f"{manifest_path}: manifest not found")
@@ -382,21 +441,22 @@ def read_corpus(manifest_path) -> Corpus:
     videos = []
     for entry in manifest["videos"]:
         feature_path = base / entry["feature_file"]
-        features = _read_array(feature_path, FEATURE_MAGIC, "<f4", 2, "feature values")
-        features = features.astype(np.float64)
-        if features.shape[0] != entry["T"]:
+        shape, _ = _read_array(
+            feature_path, FEATURE_MAGIC, "<f4", 2, "feature values", values=False
+        )
+        if shape[0] != entry["T"]:
             raise CorpusError(
-                f"{feature_path}: has {features.shape[0]} frames, manifest says {entry['T']}"
+                f"{feature_path}: has {shape[0]} frames, manifest says {entry['T']}"
             )
-        if videos and features.shape[1] != videos[0].features.shape[1]:
+        if videos and shape[1] != videos[0].feature_dim:
             raise CorpusError(
-                f"{feature_path}: video {entry['id']!r} has feature dim {features.shape[1]}, "
-                f"but video {videos[0].video_id!r} has {videos[0].features.shape[1]}"
+                f"{feature_path}: video {entry['id']!r} has feature dim {shape[1]}, "
+                f"but video {videos[0].video_id!r} has {videos[0].feature_dim}"
             )
         gt = None
         if entry.get("gt_file"):
             gt_path = base / entry["gt_file"]
-            gt = _read_array(gt_path, GT_MAGIC, "<u4", 1, "action ids").astype(np.int64)
+            _, gt = _read_array(gt_path, GT_MAGIC, "<u4", 1, "action ids")
             if len(gt) != entry["T"]:
                 raise CorpusError(
                     f"{gt_path}: has {len(gt)} frames, manifest says {entry['T']}"
@@ -405,7 +465,7 @@ def read_corpus(manifest_path) -> Corpus:
             FeatureSequence(
                 video_id=entry["id"],
                 activity=int(entry["activity"]),
-                features=features,
+                features=FeatureFile(feature_path, shape),
                 gt_actions=gt,
             )
         )

@@ -9,9 +9,9 @@ activity classifier head.  Only the mean of g is ever read, so it is
 computed in reassociated form and g itself is never built; the latent
 path then costs T·N·d + N·d² per video instead of T·N·d + 2·T·d².
 
-A training video records 7 tape operations: the embedding's product and
-bias, the fused affinity, V^p's time sum, the fused mean latent, and one
-fused softmax(v·W + b) per head; the losses add 8 more.
+A training video records 6 tape operations: the fused embedding x·W + b,
+the fused affinity, V^p's time sum, the fused mean latent, and one fused
+softmax(v·W + b) per head; the losses add 8 more.
 """
 from __future__ import annotations
 
@@ -113,7 +113,7 @@ def embed_frames(x: Var, w: Var, b: Var) -> Var:
         raise ValueError(
             f"feature dim {x.value.shape[1]} does not match embedding input {w.value.shape[0]}"
         )
-    return ad.matmul(x, w) + b
+    return ad.linear(x, w, b)
 
 
 def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardOutputs:

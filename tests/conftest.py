@@ -164,6 +164,11 @@ def two_log_bce(probs, target):
     return ad.scale(ad.vsum(ad.add(pos, neg)), -1.0)
 
 
+def unfused_linear(x, w, b):
+    """Oracle: `autodiff.linear`, the input embedding, as two records: matmul -> add."""
+    return ad.matmul(x, w) + b
+
+
 def unfused_affinity(f, p):
     """Oracle: `autodiff.affinity` as three records, distance -> min-max
     inversion -> row normalisation."""

@@ -10,6 +10,7 @@ from conftest import (
     run_gradcheck_case,
     unfused_activity_loss,
     unfused_affinity,
+    unfused_linear,
     unfused_mean_latent,
     unfused_softmax_affine,
     unfused_tmse,
@@ -229,6 +230,22 @@ class TestFusedPrimitives:
 
     NEEDS = ((True, True), (True, False), (False, True))
 
+    def test_linear_matches_unfused_chain_bitwise(self):
+        rng = np.random.default_rng(28)
+        for case in range(300):
+            t, k, d = (int(rng.integers(1, m)) for m in (12, 40, 9))
+            x, w, b = rng.normal(size=(t, k)), rng.normal(size=(k, d)), rng.normal(size=d)
+            if case % 4 == 0:
+                x = np.asfortranarray(x)
+            r = rng.normal(size=(t, d))
+            needs = (True,) * 3 if case % 2 == 0 else _needs(rng, 3)
+            fused, oracle = (
+                _value_and_grads(fn, (x, w, b), needs, lambda out: ad.vsum(ad.mul(out, r)))
+                for fn in (ad.linear, unfused_linear)
+            )
+            for got, want in zip(fused, oracle):
+                assert np.array_equal(got, want), case
+
     def test_affinity_matches_unfused_chain_bitwise(self):
         rng = np.random.default_rng(21)
         seen = {"on_prototype": 0, "constant_row": 0, "tie": 0}
@@ -339,6 +356,13 @@ class TestFusedPrimitives:
             (ad.softmax_affine, unfused_softmax_affine, (bad_v, w, b), "matmul"),
             (ad.softmax_affine, unfused_softmax_affine, (v, w, bad_b), "add"),
         ]
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+        bad_x, bad_b = x.copy(), b.copy()
+        bad_x[3, 0] = bad_b[1] = bad
+        cases += [
+            (ad.linear, unfused_linear, (bad_x, w, b), "matmul"),
+            (ad.linear, unfused_linear, (x, w, bad_b), "add"),
+        ]
         target = one_hot(2, 3)
         cases.append((lambda q: ad.bce(q, target, PROB_EPS),
                       lambda q: unfused_activity_loss(q, target), ([0.2, bad, 0.3],), "mul"))
@@ -355,14 +379,16 @@ class TestFusedPrimitives:
     def test_one_record_each(self):
         rng = np.random.default_rng(24)
         tape = Tape()
-        a = ad.affinity(tape.var(rng.normal(size=(5, 3))), tape.var(rng.normal(size=(4, 3))))
+        f = ad.linear(tape.var(rng.normal(size=(5, 2))), tape.var(rng.normal(size=(2, 3))),
+                      tape.var(rng.normal(size=3)))
+        a = ad.affinity(f, tape.var(rng.normal(size=(4, 3))))
         ad.tmse(a, LOG_EPS, 4.0)
         vp = ad.axis0_sum(a)
         d = (tape.var(rng.normal(size=s)) for s in ((4, 3), (3, 3), 3, (3, 3), 3))
         vg = ad.mean_latent(a, vp, *d)
         ad.bce(ad.softmax_affine(vg, tape.var(rng.normal(size=(3, 2))), tape.var(np.zeros(2))),
                one_hot(1, 2), PROB_EPS)
-        assert len(tape._records) == 6
+        assert len(tape._records) == 7
 
     def test_tmse_rejects_nonpositive_eps_or_tau(self):
         tape = Tape()

@@ -509,15 +509,24 @@ class TestBadInputFiles:
     @pytest.mark.parametrize(
         "command, broken",
         [("train", "manifest"), ("segment", "checkpoint"), ("recognize", "manifest"),
-         ("recognize", "checkpoint")],
+         ("recognize", "checkpoint"), ("train", "nan"), ("segment", "nan"),
+         ("recognize", "nan")],
     )
     def test_failed_stage_leaves_no_output_directory(
         self, trained, tmp_path, capsys, command, broken
     ):
         cfg_path, manifest, ckpt = trained
-        if broken == "manifest":
+        if broken in ("manifest", "nan"):
             text = json.loads(manifest.read_text())
-            text["videos"][0]["feature_file"] = "features/missing.feat"
+            entry = text["videos"][-1 if broken == "nan" else 0]  # nan: read last
+            if broken == "manifest":
+                entry["feature_file"] = "features/missing.feat"
+            else:
+                nan = manifest.parent / "features" / f"nan_{tmp_path.name}.feat"
+                values = np.ones((entry["T"], TINY_CONFIG["corpus"]["feature_dim"]))
+                values[2, 1] = np.nan
+                _write_array(nan, FEATURE_MAGIC, values, "<f4")
+                entry["feature_file"] = nan.relative_to(manifest.parent).as_posix()
             manifest = manifest.with_name(f"bad_{tmp_path.name}.json")
             manifest.write_text(json.dumps(text))
         else:
@@ -528,8 +537,53 @@ class TestBadInputFiles:
         code = run([command, "--config", cfg_path, "--manifest", manifest,
                     "--out-dir", out_dir, "--checkpoint", ckpt])
         assert code == 1
-        assert capsys.readouterr().err.count("\n") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if broken == "nan":
+            offset = 16 + 4 * (2 * TINY_CONFIG["corpus"]["feature_dim"] + 1)
+            assert err == (f"error: runtime: CorpusError: {nan}: non-finite value in "
+                           f"feature values (byte offset {offset})\n")
         assert not (tmp_path / "new").exists()
+
+    def test_eval_without_kl_reads_no_feature_values(self, workdir):
+        tmp_path, cfg_path = workdir
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"f1": True}}))
+        out_dir, manifest, ckpt = _pipeline(tmp_path, cfg_path)
+        base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                "--checkpoint", ckpt]
+        scopes = ("video", "activity", "global")
+        names = [f"{kind}_{scope}{ext}" for scope in scopes
+                 for kind, ext in (("metrics", ".json"), ("per_video_mof", ".tsv"))]
+
+        def evaluate():
+            for scope in scopes:
+                assert run(["eval", *base, "--scope", scope]) == 0
+            return {name: (out_dir / name).read_bytes() for name in names}
+
+        before = evaluate()
+        for path in (manifest.parent / "features").glob("*.feat"):
+            blob = path.read_bytes()  # a 16-byte header, then float32 values
+            path.write_bytes(blob[:16] + np.full((len(blob) - 16) // 4, np.nan, "<f4").tobytes())
+        assert evaluate() == before
+        assert run(["recognize", *base]) == 1  # inference does read them
+
+    def test_frame_count_zero_is_named_corpus_error(self, trained, tmp_path, capsys):
+        cfg_path, manifest, ckpt = trained
+        text = json.loads(manifest.read_text())
+        empty = manifest.parent / "features" / f"empty_{tmp_path.name}.feat"
+        _write_array(empty, FEATURE_MAGIC, np.zeros((0, 8)), "<f4")
+        text["videos"][2].update(T=0, feature_file=empty.relative_to(manifest.parent).as_posix())
+        bad = manifest.with_name(f"bad_{tmp_path.name}.json")
+        bad.write_text(json.dumps(text))
+        code = run(["segment", "--config", cfg_path, "--manifest", bad,
+                    "--out-dir", tmp_path / "out", "--checkpoint", ckpt])
+        assert code == 1
+        vid = text["videos"][2]["id"]
+        assert capsys.readouterr().err == (
+            f"error: runtime: CorpusError: {bad}: video {vid!r} 'T' must be a positive "
+            "integer, got 0\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_mixed_feature_dims_is_named_corpus_error(self, trained, tmp_path, capsys):
         cfg_path, manifest, ckpt = trained

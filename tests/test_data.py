@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 
@@ -6,10 +7,13 @@ import pytest
 
 from protoseg.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from protoseg.data import (
+    FEATURE_MAGIC,
     Corpus,
     CorpusError,
     CorpusSpec,
+    FeatureFile,
     FeatureSequence,
+    _write_array,
     generate_corpus,
     read_corpus,
     write_corpus,
@@ -259,6 +263,83 @@ class TestCorpusIO:
         with pytest.raises(CorpusError) as raised:
             read_corpus(manifest)
         assert str(raised.value).startswith(f"{manifest}: unparseable manifest: ")
+
+    @pytest.mark.parametrize("frames", [0, -3, True, 2.0, "40"])
+    def test_frame_count_must_be_positive_integer(self, tmp_path, frames):
+        corpus = generate_corpus(small_spec(videos_per_activity=1))
+        manifest = write_corpus(corpus, tmp_path)
+        text = json.loads(manifest.read_text())
+        text["videos"][1]["T"] = frames
+        if frames == 0:  # and a feature file that agrees
+            _write_array(tmp_path / text["videos"][1]["feature_file"], FEATURE_MAGIC,
+                         np.zeros((0, 8)), "<f4")
+        manifest.write_text(json.dumps(text))
+        with pytest.raises(CorpusError) as raised:
+            read_corpus(manifest)
+        vid = text["videos"][1]["id"]
+        assert str(raised.value) == (
+            f"{manifest}: video {vid!r} 'T' must be a positive integer, got {frames!r}"
+        )
+
+    @pytest.mark.parametrize("key", ["C", "activity"])
+    def test_boolean_count_or_activity_is_refused(self, tmp_path, key):
+        corpus = generate_corpus(small_spec(videos_per_activity=1))
+        manifest = write_corpus(corpus, tmp_path)
+        text = json.loads(manifest.read_text())
+        (text if key == "C" else text["videos"][0])[key] = True
+        manifest.write_text(json.dumps(text))
+        with pytest.raises(CorpusError) as raised:
+            read_corpus(manifest)
+        assert str(raised.value).startswith(f"{manifest}: ") and "True" in str(raised.value)
+
+
+class TestLazyFeatures:
+    """A corpus read from a manifest reads each feature file at each use."""
+
+    def _corpus(self, tmp_path):
+        corpus = generate_corpus(small_spec(videos_per_activity=1, frames_range=(3, 4)))
+        manifest = write_corpus(corpus, tmp_path)
+        video = read_corpus(manifest).videos[0]
+        return corpus.videos[0], video, tmp_path / "features" / f"{video.video_id}.feat"
+
+    def test_header_gives_shape_and_nothing_is_kept(self, tmp_path):
+        made, video, path = self._corpus(tmp_path)
+        assert isinstance(video._features, FeatureFile)
+        assert (video.n_frames, video.feature_dim) == made.features.shape
+        first, second = video.features, video.features
+        assert first is not second and first.dtype == np.float64
+        assert first.tobytes() == second.tobytes() == made.features.tobytes()
+
+    def test_file_truncated_after_reading_corpus_is_refused(self, tmp_path):
+        _, video, path = self._corpus(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(CorpusError) as raised:
+            video.features
+        assert str(raised.value) == f"{path}: truncated while reading feature values"
+
+    def test_file_reshaped_after_reading_corpus_is_refused(self, tmp_path):
+        _, video, path = self._corpus(tmp_path)
+        t, d = video.n_frames, video.feature_dim
+        _write_array(path, FEATURE_MAGIC, np.zeros((d, t)), "<f4")
+        with pytest.raises(CorpusError) as raised:
+            video.features
+        assert str(raised.value) == (
+            f"{path}: now holds {d} x {t} features, not the {t} x {d} read before"
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_named_with_its_offset(self, tmp_path, bad):
+        _, video, path = self._corpus(tmp_path)
+        values = video.features.astype(np.float32)
+        values[1, 5] = values[2, 0] = bad
+        _write_array(path, FEATURE_MAGIC, values, "<f4")
+        read_corpus(tmp_path / "manifest.json")  # the header still checks out
+        with pytest.raises(CorpusError) as raised:
+            video.features
+        offset = 16 + 4 * (video.feature_dim + 5)
+        assert str(raised.value) == (
+            f"{path}: non-finite value in feature values (byte offset {offset})"
+        )
 
 
 class TestFeatureSequence:

@@ -350,6 +350,23 @@ class TestInfer:
         assert peak < 100e6
 
 
+    def test_one_call_holds_few_frame_by_embedding_arrays(self):
+        # paper shape: the float64 input (T x 2048) is the caller's; the call
+        # itself may hold at most 2.5 T x D float64 arrays at once
+        t, cfg = 600, ModelConfig(input_dim=2048, n_activities=4, n_prototypes=50)
+        params = init_parameters(cfg, seed=0)
+        feats = np.random.default_rng(1).normal(size=(t, cfg.input_dim))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model_mod.infer(feats, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert cfg.resolved_embed_dim == 1024
+        assert peak < 2.5 * t * 1024 * 8
+
+
 def full_loss_gradient_error(seed: int, t_frames=6) -> float:
     """Finite differences of the complete training loss over every parameter."""
     cfg = tiny_config()
@@ -401,7 +418,7 @@ def test_training_tape_prunes_features_and_constants(made_vars):
     constants = [v for v in made_vars if not v.needs_grad]
     # the one-hot targets stay plain arrays inside the fused activity loss
     assert constants == [x] and x.grad is None
-    assert len(made_vars) == len(params) + 1 + 15  # leaves, then one Var per record
+    assert len(made_vars) == len(params) + 1 + 14  # leaves, then one Var per record
     for name, arr in params.items():
         assert bound[name].grad.shape == arr.shape
     assert tape._records == []

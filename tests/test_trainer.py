@@ -16,7 +16,14 @@ from protoseg.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from protoseg.data import FeatureSequence
+from protoseg.data import (
+    CorpusSpec,
+    FeatureFile,
+    FeatureSequence,
+    generate_corpus,
+    read_corpus,
+    write_corpus,
+)
 from protoseg.losses import LossConfig
 from protoseg.model import ModelConfig, infer, init_parameters, parameter_layout
 from protoseg.rng import Xoshiro256StarStar
@@ -32,6 +39,7 @@ from protoseg.trainer import (
 from conftest import (
     unfused_activity_loss,
     unfused_affinity,
+    unfused_linear,
     unfused_mean_latent,
     unfused_softmax_affine,
     unfused_tmse,
@@ -123,6 +131,7 @@ class TestTrain:
         cfg = ModelConfig(input_dim=3, n_activities=2, n_prototypes=4, embed_dim=3)
         tc = TrainConfig(lr=0.01, epochs=4, batch_size=2, seed=3)
         fused = train(corpus, cfg, tc, LossConfig())
+        monkeypatch.setattr(ad, "linear", unfused_linear)
         monkeypatch.setattr(ad, "affinity", unfused_affinity)
         monkeypatch.setattr(losses_mod, "tmse_loss", unfused_tmse)
         monkeypatch.setattr(ad, "mean_latent", unfused_mean_latent)
@@ -163,6 +172,22 @@ class TestTrain:
                 grad += bound[name].grad / len(corpus)
         adam_step(params, grads, AdamState.zeros_like(params), TrainConfig(lr=1e-5))
         assert total(params) < before
+
+    def test_reads_each_feature_file_once(self, tmp_path, monkeypatch):
+        spec = CorpusSpec(n_activities=2, n_actions=4, shared_actions=1, videos_per_activity=2,
+                          frames_range=(5, 9), feature_dim=3)
+        made = generate_corpus(spec)
+        corpus = read_corpus(write_corpus(made, tmp_path))
+        reads = []
+        read = FeatureFile.read
+        monkeypatch.setattr(FeatureFile, "read", lambda f: reads.append(f.path) or read(f))
+        tc = TrainConfig(epochs=3, batch_size=2, seed=1)
+        result = train(corpus.videos, toy_model_cfg(), tc, LossConfig())
+        assert sorted(reads) == sorted(tmp_path / "features" / f"{v.video_id}.feat"
+                                       for v in made.videos)
+        monkeypatch.undo()
+        in_memory = train(made.videos, toy_model_cfg(), tc, LossConfig())
+        assert result.trace == in_memory.trace
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
