@@ -6,7 +6,7 @@ out of the frame-to-prototype affinities and are scored through video-,
 activity-, and corpus-level Hungarian matching.
 """
 
-from .autodiff import Tape, Var, finite_diff_check
+from .autodiff import Tape, Var
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import Corpus, CorpusError, CorpusSpec, FeatureSequence, generate_corpus, read_corpus, write_corpus
 from .inference import background_mask, gaussian_smooth, naive_labels, recognize_activity, segment_corpus, viterbi_decode
@@ -17,7 +17,6 @@ from .matching import (
     MatchResult,
     VideoEval,
     build_contingency,
-    f1_segments,
     hungarian_solve,
     kl_action_distribution,
     kl_prototype_sharing,

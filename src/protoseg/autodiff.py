@@ -25,13 +25,15 @@ are fused chains: each is one tape record whose forward and backward run
 the arithmetic of the primitives it replaces, in the same order.  Where
 several of the chain's records add into one operand, the fused backward
 adds in their order, so its value and gradients are bitwise those of the
-chain.  A training video takes 14 records.  `matmul`, `add`, `relu`,
-`softmax`, `mul`, `clamped_log` and the affinity's and T-MSE's stages
-stay defined as standalone primitives, though `src/` no longer calls them.
+chain.  A training video takes 14 records, among them the three `scale`
+and two `add` records (through `Var.__add__`) of `losses.total_loss`.
+`matmul`, `relu`, `softmax`, `mul`, `clamped_log` and the affinity's and
+T-MSE's stages stay defined as standalone primitives, though `src/` no
+longer calls them.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -74,11 +76,6 @@ class Var:
         return add(self, other)
 
     __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
@@ -614,50 +611,3 @@ def bce(probs: Var, target: np.ndarray, eps: float) -> Var:
     return probs.tape._record(
         value, (probs,), lambda g: probs.accumulate(log_vjp(sum_vjp(scale_vjp(g))) * sign)
     )
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def finite_diff_check(
-    fn: Callable[..., Var],
-    inputs: Sequence[np.ndarray],
-    h: float = 1e-5,
-) -> float:
-    """Compare tape gradients of a scalar-valued `fn` to central differences.
-
-    `fn(tape, *vars)` must build a scalar Var from the wrapped inputs.
-    Returns max over coordinates of |analytic - fd| / max(1, |fd|).
-    """
-    inputs = [np.array(x, dtype=np.float64) for x in inputs]
-    tape = Tape()
-    wrapped = [tape.var(x) for x in inputs]
-    out = fn(tape, *wrapped)
-    if out.value.shape != ():
-        raise ValueError("finite_diff_check requires a scalar-valued function")
-    if not np.isfinite(out.value):
-        raise FloatingPointError("non-finite forward value in finite_diff_check")
-    tape.backward(out)
-    analytic = [np.zeros_like(v.value) if v.grad is None else v.grad for v in wrapped]
-
-    def evaluate() -> float:
-        t = Tape()
-        return float(fn(t, *[t.const(x) for x in inputs]).value)
-
-    worst = 0.0
-    for k, x in enumerate(inputs):
-        flat = x.reshape(-1)
-        aflat = analytic[k].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = evaluate()
-            flat[i] = orig - h
-            f_minus = evaluate()
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
-            err = abs(aflat[i] - fd) / max(1.0, abs(fd))
-            if err > worst:
-                worst = err
-    return worst

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .data import read_exact
 from .losses import LossConfig
 from .model import ModelConfig, parameter_layout, validate_parameters
 from .trainer import TrainConfig
@@ -84,17 +84,22 @@ def _check_keys(path: Path, found, expected, what: str) -> None:
         )
 
 
+def _read_exact(f, n: int, what: str, path: Path) -> bytes:
+    """The next `n` bytes of the checkpoint `f` at `path`; a CheckpointError if it holds fewer."""
+    offset = f.tell()
+    data = f.read(n) if n <= os.fstat(f.fileno()).st_size - offset else b""
+    if len(data) != n:
+        raise CheckpointError(path, f"truncated checkpoint while reading {what}", offset)
+    return data
+
+
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
-
-    def truncated(what: str, offset: int) -> CheckpointError:
-        return CheckpointError(path, f"truncated checkpoint while reading {what}", offset)
-
     with open(path, "rb") as f:
-        magic = read_exact(f, 4, "magic", truncated)
+        magic = _read_exact(f, 4, "magic", path)
         if magic != MAGIC:
             raise CheckpointError(path, f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-        (version,) = struct.unpack("<I", read_exact(f, 4, "version", truncated))
+        (version,) = struct.unpack("<I", _read_exact(f, 4, "version", path))
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 path,
@@ -102,8 +107,8 @@ def load_checkpoint(path) -> Checkpoint:
                 f"this build reads version {FORMAT_VERSION}",
                 4,
             )
-        (meta_len,) = struct.unpack("<I", read_exact(f, 4, "metadata length", truncated))
-        meta_bytes = read_exact(f, meta_len, "metadata", truncated)
+        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length", path))
+        meta_bytes = _read_exact(f, meta_len, "metadata", path)
         try:
             meta = json.loads(meta_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -123,7 +128,7 @@ def load_checkpoint(path) -> Checkpoint:
         tensors, starts = {}, {}
         for name, (shape, _) in parameter_layout(model_cfg).items():
             starts[name] = f.tell()
-            raw = read_exact(f, 8 * math.prod(shape), f"{name} values", truncated)
+            raw = _read_exact(f, 8 * math.prod(shape), f"{name} values", path)
             tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if f.read(1):
             raise CheckpointError(path, "trailing bytes after last tensor", f.tell() - 1)

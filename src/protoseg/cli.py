@@ -379,6 +379,7 @@ def _cmd_segment(cfg: dict) -> int:
         "decode": decode,
         "sigma": cfg["infer"]["sigma"],
         "eta": cfg["infer"]["eta"],
+        "nprime": cfg["infer"]["nprime"] if scope == "activity" else None,
         "manifest_sha256": manifest_sha256,
         "checkpoint_sha256": checkpoint_sha256,
         "videos": sorted(labelings),
@@ -465,11 +466,13 @@ def _cmd_eval(cfg: dict) -> int:
     if cfg["eval"]["f1"]:
         report["f1"] = matching.corpus_f1(videos, result.mapped)
     if ckpt is not None:
-        affinities = _infer_corpus(corpus, ckpt, cfg["threads"])
+        # each video's naive labels; its affinity is not kept
+        labels = _infer_corpus(
+            corpus, ckpt, cfg["threads"], keep=lambda out: inference.naive_labels(out[0])
+        )
         by_activity = {}
         for video in corpus.videos:
-            labels = inference.naive_labels(affinities[video.video_id])
-            by_activity.setdefault(video.activity, []).append(labels)
+            by_activity.setdefault(video.activity, []).append(labels[video.video_id])
         sharing, activity_ids = matching.kl_prototype_sharing(
             by_activity, ckpt.model.n_prototypes
         )

@@ -293,15 +293,6 @@ def _write_array(path: Path, magic: bytes, array: np.ndarray, dtype: str) -> Non
         f.write(array.tobytes())
 
 
-def read_exact(f, n: int, what: str, truncated) -> bytes:
-    """The next `n` bytes of `f`, or `truncated(what, offset)` raised when it holds fewer."""
-    offset = f.tell()
-    data = f.read(n) if n <= os.fstat(f.fileno()).st_size - offset else b""
-    if len(data) != n:
-        raise truncated(what, offset)
-    return data
-
-
 def _read_array(path: Path, magic: bytes, dtype: str, ndim: int, what: str, values=True):
     """The shape of the `ndim`-d array `_write_array` wrote, and with `values` the array.
 
@@ -398,6 +389,9 @@ def _check_manifest(manifest, path: Path) -> None:
     n_activities = manifest["C"]
     if type(n_activities) is not int or n_activities < 1:
         raise CorpusError(f"{path}: 'C' must be a positive integer, got {n_activities!r}")
+    names = manifest["activity_names"]
+    if not isinstance(names, list):
+        raise CorpusError(f"{path}: 'activity_names' must be a list, got {names!r}")
     videos = manifest["videos"]
     if not isinstance(videos, list) or not videos:
         raise CorpusError(f"{path}: 'videos' must be a non-empty list")
@@ -422,6 +416,11 @@ def _check_manifest(manifest, path: Path) -> None:
             raise CorpusError(
                 f"{path}: video {vid!r} 'T' must be a positive integer, got {frames!r}"
             )
+        for key in ("feature_file", "gt_file"):
+            if not isinstance(entry.get(key, ""), str):
+                raise CorpusError(
+                    f"{path}: video {vid!r} {key!r} must be a path string, got {entry[key]!r}"
+                )
 
 
 def read_corpus(manifest_path) -> Corpus:

@@ -2,12 +2,14 @@
 
 Predicted labelings carry 1-based cluster (prototype) ids, with -1 for a
 frame masked as background; ground truth carries 1-based action ids with 0
-meaning background.  `VideoEval.evaluated` alone decides which frames are
-scored: not background in either.  Every metric reads that mask.
+meaning background.  `VideoEval.evaluated` is the one definition of which
+frames are scored: not background in either.  `_flat` applies it to a
+corpus's videos end to end, and every metric reads that mask.
 
-`match_at_level` and `corpus_f1` score the corpus as one flat array of
-frames, with ids compacted to their ranks; only the Hungarian solve runs
-once per unit.
+`match_at_level`, `corpus_f1` and `kl_action_distribution` score the corpus
+as one flat array of frames; `match_at_level` counts every unit's
+contingency in one `build_contingency` call, and only the Hungarian solve
+runs once per unit.
 """
 from __future__ import annotations
 
@@ -45,12 +47,10 @@ def build_contingency(pred, gt) -> Contingency:
     gt = np.asarray(gt, dtype=np.int64)
     if pred.shape != gt.shape:
         raise ValueError(f"length mismatch: pred {pred.shape} vs gt {gt.shape}")
-    cluster_ids = np.unique(pred)
-    action_ids = np.unique(gt)
-    cell = np.searchsorted(cluster_ids, pred) * action_ids.size + np.searchsorted(action_ids, gt)
-    counts = np.bincount(cell, minlength=cluster_ids.size * action_ids.size).reshape(
-        cluster_ids.size, action_ids.size
-    )
+    cluster_ids, row = np.unique(pred, return_inverse=True)
+    action_ids, col = np.unique(gt, return_inverse=True)
+    shape = (cluster_ids.size, action_ids.size)
+    counts = np.bincount(row * shape[1] + col, minlength=shape[0] * shape[1]).reshape(shape)
     return Contingency(counts=counts, cluster_ids=cluster_ids, action_ids=action_ids)
 
 
@@ -189,7 +189,7 @@ class _Flat:
     """A corpus's frames end to end, in video order."""
 
     gt: np.ndarray
-    keep: np.ndarray  # scored: `VideoEval.evaluated` of each video
+    keep: np.ndarray  # scored: `VideoEval.evaluated` of the videos' concatenation
     first: np.ndarray  # true at each video's first frame
     bounds: np.ndarray  # video i holds frames bounds[i]:bounds[i + 1]
 
@@ -210,8 +210,7 @@ def _flat(videos: Sequence[VideoEval], preds: Sequence) -> tuple[np.ndarray, _Fl
     first = np.zeros(bounds[-1], dtype=bool)
     first[bounds[:-1][lengths > 0]] = True
     gt = np.concatenate(gts)
-    keep = gt != 0
-    keep &= np.concatenate([np.asarray(v.pred) for v in videos]) != -1
+    keep = VideoEval("", 0, np.concatenate([np.asarray(v.pred) for v in videos]), gt).evaluated()
     return np.concatenate(preds), _Flat(gt, keep, first, bounds)
 
 
@@ -228,8 +227,9 @@ def match_at_level(videos: Sequence[VideoEval], scope: str) -> MatchResult:
     """Hungarian matching per video, per activity, or over the whole corpus.
 
     The corpus is scored as one flat array: cluster and action ids are
-    compacted to their ranks, one bincount gives every unit's contingency,
-    and a unit x cluster lookup table applies each unit's assignment.
+    compacted to their ranks, one `build_contingency` call counts every
+    unit's contingency as a block of rows, and a unit x cluster lookup
+    table applies each unit's assignment.
     """
     if scope not in _UNIT_OF:
         raise ValueError(f"unknown matching scope {scope!r}")
@@ -244,28 +244,27 @@ def match_at_level(videos: Sequence[VideoEval], scope: str) -> MatchResult:
 
     pred, flat = _flat(videos, [v.pred for v in videos])
     cluster_ids, row = np.unique(pred, return_inverse=True)
-    n_units, n_clusters = len(units), cluster_ids.size
+    n_clusters = cluster_ids.size
     # each frame's row of the unit x cluster table; only scored frames enter
-    # a contingency, so only their actions get a column
+    # the contingency, so it holds only the rows and actions they reach
     row += np.repeat(unit_of * n_clusters, np.diff(flat.bounds))
-    action_ids, action = np.unique(flat.gt[flat.keep], return_inverse=True)
-    n_actions = action_ids.size
-    counts = np.bincount(
-        row[flat.keep] * n_actions + action, minlength=n_units * n_clusters * n_actions
-    ).reshape(n_units, n_clusters, n_actions)
+    table = build_contingency(row[flat.keep], flat.gt[flat.keep])
+    # unit u's rows are the ascending block in [u, u + 1) * n_clusters
+    block = np.searchsorted(table.cluster_ids, np.arange(len(units) + 1) * n_clusters)
 
     reports = []
-    lookup = np.zeros((n_units, n_clusters), dtype=np.int64)  # unit, cluster -> action
+    lookup = np.zeros(len(units) * n_clusters, dtype=np.int64)  # table row -> action
     ranked = sorted(enumerate(units), key=lambda item: item[1][1])
     for u, (unit, _) in ranked:
-        rows = np.flatnonzero(counts[u].sum(axis=1))
-        cols = np.flatnonzero(counts[u].sum(axis=0))
-        cont = Contingency(counts[u][np.ix_(rows, cols)], cluster_ids[rows], action_ids[cols])
+        rows = slice(block[u], block[u + 1])
+        cols = np.flatnonzero(table.counts[rows].sum(axis=0))
+        clusters = cluster_ids[table.cluster_ids[rows] - u * n_clusters]
+        cont = Contingency(table.counts[rows, cols], clusters, table.action_ids[cols])
         rep = _report(scope, unit, cont)
         reports.append(rep)
         for cluster_id, action_id in rep.assignment:
-            lookup[u, np.searchsorted(cluster_ids, cluster_id)] = action_id
-    mapped_flat = lookup.ravel()[row]
+            lookup[u * n_clusters + np.searchsorted(cluster_ids, cluster_id)] = action_id
+    mapped_flat = lookup[row]
     mapped_flat[pred == -1] = -1
     correct = flat.keep & (mapped_flat == flat.gt)
     n_eval = flat.per_video(np.flatnonzero(flat.keep)).tolist()
@@ -335,15 +334,6 @@ def _segment_f1(mapped: np.ndarray, flat: _Flat, keep: np.ndarray) -> np.ndarray
     recall = per_video(gt_starts[recalled]) / np.maximum(per_video(gt_starts), 1)
     total = precision + recall
     return np.divide(2.0 * precision * recall, total, out=np.zeros(n_videos), where=total > 0.0)
-
-
-def f1_segments(mapped_pred, gt, keep) -> float:
-    """Segment-level F1 after matching, over the frames where `keep` is true.
-
-    One video's `_segment_f1`.
-    """
-    mapped, flat = _flat([VideoEval("", 0, mapped_pred, gt)], [mapped_pred])
-    return float(_segment_f1(mapped, flat, np.asarray(keep, dtype=bool))[0])
 
 
 def corpus_f1(videos: Sequence[VideoEval], mapped: Dict[str, np.ndarray]) -> float:

@@ -95,25 +95,11 @@ def init_parameters(cfg: ModelConfig, seed: int) -> Dict[str, np.ndarray]:
     return params
 
 
-def bind_parameters(params: Dict[str, np.ndarray], tape: Tape) -> Dict[str, Var]:
-    """Wrap every parameter tensor as a leaf on `tape`."""
-    return {name: tape.var(arr) for name, arr in params.items()}
-
-
 @dataclass
 class ForwardOutputs:
     affinity: Var  # T x N, rows sum to 1
     proto_probs: Var  # C-vector
     visual_probs: Var  # C-vector
-
-
-def embed_frames(x: Var, w: Var, b: Var) -> Var:
-    """Per-frame linear map (a width-1 convolution over time)."""
-    if x.value.shape[1] != w.value.shape[0]:
-        raise ValueError(
-            f"feature dim {x.value.shape[1]} does not match embedding input {w.value.shape[0]}"
-        )
-    return ad.linear(x, w, b)
 
 
 def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardOutputs:
@@ -123,7 +109,7 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
         raise ValueError("features must be a non-empty T x d_in array")
     tape = bound["embed_w"].tape
     x = tape.const(features)
-    f = embed_frames(x, bound["embed_w"], bound["embed_b"])
+    f = ad.linear(x, bound["embed_w"], bound["embed_b"])  # per frame: a width-1 convolution
     a = ad.affinity(f, bound["prototypes"])  # distance, min-max inversion, row norm
     vp = ad.axis0_sum(a)  # V^p: occurrence and frequency evidence per prototype
     # V^g = (V^p/T)·P + mean_t(relu(A·(P·W1) + b1))·W2 + b2: no T-row

@@ -73,7 +73,7 @@ def adam_step(
 def video_loss(video, params: Dict[str, np.ndarray], model_cfg: ModelConfig, loss_cfg: LossConfig):
     """Forward one video and return (loss Var, bound params, term values)."""
     tape = Tape()
-    bound = model_mod.bind_parameters(params, tape)
+    bound = {name: tape.var(arr) for name, arr in params.items()}
     out = model_mod.forward(video.features, bound, model_cfg)
     target = losses_mod.one_hot(video.activity, model_cfg.n_activities)
     lp = losses_mod.activity_loss(out.proto_probs, target)

@@ -22,7 +22,7 @@ from protoseg.matching import (
 )
 from protoseg.model import ModelConfig, infer, init_parameters
 from protoseg.trainer import TrainConfig, train
-from protoseg.autodiff import Tape, finite_diff_check
+from protoseg.autodiff import Tape
 from protoseg import autodiff as ad
 
 from conftest import GRADCHECK_CASES, brute_force_assignment_value, run_gradcheck_case

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from protoseg import autodiff as ad
-from protoseg.autodiff import Tape, finite_diff_check
+from protoseg.autodiff import Tape
 from protoseg.losses import LOG_EPS, PROB_EPS, one_hot
 
 from conftest import (
     GRADCHECK_CASES,
+    finite_diff_check,
     run_gradcheck_case,
     unfused_activity_loss,
     unfused_affinity,

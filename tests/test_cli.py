@@ -145,6 +145,22 @@ class TestPipeline:
         report = json.loads((out_dir / "metrics_activity.json").read_text())
         assert len(report["units"]) == 2
 
+    def test_segment_index_records_nprime(self, workdir):
+        tmp_path, cfg_path = workdir
+        out_dir, manifest, ckpt = _pipeline(tmp_path, cfg_path)
+        base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                "--checkpoint", ckpt]
+        index = out_dir / "segments" / "index.json"
+        assert json.loads(index.read_text())["nprime"] is None  # global scope keeps no count
+        recorded = {}
+        for nprime in ("gt", "2", "3"):
+            assert run(["segment", *base, "--scope", "activity", "--nprime", nprime]) == 0
+            recorded[nprime] = json.loads(index.read_text())["nprime"]
+        assert recorded == {"gt": "gt", "2": 2, "3": 3}
+        assert run(["eval", *base, "--scope", "activity"]) == 0
+        report = json.loads((out_dir / "metrics_activity.json").read_text())
+        assert report["segments"]["nprime"] == 3
+
 
 class TestErrors:
     def test_eval_without_checkpoint_is_config_error(self, workdir, capsys):

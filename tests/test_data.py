@@ -292,6 +292,21 @@ class TestCorpusIO:
             read_corpus(manifest)
         assert str(raised.value).startswith(f"{manifest}: ") and "True" in str(raised.value)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("feature_file", 7), ("gt_file", 7), ("gt_file", None), ("activity_names", 3),
+         ("activity_names", "ab")],
+    )
+    def test_non_string_file_or_non_list_names_is_refused(self, tmp_path, key, value):
+        corpus = generate_corpus(small_spec(videos_per_activity=1))
+        manifest = write_corpus(corpus, tmp_path)
+        text = json.loads(manifest.read_text())
+        (text if key == "activity_names" else text["videos"][0])[key] = value
+        manifest.write_text(json.dumps(text))
+        with pytest.raises(CorpusError) as raised:
+            read_corpus(manifest)
+        assert str(raised.value).startswith(f"{manifest}: ") and repr(value) in str(raised.value)
+
 
 class TestLazyFeatures:
     """A corpus read from a manifest reads each feature file at each use."""

@@ -5,10 +5,10 @@ import pytest
 
 from protoseg import autodiff as ad
 from protoseg import losses as losses_mod
-from protoseg.autodiff import Tape, finite_diff_check
+from protoseg.autodiff import Tape
 from protoseg.losses import LossConfig, activity_loss, one_hot, tmse_loss, total_loss
 
-from conftest import two_log_bce
+from conftest import finite_diff_check, two_log_bce
 
 
 class TestLossConfig:

@@ -8,7 +8,6 @@ from protoseg.matching import (
     _run_bounds,
     build_contingency,
     corpus_f1,
-    f1_segments,
     hungarian_solve,
     kl_action_distribution,
     kl_divergence,
@@ -21,6 +20,7 @@ from conftest import (
     add_at_contingency,
     apply_assignment,
     brute_force_assignment_value,
+    f1_segments,
     loop_runs,
     per_unit_match,
     per_video_f1,

@@ -6,17 +6,18 @@ import pytest
 from protoseg import autodiff as ad
 from protoseg import losses as losses_mod
 from protoseg import model as model_mod
-from protoseg.autodiff import Tape, finite_diff_check
+from protoseg.autodiff import Tape
 from protoseg.losses import LossConfig
 from protoseg.model import (
     ForwardOutputs,
     ModelConfig,
-    bind_parameters,
     forward,
     init_parameters,
     parameter_layout,
     validate_parameters,
 )
+
+from conftest import finite_diff_check
 
 
 @pytest.fixture
@@ -75,7 +76,7 @@ class TestEmbedFrames:
         x = tape.var(np.arange(6.0).reshape(2, 3))
         w = tape.var(np.eye(3))
         b = tape.var(np.zeros(3))
-        out = model_mod.embed_frames(x, w, b)
+        out = ad.linear(x, w, b)
         assert np.allclose(out.value, x.value)
 
     def test_zero_weights_constant_bias(self):
@@ -83,7 +84,7 @@ class TestEmbedFrames:
         x = tape.var(np.random.default_rng(0).normal(size=(4, 3)))
         w = tape.var(np.zeros((3, 2)))
         b = tape.var(np.array([1.5, -2.0]))
-        out = model_mod.embed_frames(x, w, b)
+        out = ad.linear(x, w, b)
         assert np.allclose(out.value, np.tile([1.5, -2.0], (4, 1)))
 
     def test_matches_per_frame_reference(self):
@@ -92,14 +93,14 @@ class TestEmbedFrames:
         w_val = rng.normal(size=(4, 3))
         b_val = rng.normal(size=3)
         tape = Tape()
-        out = model_mod.embed_frames(tape.var(x_val), tape.var(w_val), tape.var(b_val))
+        out = ad.linear(tape.var(x_val), tape.var(w_val), tape.var(b_val))
         for t in range(5):
             assert np.allclose(out.value[t], w_val.T @ x_val[t] + b_val, atol=1e-12)
 
     def test_dimension_mismatch(self):
         tape = Tape()
-        with pytest.raises(ValueError):
-            model_mod.embed_frames(
+        with pytest.raises(ValueError, match="linear needs matching matrices"):
+            ad.linear(
                 tape.var(np.zeros((2, 3))), tape.var(np.zeros((4, 2))), tape.var(np.zeros(2))
             )
 
@@ -233,7 +234,7 @@ class TestForward:
         params["prototypes"] = np.eye(4) * 10.0
         feats = params["prototypes"][[2, 0, 3]]
         tape = Tape()
-        out = forward(feats, bind_parameters(params, tape), cfg)
+        out = forward(feats, {name: tape.var(arr) for name, arr in params.items()}, cfg)
         assert np.array_equal(np.argmax(out.affinity.value, axis=1), [2, 0, 3])
 
     def test_deterministic(self):
@@ -291,9 +292,9 @@ class TestForward:
                 return np.asarray(other) @ np.asarray(self)
 
         tape = Tape()
-        bound = bind_parameters(params, tape)
+        bound = {name: tape.var(arr) for name, arr in params.items()}
         feats = np.random.default_rng(11).normal(size=(t, 5))
-        f = model_mod.embed_frames(tape.const(feats), bound["embed_w"], bound["embed_b"])
+        f = ad.linear(tape.const(feats), bound["embed_w"], bound["embed_b"])
         a = ad.affinity(f, bound["prototypes"])
         vp = ad.axis0_sum(a)
         operands = [a, vp] + [bound[k] for k in ("prototypes", "latent_w1", "latent_b1",
@@ -328,7 +329,7 @@ class TestInfer:
         params = init_parameters(cfg, seed=5)
         feats = np.random.default_rng(10).normal(size=(t_frames, input_dim))
         tape = Tape()
-        out = forward(feats, bind_parameters(params, tape), cfg)
+        out = forward(feats, {name: tape.var(arr) for name, arr in params.items()}, cfg)
         a, yp, yg = model_mod.infer(feats, params, cfg)
         assert np.array_equal(a, out.affinity.value)
         assert np.array_equal(yp, out.proto_probs.value)
@@ -404,7 +405,7 @@ def test_training_tape_prunes_features_and_constants(made_vars):
     params = init_parameters(cfg, seed=4)
     feats = np.random.default_rng(9).normal(size=(7, 5))
     tape = Tape()
-    bound = bind_parameters(params, tape)
+    bound = {name: tape.var(arr) for name, arr in params.items()}
     out = forward(feats, bound, cfg)
     target = losses_mod.one_hot(2, cfg.n_activities)
     loss = losses_mod.total_loss(
