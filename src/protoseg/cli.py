@@ -1,10 +1,11 @@
 """Command-line pipeline: generate, train, segment, eval, recognize.
 
 One JSON config file drives every stage; each stage's flags override the
-config values that stage reads, and a stage that succeeds echoes the
-effective config into the output directory, where it is itself a valid
---config.  Exit status 2 flags usage/config problems, 1 runtime failures,
-each with a one-line machine-parsable error on stderr.
+config values that stage reads.  Every stage checks every section of the
+config before it runs, and a stage that succeeds echoes the effective
+config into the output directory, where it is itself a valid --config
+for every stage.  Exit status 2 flags usage/config problems, 1 runtime
+failures, each with a one-line machine-parsable error on stderr.
 """
 from __future__ import annotations
 
@@ -143,13 +144,18 @@ def _load_config(args) -> dict:
     nprime = cfg["infer"]["nprime"]
     if nprime != "gt" and (type(nprime) is not int or nprime < 1):
         raise ConfigError(f"infer: nprime must be 'gt' or an integer >= 1, got {nprime!r}")
-    for section, key, ok, rule in (
-        ("infer", "sigma", lambda x: x > 0, "> 0"),
-        ("infer", "eta", lambda x: 0 <= x < 1, "in [0, 1)"),
-        ("recognize", "wp", lambda x: x >= 0, ">= 0"),
-        ("recognize", "wg", lambda x: x >= 0, ">= 0"),
+    # the corpus gives input_dim and n_activities; 1 stands in for both here
+    _build("model", ModelConfig, input_dim=1, n_activities=1, **cfg["model"])
+    for section, key, (ok, rule) in (
+        *(("loss", key, LossConfig.RULES[field]) for key, field in _LOSS_FIELDS.items()),
+        ("infer", "sigma", (lambda x: x > 0, "> 0")),
+        ("infer", "eta", (lambda x: 0 <= x < 1, "in [0, 1)")),
+        ("recognize", "wp", (lambda x: x >= 0, ">= 0")),
+        ("recognize", "wg", (lambda x: x >= 0, ">= 0")),
     ):
         _build(section, require_number, name=key, value=cfg[section][key], ok=ok, rule=rule)
+    _build("train", TrainConfig, **cfg["train"])
+    _build("corpus", CorpusSpec, **cfg["corpus"])
     if cfg["recognize"]["wp"] + cfg["recognize"]["wg"] == 0:
         raise ConfigError("recognize: wp and wg must not both be zero")
     for section, keys in (("infer", ("smooth", "decode")), ("eval", ("kl", "f1"))):
@@ -158,10 +164,10 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _build(section: str, make, **fields):
-    """`make(**fields)`, with a value it rejects as a config error."""
+def _build(section: str, make, **fields) -> None:
+    """Call `make(**fields)`; a value it rejects is a config error."""
     try:
-        return make(**fields)
+        make(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -172,28 +178,27 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _echo_config(cfg: dict, out: Path) -> None:
-    with open(out / "effective_config.json", "w", encoding="utf-8") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _require_path(cfg: dict, key: str, must_exist: bool = True) -> Path:
+def _write_tsv(path: Path, header, rows) -> None:
+    """`header`, then one line per row; floats to 10 significant digits."""
+    with open(path, "w", encoding="utf-8") as f:
+        for row in (header, *rows):
+            f.write("\t".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _require_path(cfg: dict, key: str) -> Path:
     value = cfg["paths"][key]
     if not value:
         raise ConfigError(f"paths.{key} is required for this command")
     path = Path(value)
-    if must_exist and not path.exists():
+    if not path.exists():
         raise ConfigError(f"paths.{key} {path} does not exist")
     return path
-
-
-def _loss_config(cfg: dict) -> LossConfig:
-    section = cfg["loss"]
-    for key, field in _LOSS_FIELDS.items():
-        ok, rule = LossConfig.RULES[field]
-        _build("loss", require_number, name=key, value=section[key], ok=ok, rule=rule)
-    return LossConfig(**{field: section[key] for key, field in _LOSS_FIELDS.items()})
 
 
 def _sha256_file(path: Path) -> str:
@@ -225,6 +230,7 @@ def _infer_corpus(corpus: Corpus, ckpt: Checkpoint, threads: int, keep=lambda ou
     its forward pass, so it holds one video's features at a time.
     """
     videos = corpus.videos
+    threads = min(threads, len(videos))
     cuts = [len(videos) * i // threads for i in range(threads + 1)]
 
     def run(shard):
@@ -242,8 +248,8 @@ def _infer_corpus(corpus: Corpus, ckpt: Checkpoint, threads: int, keep=lambda ou
 # commands
 
 
-def _cmd_generate(cfg: dict) -> int:
-    spec = _build("corpus", CorpusSpec, **cfg["corpus"])
+def _cmd_generate(cfg: dict) -> None:
+    spec = CorpusSpec(**cfg["corpus"])
     manifest_cfg = cfg["paths"]["manifest"]
     if manifest_cfg and Path(manifest_cfg).name != "manifest.json":
         raise ConfigError("generate writes 'manifest.json'; point paths.manifest there")
@@ -252,7 +258,6 @@ def _cmd_generate(cfg: dict) -> int:
     corpus = generate_corpus(spec)
     manifest_path = write_corpus(corpus, corpus_dir)
     print(f"wrote {len(corpus.videos)} videos to {manifest_path}")
-    return 0
 
 
 # mallopt parameters, from glibc's malloc.h
@@ -278,17 +283,13 @@ def _keep_freed_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-def _cmd_train(cfg: dict) -> int:
+def _cmd_train(cfg: dict) -> None:
     manifest = _require_path(cfg, "manifest")
-    train_cfg = _build("train", TrainConfig, **cfg["train"])
-    loss_cfg = _loss_config(cfg)
+    train_cfg = TrainConfig(**cfg["train"])
+    loss_cfg = LossConfig(**{field: cfg["loss"][key] for key, field in _LOSS_FIELDS.items()})
     corpus = read_corpus(manifest)
-    model_cfg = _build(
-        "model",
-        ModelConfig,
-        input_dim=corpus.videos[0].feature_dim,
-        n_activities=corpus.n_activities,
-        **cfg["model"],
+    model_cfg = ModelConfig(
+        input_dim=corpus.videos[0].feature_dim, n_activities=corpus.n_activities, **cfg["model"]
     )
     _keep_freed_heap()
     result = trainer_mod.train(corpus.videos, model_cfg, train_cfg, loss_cfg)
@@ -305,18 +306,13 @@ def _cmd_train(cfg: dict) -> int:
         ),
         ckpt_path,
     )
-    with open(out / "loss_trace.tsv", "w", encoding="utf-8") as f:
-        f.write("epoch\tloss\tloss_p\tloss_g\tloss_smooth\n")
-        for row in result.trace:
-            f.write(
-                f"{row['epoch']}\t{row['loss']:.10g}\t{row['loss_p']:.10g}"
-                f"\t{row['loss_g']:.10g}\t{row['loss_smooth']:.10g}\n"
-            )
+    columns = ("epoch", "loss", "loss_p", "loss_g", "loss_smooth")
+    rows = ([row[c] for c in columns] for row in result.trace)
+    _write_tsv(out / "loss_trace.tsv", columns, rows)
     print(
         f"trained {train_cfg.epochs} epochs; final loss "
         f"{result.trace[-1]['loss']:.6f}; checkpoint {ckpt_path}"
     )
-    return 0
 
 
 def _nprime_by_activity(cfg: dict, corpus: Corpus, manifest: Path):
@@ -340,7 +336,7 @@ def _nprime_by_activity(cfg: dict, corpus: Corpus, manifest: Path):
     return {activity: len(actions) for activity, actions in counts.items()}
 
 
-def _cmd_segment(cfg: dict) -> int:
+def _cmd_segment(cfg: dict) -> None:
     manifest = _require_path(cfg, "manifest")
     ckpt_path = _require_path(cfg, "checkpoint")
     scope = cfg["eval"]["scope"]
@@ -384,11 +380,8 @@ def _cmd_segment(cfg: dict) -> int:
         "checkpoint_sha256": checkpoint_sha256,
         "videos": sorted(labelings),
     }
-    with open(seg_dir / "index.json", "w", encoding="utf-8") as f:
-        json.dump(index, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(seg_dir / "index.json", index)
     print(f"segmented {len(labelings)} videos into {seg_dir} (scope={scope})")
-    return 0
 
 
 def _write_segment_file(path: Path, labels: np.ndarray) -> None:
@@ -433,7 +426,7 @@ def _segment_index(index_path: Path, manifest: Path, checkpoint: Path | None) ->
     return index
 
 
-def _cmd_eval(cfg: dict) -> int:
+def _cmd_eval(cfg: dict) -> None:
     manifest = _require_path(cfg, "manifest")
     # only the KL diagnostics run the model
     ckpt_path = _require_path(cfg, "checkpoint") if cfg["eval"]["kl"] else None
@@ -471,14 +464,14 @@ def _cmd_eval(cfg: dict) -> int:
             corpus, ckpt, cfg["threads"], keep=lambda out: inference.naive_labels(out[0])
         )
         by_activity = {}
-        for video in corpus.videos:
-            by_activity.setdefault(video.activity, []).append(labels[video.video_id])
+        for video in videos:
+            by_activity.setdefault(video.activity, []).append(video)
         sharing, activity_ids = matching.kl_prototype_sharing(
-            by_activity, ckpt.model.n_prototypes
+            {a: [labels[v.video_id] for v in group] for a, group in by_activity.items()},
+            ckpt.model.n_prototypes,
         )
         action_kl = {}
-        for activity in sorted({v.activity for v in videos}):
-            group = [v for v in videos if v.activity == activity]
+        for activity, group in sorted(by_activity.items()):
             pred_vs_gt, gt_vs_pred = matching.kl_action_distribution(group, result.mapped)
             action_kl[str(activity)] = {"pred_vs_gt": pred_vs_gt, "gt_vs_pred": gt_vs_pred}
         report["kl"] = {
@@ -489,18 +482,13 @@ def _cmd_eval(cfg: dict) -> int:
             },
         }
     report_path = out / f"metrics_{scope}.json"
-    with open(report_path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(out / f"per_video_mof_{scope}.tsv", "w", encoding="utf-8") as f:
-        f.write("video_id\tmof\n")
-        for vid in sorted(result.per_video_mof):
-            f.write(f"{vid}\t{result.per_video_mof[vid]:.10g}\n")
+    _write_json(report_path, report)
+    rows = sorted(result.per_video_mof.items())
+    _write_tsv(out / f"per_video_mof_{scope}.tsv", ("video_id", "mof"), rows)
     print(f"scope={scope} MoF={result.mof:.4f} report={report_path}")
-    return 0
 
 
-def _cmd_recognize(cfg: dict) -> int:
+def _cmd_recognize(cfg: dict) -> None:
     manifest = _require_path(cfg, "manifest")
     ckpt_path = _require_path(cfg, "checkpoint")
     corpus = read_corpus(manifest)
@@ -517,12 +505,10 @@ def _cmd_recognize(cfg: dict) -> int:
         rows.append((video.video_id, video.activity, pred))
         correct += int(pred == video.activity)
     accuracy = correct / len(rows)
-    with open(out / "activity_predictions.tsv", "w", encoding="utf-8") as f:
-        f.write("video_id\ttrue_activity\tpredicted_activity\n")
-        for vid, true, pred in rows:
-            f.write(f"{vid}\t{true}\t{pred}\n")
+    _write_tsv(
+        out / "activity_predictions.tsv", ("video_id", "true_activity", "predicted_activity"), rows
+    )
     print(f"recognized {len(rows)} videos; accuracy={accuracy:.4f}")
-    return 0
 
 
 _COMMANDS = {
@@ -542,10 +528,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _load_config(args)
-        code = _COMMANDS[args.command](cfg)
-        if code == 0:
-            _echo_config(cfg, _out_dir(cfg))
-        return code
+        _COMMANDS[args.command](cfg)
+        _write_json(_out_dir(cfg) / "effective_config.json", cfg)
+        return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

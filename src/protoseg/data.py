@@ -390,8 +390,14 @@ def _check_manifest(manifest, path: Path) -> None:
     if type(n_activities) is not int or n_activities < 1:
         raise CorpusError(f"{path}: 'C' must be a positive integer, got {n_activities!r}")
     names = manifest["activity_names"]
-    if not isinstance(names, list):
-        raise CorpusError(f"{path}: 'activity_names' must be a list, got {names!r}")
+    if not (
+        isinstance(names, list)
+        and len(names) == n_activities
+        and all(isinstance(name, str) for name in names)
+    ):
+        raise CorpusError(
+            f"{path}: 'activity_names' must be a list of C={n_activities} strings, got {names!r}"
+        )
     videos = manifest["videos"]
     if not isinstance(videos, list) or not videos:
         raise CorpusError(f"{path}: 'videos' must be a non-empty list")

@@ -4,6 +4,7 @@ import importlib
 import json
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,13 @@ class TestErrors:
                 for value in (float("nan"), float("inf"), True)
             ],
             ("train", [], {"loss": {"lambda": float("inf")}}, "loss"),
+            # every stage checks every section, also those it does not read
+            ("generate", [], {"loss": {"alpha": 7}}, "loss"),
+            ("generate", [], {"train": {"epochs": 0}}, "train"),
+            ("generate", [], {"model": {"n_prototypes": 0}}, "model"),
+            ("segment", [], {"train": {"batch_size": 0}}, "train"),
+            ("recognize", [], {"corpus": {"drop_prob": 1.5}}, "corpus"),
+            ("eval", [], {"model": {"embed_dim": 0}}, "model"),
         ],
     )
     def test_bad_config_value_is_config_error(
@@ -302,6 +310,7 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {section or bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()  # not even effective_config.json
 
     @pytest.mark.parametrize(
         "key, value, rule",
@@ -844,16 +853,41 @@ class TestConfigHandling:
         }
         assert first == second
 
-    def test_threads_flag_gives_same_outputs(self, workdir):
+    def test_threads_flag_gives_same_outputs(self, workdir, monkeypatch):
         tmp_path, cfg_path = workdir
         out1, manifest, ckpt = _pipeline(tmp_path, cfg_path)
         base = ["--config", cfg_path, "--manifest", manifest, "--checkpoint", ckpt]
-        out2 = tmp_path / "out_threads"
-        assert run(["segment", *base, "--out-dir", out2, "--threads", "4"]) == 0
         files = sorted((out1 / "segments").iterdir())
-        assert len(files) == 7
-        for path in files:
-            assert path.read_bytes() == (out2 / "segments" / path.name).read_bytes()
+        assert len(files) == 7  # 6 videos and the index
+        workers = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        for threads in (4, 9):  # 9: more than the corpus has videos
+            out2 = tmp_path / f"out_threads{threads}"
+            workers.clear()
+            assert run(["segment", *base, "--out-dir", out2, "--threads", threads]) == 0
+            assert max(workers) == min(threads, 6)
+            for path in files:
+                assert path.read_bytes() == (out2 / "segments" / path.name).read_bytes()
+
+    def test_echoed_config_is_valid_for_train_and_generate(self, workdir):
+        tmp_path, cfg_path = workdir
+        out_dir = tmp_path / "out"
+        base = ["--config", cfg_path, "--manifest", tmp_path / "corpus" / "manifest.json",
+                "--out-dir", out_dir, "--checkpoint", out_dir / "model.ckpt"]
+        echoed = out_dir / "effective_config.json"
+        for stage in ["generate", "train", "segment", "eval", "recognize"]:
+            assert run([stage, *base]) == 0
+            again = tmp_path / f"again_{stage}"
+            paths = ["--manifest", again / "corpus" / "manifest.json", "--out-dir", again,
+                     "--checkpoint", again / "model.ckpt"]
+            assert run(["generate", "--config", echoed, *paths]) == 0
+            assert run(["train", "--config", echoed, *paths]) == 0
 
 
 class TestKeepFreedHeap:

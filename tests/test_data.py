@@ -295,7 +295,8 @@ class TestCorpusIO:
     @pytest.mark.parametrize(
         "key, value",
         [("feature_file", 7), ("gt_file", 7), ("gt_file", None), ("activity_names", 3),
-         ("activity_names", "ab")],
+         ("activity_names", "ab"), ("activity_names", ["a"]), ("activity_names", [7, "b", "c"]),
+         ("activity_names", ["a", "b", "c", "d"])],
     )
     def test_non_string_file_or_non_list_names_is_refused(self, tmp_path, key, value):
         corpus = generate_corpus(small_spec(videos_per_activity=1))
