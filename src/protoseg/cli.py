@@ -211,7 +211,11 @@ def _sha256_file(path: Path) -> str:
 
 
 def _load_checkpoint_for(ckpt_path: Path, corpus: Corpus, manifest: Path) -> Checkpoint:
-    """Load a checkpoint and check that it takes the corpus's feature dimension."""
+    """Load a checkpoint for inference on the corpus, whose feature dimension it must take.
+
+    Its `embed_w` is replaced by a float32 copy, so `model.infer` embeds
+    the frames in float32; the other parameters stay float64.
+    """
     ckpt = load_checkpoint(ckpt_path)
     dim = corpus.videos[0].feature_dim
     if ckpt.model.input_dim != dim:
@@ -219,6 +223,7 @@ def _load_checkpoint_for(ckpt_path: Path, corpus: Corpus, manifest: Path) -> Che
             f"checkpoint {ckpt_path} takes feature dim {ckpt.model.input_dim}, "
             f"but manifest {manifest} has feature dim {dim}"
         )
+    ckpt.params["embed_w"] = ckpt.params["embed_w"].astype(np.float32)
     return ckpt
 
 

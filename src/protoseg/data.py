@@ -2,8 +2,8 @@
 
 Feature files store float32 ("CADF"), ground truth stores u32 action ids
 with 0 = background ("CADG"); a JSON manifest ties a corpus together.
-Features are promoted to float64 when read; a corpus read from a manifest
-reads each video's features when they are used.
+A corpus read from a manifest reads each video's features, as the float32
+values stored, when they are used; training promotes them to float64.
 """
 from __future__ import annotations
 
@@ -41,12 +41,12 @@ class FeatureFile:
     shape: tuple  # (T, d), from the header
 
     def read(self) -> np.ndarray:
-        """The file's values as float64, checked again as `read_corpus` checked them."""
+        """The file's float32 values as stored, checked again as `read_corpus` checked them."""
         shape, values = _read_array(self.path, FEATURE_MAGIC, "<f4", 2, "feature values")
         if shape != self.shape:
             raise CorpusError(f"{self.path}: now holds {shape[0]} x {shape[1]} features, "
                               f"not the {self.shape[0]} x {self.shape[1]} read before")
-        return values.astype(np.float64)
+        return values
 
 
 class FeatureSequence:
@@ -54,10 +54,10 @@ class FeatureSequence:
 
     `features` is given as a T x d array, which is kept as float64, or as
     the `FeatureFile` that `read_corpus` checked.  Then each use of
-    `.features` reads the file's float32 values, promoted to float64, and
-    nothing keeps them: a corpus read from a manifest holds only its
-    ground truth, and each stage holds a video's features while it uses
-    them.  `n_frames` and `feature_dim` come from the header.
+    `.features` reads the file's float32 values, as stored, and nothing
+    keeps them: a corpus read from a manifest holds only its ground
+    truth, and each stage holds a video's features while it uses them.
+    `n_frames` and `feature_dim` come from the header.
     """
 
     def __init__(self, video_id: str, activity: int, features, gt_actions=None):
@@ -79,7 +79,7 @@ class FeatureSequence:
 
     @property
     def features(self) -> np.ndarray:
-        """T x d float64; read from the file at each use for a `FeatureFile`."""
+        """T x d; float64 as given, or float32 read from a `FeatureFile` at each use."""
         features = self._features
         return features.read() if isinstance(features, FeatureFile) else features
 
@@ -325,8 +325,9 @@ def _read_array(path: Path, magic: bytes, dtype: str, ndim: int, what: str, valu
             raise CorpusError(f"{path}: trailing bytes after {what}")
         if not values:
             return tuple(shape), None
-        data = f.read(n_bytes)
-    if len(data) != n_bytes:  # the file shrank since its size was taken
+        data = bytearray(n_bytes)  # a writable buffer, so the array is too
+        n_read = f.readinto(data)
+    if n_read != n_bytes:  # the file shrank since its size was taken
         raise CorpusError(f"{path}: truncated while reading {what}")
     array = np.frombuffer(data, dtype=dtype).reshape(shape)
     # a float64 sum of float32 values overflows only past 10**270 of them,
@@ -453,6 +454,8 @@ def read_corpus(manifest_path) -> Corpus:
             raise CorpusError(
                 f"{feature_path}: has {shape[0]} frames, manifest says {entry['T']}"
             )
+        if shape[1] < 1:
+            raise CorpusError(f"{feature_path}: has feature dim 0, expected at least 1")
         if videos and shape[1] != videos[0].feature_dim:
             raise CorpusError(
                 f"{feature_path}: video {entry['id']!r} has feature dim {shape[1]}, "

@@ -50,7 +50,8 @@ def parameter_layout(cfg: ModelConfig) -> Dict[str, tuple[tuple[int, ...], int]]
 
     A model's parameters are a dict of float64 arrays with exactly these
     keys; initialization, serialization and the Adam update follow this
-    order.
+    order.  `infer` also takes a float32 `embed_w`, as the inference
+    stages give it.
     """
     d_in, d, n, c = cfg.input_dim, cfg.resolved_embed_dim, cfg.n_prototypes, cfg.n_activities
     return {
@@ -102,14 +103,22 @@ class ForwardOutputs:
     visual_probs: Var  # C-vector
 
 
-def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardOutputs:
-    """Run the full network for one video on the tape owning `bound`."""
-    features = np.asarray(features, dtype=np.float64)
+def _frames(features) -> np.ndarray:
+    features = np.asarray(features)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("features must be a non-empty T x d_in array")
-    tape = bound["embed_w"].tape
-    x = tape.const(features)
+    return features
+
+
+def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardOutputs:
+    """Run the full network for one video on the tape owning `bound`."""
+    x = bound["embed_w"].tape.const(_frames(features))  # promoted to float64
     f = ad.linear(x, bound["embed_w"], bound["embed_b"])  # per frame: a width-1 convolution
+    return _from_embedding(f, bound, cfg)
+
+
+def _from_embedding(f: Var, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardOutputs:
+    """The network after its embedding record, on the tape owning `f`."""
     a = ad.affinity(f, bound["prototypes"])  # distance, min-max inversion, row norm
     vp = ad.axis0_sum(a)  # V^p: occurrence and frequency evidence per prototype
     # V^g = (V^p/T)·P + mean_t(relu(A·(P·W1) + b1))·W2 + b2: no T-row
@@ -130,7 +139,18 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
 
 
 def infer(features: np.ndarray, params: Dict[str, np.ndarray], cfg: ModelConfig):
-    """Forward pass with constant parameters; returns (affinity, proto_probs, visual_probs)."""
+    """Forward pass with constant parameters; returns (affinity, proto_probs, visual_probs).
+
+    The embedding x·W runs in the dtype of `params["embed_w"]`, float32 or
+    float64, with x cast to it; its product is promoted to float64 before
+    the bias is added, and the rest of the network runs in float64.  With
+    float64 parameters the outputs are bitwise those of `forward`.
+    """
+    x, w = _frames(features), params["embed_w"]
+    f = ad._checked("matmul", x.astype(w.dtype, copy=False) @ w).astype(np.float64, copy=False)
+    f += params["embed_b"]
     tape = Tape()
-    out = forward(features, {name: tape.const(arr) for name, arr in params.items()}, cfg)
+    # a Var holds float64, so the weight, maybe float32, stays off the tape
+    bound = {name: tape.const(arr) for name, arr in params.items() if name != "embed_w"}
+    out = _from_embedding(tape.const(ad._checked("add", f)), bound, cfg)
     return out.affinity.value, out.proto_probs.value, out.visual_probs.value

@@ -128,13 +128,25 @@ class TestPipeline:
                 "--checkpoint", ckpt]
         assert run(["segment", *base, "--no-decode", "--no-smooth"]) == 0
         corpus = read_corpus(manifest)
-        checkpoint = load_checkpoint(ckpt)
+        # the parameters the stage runs: a float32 embedding weight
+        checkpoint = cli._load_checkpoint_for(ckpt, corpus, manifest)
         for video in corpus.videos:
             affinity, _, _ = infer(video.features, checkpoint.params, checkpoint.model)
             expected = naive_labels(affinity)
             lines = (out_dir / "segments" / f"{video.video_id}.seg.txt").read_text()
             got = np.array([int(l) for l in lines.splitlines()])
             assert np.array_equal(got, expected)
+
+    def test_inference_checkpoint_has_a_float32_embedding_weight(self, trained):
+        _, manifest, ckpt = trained
+        stored = load_checkpoint(ckpt).params
+        params = cli._load_checkpoint_for(ckpt, read_corpus(manifest), manifest).params
+        assert params.keys() == stored.keys()
+        assert params["embed_w"].dtype == np.float32
+        assert np.array_equal(params["embed_w"], stored["embed_w"].astype(np.float32))
+        for name in stored.keys() - {"embed_w"}:
+            assert params[name].dtype == np.float64
+            assert params[name].tobytes() == stored[name].tobytes()
 
     def test_activity_scope_segment_and_eval(self, workdir):
         tmp_path, cfg_path = workdir
@@ -609,6 +621,25 @@ class TestBadInputFiles:
             "integer, got 0\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_zero_width_feature_file_is_named_corpus_error(self, trained, tmp_path, capsys):
+        cfg_path, manifest, ckpt = trained
+        text = json.loads(manifest.read_text())
+        for entry in text["videos"]:
+            flat = manifest.parent / "features" / f"flat_{tmp_path.name}_{entry['id']}.feat"
+            _write_array(flat, FEATURE_MAGIC, np.zeros((entry["T"], 0)), "<f4")
+            entry["feature_file"] = flat.relative_to(manifest.parent).as_posix()
+        bad = manifest.with_name(f"bad_{tmp_path.name}.json")
+        bad.write_text(json.dumps(text))
+        out_dir = tmp_path / "out"
+        code = run(["train", "--config", cfg_path, "--manifest", bad, "--out-dir", out_dir,
+                    "--checkpoint", out_dir / "model.ckpt"])
+        assert code == 1
+        first = manifest.parent / text["videos"][0]["feature_file"]
+        assert capsys.readouterr().err == (
+            f"error: runtime: CorpusError: {first}: has feature dim 0, expected at least 1\n"
+        )
+        assert not out_dir.exists()
 
     def test_mixed_feature_dims_is_named_corpus_error(self, trained, tmp_path, capsys):
         cfg_path, manifest, ckpt = trained

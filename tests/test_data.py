@@ -162,7 +162,9 @@ class TestCorpusIO:
         for va, vb in zip(corpus.videos, loaded.videos):
             assert va.video_id == vb.video_id
             assert va.activity == vb.activity
-            assert va.features.tobytes() == vb.features.tobytes()
+            # the generator rounds through float32; the file stores those values
+            assert vb.features.dtype == np.float32
+            assert vb.features.astype(np.float64).tobytes() == va.features.tobytes()
             assert np.array_equal(va.gt_actions, vb.gt_actions)
 
     def test_write_is_deterministic(self, tmp_path):
@@ -192,6 +194,18 @@ class TestCorpusIO:
         manifest.write_text(text)
         with pytest.raises(CorpusError, match="manifest says"):
             read_corpus(manifest)
+
+    @pytest.mark.parametrize("victims", [[0, 1, 2], [1]])
+    def test_zero_width_feature_file_is_refused(self, tmp_path, victims):
+        corpus = generate_corpus(small_spec(videos_per_activity=1))
+        manifest = write_corpus(corpus, tmp_path)
+        paths = [tmp_path / "features" / f"{v.video_id}.feat" for v in corpus.videos]
+        for i in victims:
+            _write_array(paths[i], FEATURE_MAGIC, np.zeros((corpus.videos[i].n_frames, 0)), "<f4")
+        with pytest.raises(CorpusError) as raised:
+            read_corpus(manifest)
+        path = paths[victims[0]]
+        assert str(raised.value) == f"{path}: has feature dim 0, expected at least 1"
 
     def test_bad_magic_rejected(self, tmp_path):
         corpus = generate_corpus(small_spec(videos_per_activity=1))
@@ -323,8 +337,10 @@ class TestLazyFeatures:
         assert isinstance(video._features, FeatureFile)
         assert (video.n_frames, video.feature_dim) == made.features.shape
         first, second = video.features, video.features
-        assert first is not second and first.dtype == np.float64
-        assert first.tobytes() == second.tobytes() == made.features.tobytes()
+        assert first.dtype == second.dtype == np.float32
+        assert not np.shares_memory(first, second) and first.flags.writeable
+        assert first.tobytes() == second.tobytes()
+        assert first.astype(np.float64).tobytes() == made.features.tobytes()
 
     def test_file_truncated_after_reading_corpus_is_refused(self, tmp_path):
         _, video, path = self._corpus(tmp_path)

@@ -7,6 +7,7 @@ from protoseg import autodiff as ad
 from protoseg import losses as losses_mod
 from protoseg import model as model_mod
 from protoseg.autodiff import Tape
+from protoseg.inference import naive_labels
 from protoseg.losses import LossConfig
 from protoseg.model import (
     ForwardOutputs,
@@ -352,20 +353,53 @@ class TestInfer:
 
 
     def test_one_call_holds_few_frame_by_embedding_arrays(self):
-        # paper shape: the float64 input (T x 2048) is the caller's; the call
-        # itself may hold at most 2.5 T x D float64 arrays at once
+        # paper shape: the input (T x 2048) is the caller's; the call itself
+        # may hold at most 2.5 T x D float64 arrays at once, with float64
+        # weight and frames as with the float32 ones the stages pass
         t, cfg = 600, ModelConfig(input_dim=2048, n_activities=4, n_prototypes=50)
         params = init_parameters(cfg, seed=0)
         feats = np.random.default_rng(1).normal(size=(t, cfg.input_dim))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            model_mod.infer(feats, params, cfg)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
         assert cfg.resolved_embed_dim == 1024
-        assert peak < 2.5 * t * 1024 * 8
+        for dtype in (np.float64, np.float32):
+            weights = {**params, "embed_w": params["embed_w"].astype(dtype)}
+            frames = feats.astype(dtype)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                model_mod.infer(frames, weights, cfg)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * t * 1024 * 8, dtype
+
+    @pytest.mark.parametrize("input_dim, t_frames", [(5, 9), (96, 40)])
+    def test_float32_weight_embeds_in_float32(self, input_dim, t_frames):
+        cfg = tiny_config(input_dim=input_dim, embed_dim=None, n_prototypes=6)
+        params = init_parameters(cfg, seed=5)
+        w32 = params["embed_w"].astype(np.float32)
+        x32 = np.random.default_rng(10).normal(size=(t_frames, input_dim)).astype(np.float32)
+        tape = Tape()
+        f = tape.var((x32 @ w32).astype(np.float64) + params["embed_b"])
+        bound = {name: tape.var(arr) for name, arr in params.items()}
+        out = model_mod._from_embedding(f, bound, cfg)
+        assert tape._records  # the oracle records, as training does
+        a, yp, yg = model_mod.infer(x32, {**params, "embed_w": w32}, cfg)
+        assert np.array_equal(a, out.affinity.value)
+        assert np.array_equal(yp, out.proto_probs.value)
+        assert np.array_equal(yg, out.visual_probs.value)
+        assert params["embed_w"].dtype == np.float64  # the caller's dict is untouched
+
+    def test_float32_weight_keeps_paper_shape_labels(self):
+        t, cfg = 600, ModelConfig(input_dim=2048, n_activities=4, n_prototypes=50)
+        params = init_parameters(cfg, seed=0)
+        feats = np.random.default_rng(1).normal(size=(t, cfg.input_dim)).astype(np.float32)
+        a64, yp64, yg64 = model_mod.infer(feats, params, cfg)
+        a32, yp32, yg32 = model_mod.infer(
+            feats, {**params, "embed_w": params["embed_w"].astype(np.float32)}, cfg
+        )
+        assert a32.dtype == yp32.dtype == yg32.dtype == np.float64
+        assert np.array_equal(naive_labels(a32), naive_labels(a64))
+        assert np.abs(a32 - a64).max() <= 1e-6
 
 
 def full_loss_gradient_error(seed: int, t_frames=6) -> float:
