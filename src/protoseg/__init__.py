@@ -22,7 +22,7 @@ from .matching import (
     kl_prototype_sharing,
     match_at_level,
 )
-from .model import ForwardOutputs, ModelConfig, forward, infer, init_parameters
+from .model import ForwardOutputs, ModelConfig, forward, infer, infer_affinity, init_parameters
 from .trainer import AdamState, NonFiniteLossError, TrainConfig, TrainResult, adam_step, train
 
 __version__ = "0.1.0"

@@ -84,11 +84,12 @@ def _check_keys(path: Path, found, expected, what: str) -> None:
         )
 
 
-def _read_exact(f, n: int, what: str, path: Path) -> bytes:
-    """The next `n` bytes of the checkpoint `f` at `path`; a CheckpointError if it holds fewer."""
+def _read_exact(f, n: int, what: str, path: Path, into=bytearray):
+    """The next `n` bytes of the checkpoint `f` at `path`, read into `into(n)`, a new
+    writable buffer of n bytes; a CheckpointError if `f` holds fewer."""
     offset = f.tell()
-    data = f.read(n) if n <= os.fstat(f.fileno()).st_size - offset else b""
-    if len(data) != n:
+    data = into(n if n <= os.fstat(f.fileno()).st_size - offset else 0)
+    if f.readinto(data) != n:
         raise CheckpointError(path, f"truncated checkpoint while reading {what}", offset)
     return data
 
@@ -96,7 +97,7 @@ def _read_exact(f, n: int, what: str, path: Path) -> bytes:
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic", path)
+        magic = bytes(_read_exact(f, 4, "magic", path))
         if magic != MAGIC:
             raise CheckpointError(path, f"bad magic {magic!r}, expected {MAGIC!r}", 0)
         (version,) = struct.unpack("<I", _read_exact(f, 4, "version", path))
@@ -128,8 +129,11 @@ def load_checkpoint(path) -> Checkpoint:
         tensors, starts = {}, {}
         for name, (shape, _) in parameter_layout(model_cfg).items():
             starts[name] = f.tell()
-            raw = _read_exact(f, 8 * math.prod(shape), f"{name} values", path)
-            tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            # read into the array itself, so nothing is copied
+            values = _read_exact(
+                f, 8 * math.prod(shape), f"{name} values", path, lambda n: np.empty(n // 8, "<f8")
+            )
+            tensors[name] = values.reshape(shape)
         if f.read(1):
             raise CheckpointError(path, "trailing bytes after last tensor", f.tell() - 1)
 

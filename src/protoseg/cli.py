@@ -13,9 +13,11 @@ import argparse
 import copy
 import ctypes
 import hashlib
+import itertools
 import json
 import re
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
@@ -210,11 +212,16 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _load_checkpoint_for(ckpt_path: Path, corpus: Corpus, manifest: Path) -> Checkpoint:
+def _load_checkpoint_for(
+    ckpt_path: Path, corpus: Corpus, manifest: Path, affinity_only: bool = False
+) -> Checkpoint:
     """Load a checkpoint for inference on the corpus, whose feature dimension it must take.
 
     Its `embed_w` is replaced by a float32 copy, so `model.infer` embeds
-    the frames in float32; the other parameters stay float64.
+    the frames in float32; the other parameters stay float64.  With
+    `affinity_only`, it keeps only `model.AFFINITY_PARAMETERS`, so a stage
+    that only labels frames frees the latent path's and the heads' weights
+    at once (17 MB at paper shape).
     """
     ckpt = load_checkpoint(ckpt_path)
     dim = corpus.videos[0].feature_dim
@@ -224,29 +231,39 @@ def _load_checkpoint_for(ckpt_path: Path, corpus: Corpus, manifest: Path) -> Che
             f"but manifest {manifest} has feature dim {dim}"
         )
     ckpt.params["embed_w"] = ckpt.params["embed_w"].astype(np.float32)
+    if affinity_only:
+        ckpt.params = {name: ckpt.params[name] for name in model_mod.AFFINITY_PARAMETERS}
     return ckpt
 
 
-def _infer_corpus(corpus: Corpus, ckpt: Checkpoint, threads: int, keep=lambda out: out[0]):
-    """`keep` of each video's `model.infer` outputs, by video id in corpus order.
+def _infer_corpus(corpus: Corpus, threads: int, task):
+    """Yield (video, `task(video.features)`) for every video, in activity order.
 
-    By default that is the affinity matrix.  Each worker runs one task, a
-    contiguous shard of the videos, and reads a video's features only for
-    its forward pass, so it holds one video's features at a time.
+    Activities come in ascending order, and each one's videos in corpus
+    order.  A video's features are read when its task starts and dropped
+    when it ends, so the caller holds only the results it keeps.  With
+    more than one thread, a pool of `threads` workers runs the tasks with
+    at most `threads` videos in flight, across activity boundaries, and
+    starts the next video only once the oldest one's result is taken.  One
+    thread runs them on the calling thread: a single worker would add two
+    thread switches per video, and a malloc arena of its own.
     """
-    videos = corpus.videos
-    threads = min(threads, len(videos))
-    cuts = [len(videos) * i // threads for i in range(threads + 1)]
+    videos = iter(sorted(corpus.videos, key=lambda v: v.activity))  # stable
+    threads = min(threads, len(corpus.videos))
 
-    def run(shard):
-        return [
-            (v.video_id, keep(model_mod.infer(v.features, ckpt.params, ckpt.model)))
-            for v in shard
-        ]
+    def run(video):
+        return task(video.features)
 
+    if threads == 1:
+        yield from ((v, run(v)) for v in videos)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        shards = pool.map(run, (videos[a:b] for a, b in zip(cuts, cuts[1:])))
-        return dict(pair for shard in shards for pair in shard)
+        running = deque((v, pool.submit(run, v)) for v in itertools.islice(videos, threads))
+        while running:
+            video, future = running.popleft()
+            result = future.result()
+            running.extend((v, pool.submit(run, v)) for v in itertools.islice(videos, 1))
+            yield video, result
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +359,14 @@ def _nprime_by_activity(cfg: dict, corpus: Corpus, manifest: Path):
 
 
 def _cmd_segment(cfg: dict) -> None:
+    """Label every video's frames and write one labeling file per video.
+
+    Activity by activity, it computes each video's affinity matrix
+    (`model.infer_affinity`: no V^g and no classifier head), labels the
+    activity's videos, and drops their affinities, so it holds one
+    activity's affinities and every video's labels.  The output directory
+    is made only after the last feature file is read.
+    """
     manifest = _require_path(cfg, "manifest")
     ckpt_path = _require_path(cfg, "checkpoint")
     scope = cfg["eval"]["scope"]
@@ -349,27 +374,34 @@ def _cmd_segment(cfg: dict) -> None:
         raise ConfigError("segment supports --scope global or activity")
     corpus = read_corpus(manifest)
     n_keep = _nprime_by_activity(cfg, corpus, manifest) if scope == "activity" else None
-    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
+    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest, affinity_only=True)
+    smooth = scope == "activity" and cfg["infer"]["smooth"]
+    decode = scope == "activity" and cfg["infer"]["decode"]
+    labelings = {}
     # hashlib releases the GIL on large updates, so the digests are taken
     # on a worker thread while inference runs
     with ThreadPoolExecutor(max_workers=1) as hasher:
         digests = hasher.map(_sha256_file, (manifest, ckpt_path))
-        affinities = _infer_corpus(corpus, ckpt, cfg["threads"])
+        stream = _infer_corpus(
+            corpus, cfg["threads"], lambda x: model_mod.infer_affinity(x, ckpt.params)
+        )
+        for activity, group in itertools.groupby(stream, key=lambda pair: pair[0].activity):
+            affinities = {video.video_id: a for video, a in group}
+            labelings.update(
+                inference.segment_corpus(
+                    affinities,
+                    dict.fromkeys(affinities, activity),
+                    scope=scope,
+                    smooth=smooth,
+                    sigma=cfg["infer"]["sigma"],
+                    decode=decode,
+                    n_keep=n_keep,
+                    eta=cfg["infer"]["eta"],
+                )
+            )
+            del affinities  # before the next activity's arrive
         manifest_sha256, checkpoint_sha256 = digests
     out = _out_dir(cfg)  # only now: inference has read every feature file
-    activities = {v.video_id: v.activity for v in corpus.videos}
-    smooth = scope == "activity" and cfg["infer"]["smooth"]
-    decode = scope == "activity" and cfg["infer"]["decode"]
-    labelings = inference.segment_corpus(
-        affinities,
-        activities,
-        scope=scope,
-        smooth=smooth,
-        sigma=cfg["infer"]["sigma"],
-        decode=decode,
-        n_keep=n_keep,
-        eta=cfg["infer"]["eta"],
-    )
     seg_dir = out / "segments"
     seg_dir.mkdir(exist_ok=True)
     for vid, labels in sorted(labelings.items()):
@@ -441,7 +473,9 @@ def _cmd_eval(cfg: dict) -> None:
         raise ConfigError(f"no segmentation index under {seg_dir}; run segment first")
     corpus = read_corpus(manifest)
     scope = cfg["eval"]["scope"]
-    ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest) if ckpt_path else None
+    ckpt = (
+        _load_checkpoint_for(ckpt_path, corpus, manifest, affinity_only=True) if ckpt_path else None
+    )
     index = _segment_index(seg_dir / "index.json", manifest, ckpt_path)
 
     videos = []
@@ -465,9 +499,12 @@ def _cmd_eval(cfg: dict) -> None:
         report["f1"] = matching.corpus_f1(videos, result.mapped)
     if ckpt is not None:
         # each video's naive labels; its affinity is not kept
-        labels = _infer_corpus(
-            corpus, ckpt, cfg["threads"], keep=lambda out: inference.naive_labels(out[0])
+        stream = _infer_corpus(
+            corpus,
+            cfg["threads"],
+            lambda x: inference.naive_labels(model_mod.infer_affinity(x, ckpt.params)),
         )
+        labels = {video.video_id: naive for video, naive in stream}
         by_activity = {}
         for video in videos:
             by_activity.setdefault(video.activity, []).append(video)
@@ -500,7 +537,10 @@ def _cmd_recognize(cfg: dict) -> None:
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest)
     wp, wg = cfg["recognize"]["wp"], cfg["recognize"]["wg"]
     # the two head-probability vectors of each video; its affinity is not kept
-    probs = _infer_corpus(corpus, ckpt, cfg["threads"], keep=lambda out: out[1:])
+    stream = _infer_corpus(
+        corpus, cfg["threads"], lambda x: model_mod.infer(x, ckpt.params, ckpt.model)[1:]
+    )
+    probs = {video.video_id: heads for video, heads in stream}
     out = _out_dir(cfg)  # only now: inference has read every feature file
     rows = []
     correct = 0

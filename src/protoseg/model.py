@@ -11,7 +11,9 @@ path then costs T·N·d + N·d² per video instead of T·N·d + 2·T·d².
 
 A training video records 6 tape operations: the fused embedding x·W + b,
 the fused affinity, V^p's time sum, the fused mean latent, and one fused
-softmax(v·W + b) per head; the losses add 8 more.
+softmax(v·W + b) per head; the losses add 8 more.  Inference runs the
+same records on constants: `infer` all of them, and `infer_affinity`
+only the embedding and the affinity, for the stages that label frames.
 """
 from __future__ import annotations
 
@@ -50,8 +52,8 @@ def parameter_layout(cfg: ModelConfig) -> Dict[str, tuple[tuple[int, ...], int]]
 
     A model's parameters are a dict of float64 arrays with exactly these
     keys; initialization, serialization and the Adam update follow this
-    order.  `infer` also takes a float32 `embed_w`, as the inference
-    stages give it.
+    order.  `infer` and `infer_affinity` also take a float32 `embed_w`,
+    as the inference stages give it.
     """
     d_in, d, n, c = cfg.input_dim, cfg.resolved_embed_dim, cfg.n_prototypes, cfg.n_activities
     return {
@@ -138,19 +140,38 @@ def _from_embedding(f: Var, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardO
     return ForwardOutputs(affinity=a, proto_probs=yp, visual_probs=yg)
 
 
-def infer(features: np.ndarray, params: Dict[str, np.ndarray], cfg: ModelConfig):
-    """Forward pass with constant parameters; returns (affinity, proto_probs, visual_probs).
-
-    The embedding x·W runs in the dtype of `params["embed_w"]`, float32 or
-    float64, with x cast to it; its product is promoted to float64 before
-    the bias is added, and the rest of the network runs in float64.  With
-    float64 parameters the outputs are bitwise those of `forward`.
-    """
+def _embedding(features: np.ndarray, params: Dict[str, np.ndarray]) -> np.ndarray:
+    """x·W + b as a float64 array: x·W in the dtype of `params["embed_w"]`,
+    float32 or float64, with x cast to it, and promoted before the bias."""
     x, w = _frames(features), params["embed_w"]
     f = ad._checked("matmul", x.astype(w.dtype, copy=False) @ w).astype(np.float64, copy=False)
     f += params["embed_b"]
+    return ad._checked("add", f)
+
+
+def infer(features: np.ndarray, params: Dict[str, np.ndarray], cfg: ModelConfig):
+    """Forward pass with constant parameters; returns (affinity, proto_probs, visual_probs).
+
+    The embedding is `_embedding`'s, and the rest of the network runs in
+    float64.  With float64 parameters the outputs are bitwise those of
+    `forward`.
+    """
     tape = Tape()
     # a Var holds float64, so the weight, maybe float32, stays off the tape
     bound = {name: tape.const(arr) for name, arr in params.items() if name != "embed_w"}
-    out = _from_embedding(tape.const(ad._checked("add", f)), bound, cfg)
+    out = _from_embedding(tape.const(_embedding(features, params)), bound, cfg)
     return out.affinity.value, out.proto_probs.value, out.visual_probs.value
+
+
+# the parameters `infer_affinity` reads
+AFFINITY_PARAMETERS = ("embed_w", "embed_b", "prototypes")
+
+
+def infer_affinity(features: np.ndarray, params: Dict[str, np.ndarray]) -> np.ndarray:
+    """`infer`'s affinity matrix alone, bitwise: no V^g and no classifier head.
+
+    `params` needs only the `AFFINITY_PARAMETERS`.
+    """
+    tape = Tape()
+    f = tape.const(_embedding(features, params))
+    return ad.affinity(f, tape.const(params["prototypes"])).value

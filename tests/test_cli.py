@@ -4,6 +4,8 @@ import importlib
 import json
 import re
 import sys
+import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -11,11 +13,12 @@ import numpy as np
 import pytest
 
 from protoseg import cli
+from protoseg import model as model_mod
 from protoseg.checkpoint import load_checkpoint
 from protoseg.cli import _read_segment_file, _write_segment_file, main
 from protoseg.data import FEATURE_MAGIC, GT_MAGIC, CorpusError, _write_array, read_corpus
 from protoseg.inference import naive_labels
-from protoseg.matching import VideoEval, match_at_level
+from protoseg.matching import VideoEval, kl_prototype_sharing, match_at_level
 from protoseg.model import infer
 
 
@@ -148,6 +151,17 @@ class TestPipeline:
             assert params[name].dtype == np.float64
             assert params[name].tobytes() == stored[name].tobytes()
 
+    def test_labeling_stages_keep_only_the_affinity_parameters(self, trained):
+        _, manifest, ckpt = trained
+        full = cli._load_checkpoint_for(ckpt, read_corpus(manifest), manifest).params
+        kept = cli._load_checkpoint_for(
+            ckpt, read_corpus(manifest), manifest, affinity_only=True
+        ).params
+        assert tuple(kept) == model_mod.AFFINITY_PARAMETERS == ("embed_w", "embed_b", "prototypes")
+        for name, values in kept.items():
+            assert values.dtype == full[name].dtype
+            assert values.tobytes() == full[name].tobytes()
+
     def test_activity_scope_segment_and_eval(self, workdir):
         tmp_path, cfg_path = workdir
         out_dir, manifest, ckpt = _pipeline(tmp_path, cfg_path)
@@ -173,6 +187,107 @@ class TestPipeline:
         assert run(["eval", *base, "--scope", "activity"]) == 0
         report = json.loads((out_dir / "metrics_activity.json").read_text())
         assert report["segments"]["nprime"] == 3
+
+
+    def test_eval_kl_matches_naive_labels_of_infer(self, workdir):
+        tmp_path, cfg_path = workdir
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"kl": True}}))
+        out_dir, manifest, ckpt = _pipeline(tmp_path, cfg_path)
+        report = json.loads((out_dir / "metrics_global.json").read_text())
+        corpus = read_corpus(manifest)
+        checkpoint = cli._load_checkpoint_for(ckpt, corpus, manifest)
+        by_activity = {}
+        for video in corpus.videos:
+            affinity, _, _ = infer(video.features, checkpoint.params, checkpoint.model)
+            by_activity.setdefault(video.activity, []).append(naive_labels(affinity))
+        sharing, activities = kl_prototype_sharing(by_activity, checkpoint.model.n_prototypes)
+        assert report["kl"]["prototype_sharing"] == {
+            "activities": activities, "matrix": sharing.tolist()
+        }
+
+
+class TestSegmentStreams:
+    """`segment` runs one activity at a time and writes its files at the end."""
+
+    @pytest.mark.parametrize("scope", ["activity", "global"])
+    def test_holds_under_half_of_the_corpus_affinities(self, tmp_path, scope):
+        corpus = {**TINY_CONFIG["corpus"], "n_activities": 4, "n_actions": 8,
+                  "videos_per_activity": 20, "frames_range": [200, 200]}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "corpus": corpus, "train": {"epochs": 1},
+                                        "model": {"n_prototypes": 50, "embed_dim": 6}}))
+        out_dir, manifest, ckpt = _pipeline(tmp_path, cfg_path)
+        argv = ["segment", "--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                "--checkpoint", ckpt, "--scope", scope]
+        assert run(argv) == 0  # a first run imports what argparse loads lazily
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        all_affinities = 4 * 20 * 200 * 50 * 8  # T_total x N float64
+        assert peak < all_affinities / 2
+
+    @pytest.mark.parametrize("scope", ["activity", "global"])
+    def test_bad_features_in_the_last_activity_leave_no_output(
+        self, trained, tmp_path, capsys, scope
+    ):
+        cfg_path, manifest, ckpt = trained
+        text = json.loads(manifest.read_text())
+        text["videos"].reverse()  # segment reads activity by activity, not in this order
+        top = max(entry["activity"] for entry in text["videos"])
+        last = [entry for entry in text["videos"] if entry["activity"] == top][-1]
+        nan = manifest.parent / "features" / f"nan_{tmp_path.name}.feat"
+        values = np.ones((last["T"], TINY_CONFIG["corpus"]["feature_dim"]))
+        values[-1, -1] = np.nan
+        _write_array(nan, FEATURE_MAGIC, values, "<f4")
+        last["feature_file"] = nan.relative_to(manifest.parent).as_posix()
+        bad = manifest.with_name(f"bad_{tmp_path.name}.json")
+        bad.write_text(json.dumps(text))
+        code = run(["segment", "--config", cfg_path, "--manifest", bad, "--scope", scope,
+                    "--out-dir", tmp_path / "new" / "out", "--checkpoint", ckpt])
+        assert code == 1
+        offset = 16 + 4 * (values.size - 1)
+        assert capsys.readouterr().err == (
+            f"error: runtime: CorpusError: {nan}: non-finite value in "
+            f"feature values (byte offset {offset})\n"
+        )
+        assert not (tmp_path / "new").exists()
+
+    def test_threads_run_videos_of_two_activities_at_once(self, tmp_path, monkeypatch):
+        corpus = {**TINY_CONFIG["corpus"], "n_activities": 4, "n_actions": 8,
+                  "videos_per_activity": 1}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "corpus": corpus}))
+        out1, manifest, ckpt = _pipeline(tmp_path, cfg_path)
+        assert {e["activity"] for e in json.loads(manifest.read_text())["videos"]} == {1, 2, 3, 4}
+        assert run(["segment", "--config", cfg_path, "--manifest", manifest, "--out-dir", out1,
+                    "--checkpoint", ckpt, "--scope", "activity"]) == 0
+        infer_affinity, both = cli.model_mod.infer_affinity, threading.Barrier(2, timeout=10)
+        lock, in_flight, most = threading.Lock(), [0], [0]
+
+        def recording(features, params):
+            with lock:
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+            both.wait()  # returns only once two videos, of two activities, run
+            try:
+                return infer_affinity(features, params)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(cli.model_mod, "infer_affinity", recording)
+        out2 = tmp_path / "out_threads2"
+        assert run(["segment", "--config", cfg_path, "--manifest", manifest, "--out-dir", out2,
+                    "--checkpoint", ckpt, "--scope", "activity", "--threads", 2]) == 0
+        assert most[0] == 2
+        files = sorted((out1 / "segments").iterdir())
+        assert len(files) == 5  # 4 videos and the index
+        for path in files:
+            assert path.read_bytes() == (out2 / "segments" / path.name).read_bytes()
 
 
 class TestErrors:

@@ -389,6 +389,22 @@ class TestInfer:
         assert np.array_equal(yg, out.visual_probs.value)
         assert params["embed_w"].dtype == np.float64  # the caller's dict is untouched
 
+    # the CLI's default dimensions, and paper shape
+    @pytest.mark.parametrize("input_dim, n_prototypes, t_frames", [(32, 50, 150), (2048, 50, 300)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_affinity_alone_is_infer_affinity_bitwise(
+        self, input_dim, n_prototypes, t_frames, dtype
+    ):
+        cfg = ModelConfig(input_dim=input_dim, n_activities=4, n_prototypes=n_prototypes)
+        params = init_parameters(cfg, seed=2)
+        params["embed_w"] = params["embed_w"].astype(dtype)
+        feats = np.random.default_rng(3).normal(size=(t_frames, input_dim)).astype(dtype)
+        a = model_mod.infer_affinity(
+            feats, {name: params[name] for name in model_mod.AFFINITY_PARAMETERS}
+        )
+        assert a.dtype == np.float64 and a.shape == (t_frames, n_prototypes)
+        assert a.tobytes() == model_mod.infer(feats, params, cfg)[0].tobytes()
+
     def test_float32_weight_keeps_paper_shape_labels(self):
         t, cfg = 600, ModelConfig(input_dim=2048, n_activities=4, n_prototypes=50)
         params = init_parameters(cfg, seed=0)
