@@ -15,6 +15,7 @@ import ctypes
 import hashlib
 import itertools
 import json
+import os
 import re
 import sys
 from collections import deque
@@ -204,11 +205,12 @@ def _require_path(cfg: dict, key: str) -> Path:
 
 
 def _sha256_file(path: Path) -> str:
-    """Hex SHA-256 of a file's bytes, read in 1 MiB chunks."""
+    """Hex SHA-256 of a file's bytes, read into one buffer of at most 1 MiB."""
     digest = hashlib.sha256()
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
+        buffer = memoryview(bytearray(min(1 << 20, os.fstat(f.fileno()).st_size)))
+        while n_read := f.readinto(buffer):
+            digest.update(buffer[:n_read])
     return digest.hexdigest()
 
 
@@ -237,11 +239,13 @@ def _load_checkpoint_for(
 
 
 def _infer_corpus(corpus: Corpus, threads: int, task):
-    """Yield (video, `task(video.features)`) for every video, in activity order.
+    """Yield (video, `task(video)`) for every video, in activity order.
 
     Activities come in ascending order, and each one's videos in corpus
-    order.  A video's features are read when its task starts and dropped
-    when it ends, so the caller holds only the results it keeps.  With
+    order.  A task gets the video, not its features: `model.infer` and
+    `model.infer_affinity` read them one row block at a time, so a video
+    in flight holds one block, and the caller holds only the results it
+    keeps.  With
     more than one thread, a pool of `threads` workers runs the tasks with
     at most `threads` videos in flight, across activity boundaries, and
     starts the next video only once the oldest one's result is taken.  One
@@ -250,19 +254,15 @@ def _infer_corpus(corpus: Corpus, threads: int, task):
     """
     videos = iter(sorted(corpus.videos, key=lambda v: v.activity))  # stable
     threads = min(threads, len(corpus.videos))
-
-    def run(video):
-        return task(video.features)
-
     if threads == 1:
-        yield from ((v, run(v)) for v in videos)
+        yield from ((v, task(v)) for v in videos)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        running = deque((v, pool.submit(run, v)) for v in itertools.islice(videos, threads))
+        running = deque((v, pool.submit(task, v)) for v in itertools.islice(videos, threads))
         while running:
             video, future = running.popleft()
             result = future.result()
-            running.extend((v, pool.submit(run, v)) for v in itertools.islice(videos, 1))
+            running.extend((v, pool.submit(task, v)) for v in itertools.islice(videos, 1))
             yield video, result
 
 
@@ -288,7 +288,7 @@ _M_MMAP_THRESHOLD = -3
 
 
 def _keep_freed_heap() -> None:
-    """Let glibc keep the memory each training video frees, for the next one.
+    """Let glibc keep the memory each video frees, for the next one.
 
     glibc returns free memory above 128 KiB at the heap's top to the kernel,
     and serves arrays above its mmap threshold with mappings it unmaps on
@@ -313,7 +313,6 @@ def _cmd_train(cfg: dict) -> None:
     model_cfg = ModelConfig(
         input_dim=corpus.videos[0].feature_dim, n_activities=corpus.n_activities, **cfg["model"]
     )
-    _keep_freed_heap()
     result = trainer_mod.train(corpus.videos, model_cfg, train_cfg, loss_cfg)
     out = _out_dir(cfg)  # only now: training has read every feature file
     ckpt_path = cfg["paths"]["checkpoint"] or str(out / "model.ckpt")
@@ -383,7 +382,7 @@ def _cmd_segment(cfg: dict) -> None:
     with ThreadPoolExecutor(max_workers=1) as hasher:
         digests = hasher.map(_sha256_file, (manifest, ckpt_path))
         stream = _infer_corpus(
-            corpus, cfg["threads"], lambda x: model_mod.infer_affinity(x, ckpt.params)
+            corpus, cfg["threads"], lambda v: model_mod.infer_affinity(v, ckpt.params)
         )
         for activity, group in itertools.groupby(stream, key=lambda pair: pair[0].activity):
             affinities = {video.video_id: a for video, a in group}
@@ -502,7 +501,7 @@ def _cmd_eval(cfg: dict) -> None:
         stream = _infer_corpus(
             corpus,
             cfg["threads"],
-            lambda x: inference.naive_labels(model_mod.infer_affinity(x, ckpt.params)),
+            lambda v: inference.naive_labels(model_mod.infer_affinity(v, ckpt.params)),
         )
         labels = {video.video_id: naive for video, naive in stream}
         by_activity = {}
@@ -538,7 +537,7 @@ def _cmd_recognize(cfg: dict) -> None:
     wp, wg = cfg["recognize"]["wp"], cfg["recognize"]["wg"]
     # the two head-probability vectors of each video; its affinity is not kept
     stream = _infer_corpus(
-        corpus, cfg["threads"], lambda x: model_mod.infer(x, ckpt.params, ckpt.model)[1:]
+        corpus, cfg["threads"], lambda v: model_mod.infer(v, ckpt.params, ckpt.model)[1:]
     )
     probs = {video.video_id: heads for video, heads in stream}
     out = _out_dir(cfg)  # only now: inference has read every feature file
@@ -573,6 +572,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _load_config(args)
+        _keep_freed_heap()  # every stage works one video after another
         _COMMANDS[args.command](cfg)
         _write_json(_out_dir(cfg) / "effective_config.json", cfg)
         return 0

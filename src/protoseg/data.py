@@ -40,9 +40,15 @@ class FeatureFile:
     path: Path
     shape: tuple  # (T, d), from the header
 
-    def read(self) -> np.ndarray:
-        """The file's float32 values as stored, checked again as `read_corpus` checked them."""
-        shape, values = _read_array(self.path, FEATURE_MAGIC, "<f4", 2, "feature values")
+    def read(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows `start:stop` of the file's float32 values as stored.
+
+        Each read checks the file again as `read_corpus` checked it, and
+        checks the rows it reads for non-finite values.
+        """
+        shape, values = _read_array(
+            self.path, FEATURE_MAGIC, "<f4", 2, "feature values", slice(start, stop)
+        )
         if shape != self.shape:
             raise CorpusError(f"{self.path}: now holds {shape[0]} x {shape[1]} features, "
                               f"not the {self.shape[0]} x {self.shape[1]} read before")
@@ -54,10 +60,11 @@ class FeatureSequence:
 
     `features` is given as a T x d array, which is kept as float64, or as
     the `FeatureFile` that `read_corpus` checked.  Then each use of
-    `.features` reads the file's float32 values, as stored, and nothing
-    keeps them: a corpus read from a manifest holds only its ground
-    truth, and each stage holds a video's features while it uses them.
-    `n_frames` and `feature_dim` come from the header.
+    `.features`, or of `read` for a range of rows, reads the file's
+    float32 values, as stored, and nothing keeps them: a corpus read from
+    a manifest holds only its ground truth.  Training holds a video's
+    features while it uses them; inference reads them one row block at a
+    time.  `n_frames` and `feature_dim` come from the header.
     """
 
     def __init__(self, video_id: str, activity: int, features, gt_actions=None):
@@ -80,8 +87,14 @@ class FeatureSequence:
     @property
     def features(self) -> np.ndarray:
         """T x d; float64 as given, or float32 read from a `FeatureFile` at each use."""
+        return self.read()
+
+    def read(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows `start:stop` of `features`; of a `FeatureFile`, only those rows are read."""
         features = self._features
-        return features.read() if isinstance(features, FeatureFile) else features
+        if isinstance(features, FeatureFile):
+            return features.read(start, stop)
+        return features[start:stop]
 
     @property
     def n_frames(self) -> int:
@@ -293,12 +306,15 @@ def _write_array(path: Path, magic: bytes, array: np.ndarray, dtype: str) -> Non
         f.write(array.tobytes())
 
 
-def _read_array(path: Path, magic: bytes, dtype: str, ndim: int, what: str, values=True):
-    """The shape of the `ndim`-d array `_write_array` wrote, and with `values` the array.
+def _read_array(
+    path: Path, magic: bytes, dtype: str, ndim: int, what: str, rows: slice | None = slice(None)
+):
+    """The shape of the `ndim`-d array `_write_array` wrote, and its `rows`.
 
-    The header, and the file's size against it, are checked either way;
-    floating-point values must be finite.  Each CorpusError names `path`
-    first, and for a non-finite value gives its byte offset.
+    `rows` slices the first axis; None reads no values.  The header, and
+    the file's size against it, are checked either way; floating-point
+    values read must be finite.  Each CorpusError names `path` first, and
+    for a non-finite value gives its byte offset from the file's start.
     """
     header = f"<{1 + ndim}I"
     start = 4 + struct.calcsize(header)
@@ -318,18 +334,22 @@ def _read_array(path: Path, magic: bytes, dtype: str, ndim: int, what: str, valu
         version, *shape = struct.unpack_from(header, head, 4)
         if version != FORMAT_VERSION:
             raise CorpusError(f"{path}: unsupported {magic.decode()} format version {version}")
-        n_bytes = math.prod(shape) * np.dtype(dtype).itemsize
-        if size < start + n_bytes:
+        row_bytes = math.prod(shape[1:]) * np.dtype(dtype).itemsize
+        if size < start + shape[0] * row_bytes:
             raise CorpusError(f"{path}: truncated while reading {what}")
-        if size > start + n_bytes:
+        if size > start + shape[0] * row_bytes:
             raise CorpusError(f"{path}: trailing bytes after {what}")
-        if not values:
+        if rows is None:
             return tuple(shape), None
-        data = bytearray(n_bytes)  # a writable buffer, so the array is too
+        lo, hi, _ = rows.indices(shape[0])
+        n_rows = max(hi - lo, 0)
+        start += lo * row_bytes
+        f.seek(start)
+        data = bytearray(n_rows * row_bytes)  # a writable buffer, so the array is too
         n_read = f.readinto(data)
-    if n_read != n_bytes:  # the file shrank since its size was taken
+    if n_read != len(data):  # the file shrank since its size was taken
         raise CorpusError(f"{path}: truncated while reading {what}")
-    array = np.frombuffer(data, dtype=dtype).reshape(shape)
+    array = np.frombuffer(data, dtype=dtype).reshape(n_rows, *shape[1:])
     # a float64 sum of float32 values overflows only past 10**270 of them,
     # so it is finite exactly when they all are
     if array.dtype.kind == "f" and not math.isfinite(array.sum(dtype=np.float64)):
@@ -447,9 +467,7 @@ def read_corpus(manifest_path) -> Corpus:
     videos = []
     for entry in manifest["videos"]:
         feature_path = base / entry["feature_file"]
-        shape, _ = _read_array(
-            feature_path, FEATURE_MAGIC, "<f4", 2, "feature values", values=False
-        )
+        shape, _ = _read_array(feature_path, FEATURE_MAGIC, "<f4", 2, "feature values", None)
         if shape[0] != entry["T"]:
             raise CorpusError(
                 f"{feature_path}: has {shape[0]} frames, manifest says {entry['T']}"

@@ -14,6 +14,9 @@ the fused affinity, V^p's time sum, the fused mean latent, and one fused
 softmax(v·W + b) per head; the losses add 8 more.  Inference runs the
 same records on constants: `infer` all of them, and `infer_affinity`
 only the embedding and the affinity, for the stages that label frames.
+Both embed a video and compare it to the prototypes one row block at a
+time, and read a video from its feature file one block at a time, so of
+the frame-sized arrays only the T x N affinity is ever whole.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .data import require_int
+from .data import FeatureSequence, require_int
 
 
 @dataclass
@@ -121,7 +124,11 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
 
 def _from_embedding(f: Var, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardOutputs:
     """The network after its embedding record, on the tape owning `f`."""
-    a = ad.affinity(f, bound["prototypes"])  # distance, min-max inversion, row norm
+    return _from_affinity(ad.affinity(f, bound["prototypes"]), bound)  # distance, inversion, norm
+
+
+def _from_affinity(a: Var, bound: Dict[str, Var]) -> ForwardOutputs:
+    """The network after its affinity record, on the tape owning `a`."""
     vp = ad.axis0_sum(a)  # V^p: occurrence and frequency evidence per prototype
     # V^g = (V^p/T)·P + mean_t(relu(A·(P·W1) + b1))·W2 + b2: no T-row
     # operand ever meets a d x d weight, forward or backward
@@ -140,6 +147,20 @@ def _from_embedding(f: Var, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardO
     return ForwardOutputs(affinity=a, proto_probs=yp, visual_probs=yg)
 
 
+# The float64 embedding of one row block takes at most this many bytes:
+# 512 frames at D = 1024, and 26,214 at D = 20, where no video is split.
+EMBEDDING_BLOCK_BYTES = 4 << 20
+
+
+def _row_blocks(n_frames: int, embed_dim: int):
+    """ceil(T / rows) near-equal [start, stop) row ranges, where `rows`
+    frames fill `EMBEDDING_BLOCK_BYTES`: each block holds at least rows / 2."""
+    rows = max(1, EMBEDDING_BLOCK_BYTES // (8 * embed_dim))
+    n_blocks = -(-n_frames // rows)
+    bounds = [n_frames * i // n_blocks for i in range(n_blocks + 1)]
+    return zip(bounds, bounds[1:])
+
+
 def _embedding(features: np.ndarray, params: Dict[str, np.ndarray]) -> np.ndarray:
     """x·W + b as a float64 array: x·W in the dtype of `params["embed_w"]`,
     float32 or float64, with x cast to it, and promoted before the bias."""
@@ -149,29 +170,51 @@ def _embedding(features: np.ndarray, params: Dict[str, np.ndarray]) -> np.ndarra
     return ad._checked("add", f)
 
 
-def infer(features: np.ndarray, params: Dict[str, np.ndarray], cfg: ModelConfig):
+def _affinity(features, params: Dict[str, np.ndarray], p: Var) -> np.ndarray:
+    """The T x N affinity of `features` to the prototypes `p`, one row block at a time.
+
+    `features` is a T x d_in array, or a `FeatureSequence`, whose blocks
+    are read as stored.  Each block is embedded (`_embedding`) and run
+    through the fused affinity record on `p`'s tape; every step is
+    row-wise, so only the products' blocking could move a bit.
+    """
+    if isinstance(features, FeatureSequence):
+        n_frames, read = features.n_frames, features.read
+    else:
+        x = _frames(features)
+        n_frames, read = len(x), lambda start, stop: x[start:stop]
+    out = np.empty((n_frames, p.value.shape[0]))
+    for start, stop in _row_blocks(n_frames, p.value.shape[1]):
+        f = p.tape.const(_embedding(read(start, stop), params))
+        out[start:stop] = ad.affinity(f, p).value
+        del f  # before the next block is embedded
+    return out
+
+
+def infer(features, params: Dict[str, np.ndarray], cfg: ModelConfig):
     """Forward pass with constant parameters; returns (affinity, proto_probs, visual_probs).
 
-    The embedding is `_embedding`'s, and the rest of the network runs in
-    float64.  With float64 parameters the outputs are bitwise those of
-    `forward`.
+    `features` is a T x d_in array or a `FeatureSequence`.  The affinity
+    is `_affinity`'s, and the rest of the network runs on it in float64.
+    With float64 parameters, and a video of one block, the outputs are
+    bitwise those of `forward`.
     """
     tape = Tape()
     # a Var holds float64, so the weight, maybe float32, stays off the tape
     bound = {name: tape.const(arr) for name, arr in params.items() if name != "embed_w"}
-    out = _from_embedding(tape.const(_embedding(features, params)), bound, cfg)
-    return out.affinity.value, out.proto_probs.value, out.visual_probs.value
+    a = tape.const(_affinity(features, params, bound["prototypes"]))
+    out = _from_affinity(a, bound)
+    return a.value, out.proto_probs.value, out.visual_probs.value
 
 
 # the parameters `infer_affinity` reads
 AFFINITY_PARAMETERS = ("embed_w", "embed_b", "prototypes")
 
 
-def infer_affinity(features: np.ndarray, params: Dict[str, np.ndarray]) -> np.ndarray:
+def infer_affinity(features, params: Dict[str, np.ndarray]) -> np.ndarray:
     """`infer`'s affinity matrix alone, bitwise: no V^g and no classifier head.
 
-    `params` needs only the `AFFINITY_PARAMETERS`.
+    `features` is a T x d_in array or a `FeatureSequence`, read one row
+    block at a time; `params` needs only the `AFFINITY_PARAMETERS`.
     """
-    tape = Tape()
-    f = tape.const(_embedding(features, params))
-    return ad.affinity(f, tape.const(params["prototypes"])).value
+    return _affinity(features, params, Tape().const(params["prototypes"]))

@@ -6,10 +6,33 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+import pytest
 
 from protoseg import autodiff as ad
 from protoseg import matching
+from protoseg import model as model_mod
+from protoseg.data import Corpus, FeatureSequence, read_corpus, write_corpus
 from protoseg.losses import LOG_EPS, PROB_EPS
+
+# paper shape: 2048-d frames; at D = 1024 the default block budget holds
+# 512 frames, so a video of this length runs as 3 blocks of 433 or 434
+PAPER_SHAPE_FRAMES = 1300
+PAPER_SHAPE_DIM = 2048
+
+
+@pytest.fixture(scope="session")
+def paper_shape_video(tmp_path_factory):
+    """A video read back from its corpus's manifest: 1,300 float32 2048-d frames."""
+    frames = np.random.default_rng(7).normal(size=(PAPER_SHAPE_FRAMES, PAPER_SHAPE_DIM))
+    made = Corpus("paper_shape", 1, ["a"], [FeatureSequence("v", 1, frames.astype(np.float32))])
+    return read_corpus(write_corpus(made, tmp_path_factory.mktemp("paper_shape"))).videos[0]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """A block budget of 240 bytes: 5 frames per block at D = 6, so a
+    video of a few dozen frames runs as several blocks."""
+    monkeypatch.setattr(model_mod, "EMBEDDING_BLOCK_BYTES", 8 * 6 * 5)
 
 
 def finite_diff_check(

@@ -16,7 +16,9 @@ from protoseg import cli
 from protoseg import model as model_mod
 from protoseg.checkpoint import load_checkpoint
 from protoseg.cli import _read_segment_file, _write_segment_file, main
-from protoseg.data import FEATURE_MAGIC, GT_MAGIC, CorpusError, _write_array, read_corpus
+from protoseg.data import (
+    FEATURE_MAGIC, GT_MAGIC, CorpusError, FeatureFile, _write_array, read_corpus
+)
 from protoseg.inference import naive_labels
 from protoseg.matching import VideoEval, kl_prototype_sharing, match_at_level
 from protoseg.model import infer
@@ -288,6 +290,124 @@ class TestSegmentStreams:
         assert len(files) == 5  # 4 videos and the index
         for path in files:
             assert path.read_bytes() == (out2 / "segments" / path.name).read_bytes()
+
+
+class TestInferenceBlocks:
+    """Inference reads each video one row block at a time (five frames here), and a
+    fault found in a later block fails the stage as one whole-video read did."""
+
+    @staticmethod
+    def _with_own_feature_file(trained, tmp_path, name, values=None):
+        """A manifest whose last video reads a feature file of its own: `values`,
+        or a copy of its own file; returns the manifest and the file."""
+        _, manifest, _ = trained
+        text = json.loads(manifest.read_text())
+        entry = text["videos"][-1]  # of the last activity, so read last
+        path = manifest.parent / "features" / f"{name}_{tmp_path.name}.feat"
+        if values is None:
+            path.write_bytes((manifest.parent / entry["feature_file"]).read_bytes())
+        else:
+            _write_array(path, FEATURE_MAGIC, values, "<f4")
+        entry["feature_file"] = path.relative_to(manifest.parent).as_posix()
+        bad = manifest.with_name(f"{name}_{tmp_path.name}.json")
+        bad.write_text(json.dumps(text))
+        return bad, path
+
+    @staticmethod
+    def _record_reads(monkeypatch, after_read=lambda f: None):
+        reads, read = [], FeatureFile.read
+
+        def recording(f, *rows):
+            reads.append(f.path)
+            values = read(f, *rows)
+            after_read(f)
+            return values
+
+        monkeypatch.setattr(FeatureFile, "read", recording)
+        return reads
+
+    @pytest.mark.parametrize("command", ["segment", "recognize"])
+    def test_nan_in_the_last_block_fails_as_before(
+        self, trained, tmp_path, capsys, monkeypatch, small_blocks, command
+    ):
+        cfg_path, manifest, ckpt = trained
+        t = json.loads(manifest.read_text())["videos"][-1]["T"]
+        values = np.ones((t, TINY_CONFIG["corpus"]["feature_dim"]))
+        values[-1, -1] = np.nan
+        bad, nan = self._with_own_feature_file(trained, tmp_path, "nan", values)
+        reads = self._record_reads(monkeypatch)
+        code = run([command, "--config", cfg_path, "--manifest", bad,
+                    "--out-dir", tmp_path / "new" / "out", "--checkpoint", ckpt])
+        assert code == 1
+        offset = 16 + 4 * (values.size - 1)
+        assert capsys.readouterr().err == (
+            f"error: runtime: CorpusError: {nan}: non-finite value in "
+            f"feature values (byte offset {offset})\n"
+        )
+        assert not (tmp_path / "new").exists()
+        assert reads.count(nan) == -(-t // 5) >= 4  # every block, the last one failing
+
+    @pytest.mark.parametrize("command", ["segment", "recognize"])
+    def test_file_cut_short_after_its_first_block_fails_as_before(
+        self, trained, tmp_path, capsys, monkeypatch, small_blocks, command
+    ):
+        cfg_path, _, ckpt = trained
+        bad, cut = self._with_own_feature_file(trained, tmp_path, "cut")
+
+        def cut_after_its_first_block(f):
+            if f.path == cut and reads.count(cut) == 1:
+                cut.write_bytes(cut.read_bytes()[:-1])
+
+        reads = self._record_reads(monkeypatch, cut_after_its_first_block)
+        code = run([command, "--config", cfg_path, "--manifest", bad,
+                    "--out-dir", tmp_path / "new" / "out", "--checkpoint", ckpt])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: runtime: CorpusError: {cut}: truncated while reading feature values\n"
+        )
+        assert not (tmp_path / "new").exists()
+        assert reads.count(cut) == 2
+
+    def test_threads_give_the_bytes_of_one_thread(self, trained, tmp_path, small_blocks):
+        _, manifest, ckpt = trained
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"kl": True, "f1": True}}))
+        outputs = []
+        for threads in (1, 2):
+            out_dir = tmp_path / f"threads{threads}"
+            base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                    "--checkpoint", ckpt, "--threads", threads]
+            assert run(["segment", *base, "--scope", "activity"]) == 0
+            assert run(["eval", *base, "--scope", "video"]) == 0
+            assert run(["recognize", *base]) == 0
+            outputs.append({path.relative_to(out_dir): path.read_bytes()
+                            for path in sorted(out_dir.rglob("*"))
+                            if path.is_file() and path.name != "effective_config.json"})
+        assert "metrics_video.json" in {path.name for path in outputs[0]}
+        assert outputs[0] == outputs[1]
+
+
+class TestSha256File:
+    @pytest.mark.parametrize("size", [0, 1, 1 << 20, (1 << 20) + 1])
+    def test_digest_is_hashlibs(self, tmp_path, size):
+        blob = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "blob"
+        path.write_bytes(blob)
+        assert cli._sha256_file(path) == hashlib.sha256(blob).hexdigest()
+
+    @pytest.mark.parametrize("size, low, high", [(3 << 20, 1 << 20, 5 << 18), (100, 0, 64 << 10)])
+    def test_hashes_through_one_buffer_of_at_most_1_mib(self, tmp_path, size, low, high):
+        path = tmp_path / "blob"
+        path.write_bytes(bytes(size))
+        cli._sha256_file(path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli._sha256_file(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert low <= peak < high
 
 
 class TestErrors:
@@ -1078,3 +1198,20 @@ class TestKeepFreedHeap:
         assert run(["train", "--config", cfg_path, "--manifest", manifest,
                     "--out-dir", tmp_path, "--checkpoint", tmp_path / "m.ckpt"]) == 0
         assert events == ["mallopt", "train"]
+
+    @pytest.mark.parametrize("command", ["segment", "eval", "recognize"])
+    def test_inference_stages_set_them_before_reading_features(
+        self, trained, tmp_path, monkeypatch, command
+    ):
+        _, manifest, ckpt = trained
+        cfg_path = tmp_path / "kl.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"kl": True}}))
+        argv = ["--config", cfg_path, "--manifest", manifest, "--out-dir", tmp_path,
+                "--checkpoint", ckpt]
+        assert run(["segment", *argv]) == 0  # eval reads its labelings
+        events, read = [], FeatureFile.read
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: events.append("mallopt"))
+        monkeypatch.setattr(FeatureFile, "read",
+                            lambda f, *rows: events.append("read") or read(f, *rows))
+        assert run([command, *argv]) == 0
+        assert events[0] == "mallopt" and events.count("mallopt") == 1 and "read" in events

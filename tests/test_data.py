@@ -373,6 +373,31 @@ class TestLazyFeatures:
             f"{path}: non-finite value in feature values (byte offset {offset})"
         )
 
+    def test_a_row_range_reads_those_rows_alone(self, tmp_path):
+        made, video, _ = self._corpus(tmp_path)
+        whole = video.features
+        for start, stop in ((0, 1), (1, 3), (2, None), (0, None)):
+            rows = video.read(start, stop)
+            assert rows.dtype == np.float32 and rows.tobytes() == whole[start:stop].tobytes()
+        assert made.read(1, 3).tobytes() == made.features[1:3].tobytes()  # float64, in memory
+
+    def test_a_row_range_checks_its_rows_and_the_whole_file(self, tmp_path):
+        _, video, path = self._corpus(tmp_path)
+        values = video.features
+        values[2, 3] = np.nan
+        _write_array(path, FEATURE_MAGIC, values, "<f4")
+        assert video.read(0, 2).tobytes() == values[:2].tobytes()  # the rows before it
+        with pytest.raises(CorpusError) as raised:
+            video.read(2, 3)
+        offset = 16 + 4 * (2 * video.feature_dim + 3)  # counted from the file's start
+        assert str(raised.value) == (
+            f"{path}: non-finite value in feature values (byte offset {offset})"
+        )
+        path.write_bytes(path.read_bytes()[:-1])  # cuts the last row
+        with pytest.raises(CorpusError) as raised:
+            video.read(0, 1)
+        assert str(raised.value) == f"{path}: truncated while reading feature values"
+
 
 class TestFeatureSequence:
     def test_gt_length_validated(self):

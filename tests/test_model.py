@@ -18,7 +18,7 @@ from protoseg.model import (
     validate_parameters,
 )
 
-from conftest import finite_diff_check
+from conftest import PAPER_SHAPE_DIM, PAPER_SHAPE_FRAMES, finite_diff_check
 
 
 @pytest.fixture
@@ -416,6 +416,59 @@ class TestInfer:
         assert a32.dtype == yp32.dtype == yg32.dtype == np.float64
         assert np.array_equal(naive_labels(a32), naive_labels(a64))
         assert np.abs(a32 - a64).max() <= 1e-6
+
+
+class TestRowBlocks:
+    """Inference embeds a video, and compares it to the prototypes, one row block at a time."""
+
+    @pytest.mark.parametrize("n_frames", [1, 511, 512, 513, 1024, 1025, PAPER_SHAPE_FRAMES, 5000])
+    def test_near_equal_blocks_within_the_budget(self, n_frames):
+        blocks = list(model_mod._row_blocks(n_frames, 1024))  # 512 frames fill the budget
+        sizes = [stop - start for start, stop in blocks]
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_frames
+        assert all(prev[1] == block[0] for prev, block in zip(blocks, blocks[1:]))
+        assert len(blocks) == -(-n_frames // 512)
+        assert max(sizes) <= 512 and max(sizes) - min(sizes) <= 1
+        assert len(blocks) == 1 or min(sizes) >= 256
+
+    def test_the_default_width_splits_no_video_of_26k_frames(self):
+        assert len(list(model_mod._row_blocks(26_214, 20))) == 1
+        assert len(list(model_mod._row_blocks(26_215, 20))) == 2
+
+    def test_paper_shape_blocks_keep_the_bits(self, paper_shape_video, monkeypatch):
+        video = paper_shape_video
+        cfg = ModelConfig(input_dim=PAPER_SHAPE_DIM, n_activities=1, n_prototypes=50)
+        params = init_parameters(cfg, seed=3)
+        params["embed_w"] = params["embed_w"].astype(np.float32)
+        assert len(list(model_mod._row_blocks(video.n_frames, 1024))) == 3
+
+        def outputs(features):
+            affinity = model_mod.infer_affinity(features, params)
+            return affinity, *model_mod.infer(features, params, cfg)
+
+        blocked = outputs(video)
+        monkeypatch.setattr(model_mod, "EMBEDDING_BLOCK_BYTES", 1 << 40)  # one block per video
+        for whole in (outputs(video), outputs(video.features)):
+            assert [x.tobytes() for x in blocked] == [x.tobytes() for x in whole]
+
+    def test_video_from_file_holds_under_one_frame_by_embedding_array(self, paper_shape_video):
+        # the whole-video path held the 2048-d frames and about 2 T x D
+        # float64 arrays besides; blocks hold one block of each, and the T x N result
+        video = paper_shape_video
+        assert video.n_frames == PAPER_SHAPE_FRAMES
+        cfg = ModelConfig(input_dim=PAPER_SHAPE_DIM, n_activities=1, n_prototypes=50)
+        params = init_parameters(cfg, seed=3)
+        params = {name: params[name] for name in model_mod.AFFINITY_PARAMETERS}
+        params["embed_w"] = params["embed_w"].astype(np.float32)
+        model_mod.infer_affinity(video, params)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model_mod.infer_affinity(video, params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < video.n_frames * 1024 * 8
 
 
 def full_loss_gradient_error(seed: int, t_frames=6) -> float:

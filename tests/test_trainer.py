@@ -180,7 +180,9 @@ class TestTrain:
         corpus = read_corpus(write_corpus(made, tmp_path))
         reads = []
         read = FeatureFile.read
-        monkeypatch.setattr(FeatureFile, "read", lambda f: reads.append(f.path) or read(f))
+        monkeypatch.setattr(
+            FeatureFile, "read", lambda f, *rows: reads.append(f.path) or read(f, *rows)
+        )
         tc = TrainConfig(epochs=3, batch_size=2, seed=1)
         result = train(corpus.videos, toy_model_cfg(), tc, LossConfig())
         assert sorted(reads) == sorted(tmp_path / "features" / f"{v.video_id}.feat"
