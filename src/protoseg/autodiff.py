@@ -27,9 +27,17 @@ several of the chain's records add into one operand, the fused backward
 adds in their order, so its value and gradients are bitwise those of the
 chain.  A training video takes 14 records, among them the three `scale`
 and two `add` records (through `Var.__add__`) of `losses.total_loss`.
-`matmul`, `relu`, `softmax`, `mul`, `clamped_log` and the affinity's and
-T-MSE's stages stay defined as standalone primitives, though `src/` no
-longer calls them.
+
+`_affine` is the one frame embedding x·W + b: `linear` runs it on the
+tape, and `model.infer` and `model.infer_affinity` run it on each row
+block, in float32 when given a float32 W.
+
+`src/` no longer calls the standalone primitives `pairwise_distance`,
+`minmax_invert_rows`, `row_normalize`, `matmul`, `mul`, `relu`,
+`softmax`, `log`, `clamp`, `clamped_log`, `absval`, `time_diff` and
+`vsum`.  They stay because the benchmark's tracer wraps them by name and
+the tests compose them into the unfused chains that the fused records
+are checked against bitwise.
 """
 from __future__ import annotations
 
@@ -353,14 +361,22 @@ def matmul(a: Var, b: Var) -> Var:
     return a.tape._record(_checked("matmul", a.value @ b.value), (a, b), bw)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x·W + b in float64, the frame embedding of training and inference: x·W in
+    W's dtype, with x cast to it, promoted before the bias is added in place."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in `_checked`
+        product = x.astype(w.dtype, copy=False) @ w
+    value = _checked("matmul", product).astype(np.float64, copy=False)
+    value += b
+    return _checked("add", value)
+
+
 def linear(x: Var, w: Var, b: Var) -> Var:
     """x·W + b for a 2D x and a bias of W's width, as one record: the chain
-    matmul -> add, with the bias added into the product in place."""
+    matmul -> add, run by `_affine`."""
     if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]:
         raise ValueError(f"linear needs matching matrices: {x.value.shape} x {w.value.shape}")
-    value = _checked("matmul", x.value @ w.value)
-    value += b.value
-    _checked("add", value)
+    value = _affine(x.value, w.value, b.value)
 
     def bw(g):
         if b.needs_grad:

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import inference, matching, model as model_mod, trainer as trainer_mod
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import Corpus, CorpusError, CorpusSpec, generate_corpus, read_corpus, require_number, write_corpus
+from .data import (Corpus, CorpusError, CorpusSpec, generate_corpus, read_corpus, require_number,
+                   write_corpus, write_json)
 from .losses import LossConfig
 from .model import ModelConfig
 from .trainer import TrainConfig
@@ -181,12 +182,6 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _write_tsv(path: Path, header, rows) -> None:
     """`header`, then one line per row; floats to 10 significant digits."""
     with open(path, "w", encoding="utf-8") as f:
@@ -223,7 +218,9 @@ def _load_checkpoint_for(
     the frames in float32; the other parameters stay float64.  With
     `affinity_only`, it keeps only `model.AFFINITY_PARAMETERS`, so a stage
     that only labels frames frees the latent path's and the heads' weights
-    at once (17 MB at paper shape).
+    at once (17 MB at paper shape).  Without it the heads score the
+    corpus's activities, so the checkpoint must have as many; a stage that
+    only labels frames also runs on a held-out corpus of other activities.
     """
     ckpt = load_checkpoint(ckpt_path)
     dim = corpus.videos[0].feature_dim
@@ -231,6 +228,11 @@ def _load_checkpoint_for(
         raise ValueError(
             f"checkpoint {ckpt_path} takes feature dim {ckpt.model.input_dim}, "
             f"but manifest {manifest} has feature dim {dim}"
+        )
+    if not affinity_only and ckpt.model.n_activities != corpus.n_activities:
+        raise ValueError(
+            f"checkpoint {ckpt_path} scores {ckpt.model.n_activities} activities, "
+            f"but manifest {manifest} has C={corpus.n_activities}"
         )
     ckpt.params["embed_w"] = ckpt.params["embed_w"].astype(np.float32)
     if affinity_only:
@@ -251,18 +253,28 @@ def _infer_corpus(corpus: Corpus, threads: int, task):
     starts the next video only once the oldest one's result is taken.  One
     thread runs them on the calling thread: a single worker would add two
     thread switches per video, and a malloc arena of its own.
+
+    The parameters are finite, so a non-finite value in a task comes from
+    frames that overflow the float32 embedding: its error names their file.
     """
+
+    def named(video):
+        try:
+            return task(video)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{video.path}: {exc}") from None
+
     videos = iter(sorted(corpus.videos, key=lambda v: v.activity))  # stable
     threads = min(threads, len(corpus.videos))
     if threads == 1:
-        yield from ((v, task(v)) for v in videos)
+        yield from ((v, named(v)) for v in videos)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        running = deque((v, pool.submit(task, v)) for v in itertools.islice(videos, threads))
+        running = deque((v, pool.submit(named, v)) for v in itertools.islice(videos, threads))
         while running:
             video, future = running.popleft()
             result = future.result()
-            running.extend((v, pool.submit(task, v)) for v in itertools.islice(videos, 1))
+            running.extend((v, pool.submit(named, v)) for v in itertools.islice(videos, 1))
             yield video, result
 
 
@@ -416,7 +428,7 @@ def _cmd_segment(cfg: dict) -> None:
         "checkpoint_sha256": checkpoint_sha256,
         "videos": sorted(labelings),
     }
-    _write_json(seg_dir / "index.json", index)
+    write_json(seg_dir / "index.json", index)
     print(f"segmented {len(labelings)} videos into {seg_dir} (scope={scope})")
 
 
@@ -523,7 +535,7 @@ def _cmd_eval(cfg: dict) -> None:
             },
         }
     report_path = out / f"metrics_{scope}.json"
-    _write_json(report_path, report)
+    write_json(report_path, report)
     rows = sorted(result.per_video_mof.items())
     _write_tsv(out / f"per_video_mof_{scope}.tsv", ("video_id", "mof"), rows)
     print(f"scope={scope} MoF={result.mof:.4f} report={report_path}")
@@ -574,7 +586,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         _keep_freed_heap()  # every stage works one video after another
         _COMMANDS[args.command](cfg)
-        _write_json(_out_dir(cfg) / "effective_config.json", cfg)
+        write_json(_out_dir(cfg) / "effective_config.json", cfg)
         return 0
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

@@ -97,6 +97,11 @@ class FeatureSequence:
         return features[start:stop]
 
     @property
+    def path(self) -> Path | None:
+        """The feature file read, or None for features given as an array."""
+        return self._features.path if isinstance(self._features, FeatureFile) else None
+
+    @property
     def n_frames(self) -> int:
         return self._features.shape[0]
 
@@ -390,10 +395,15 @@ def write_corpus(corpus: Corpus, out_dir) -> Path:
     if corpus.canonical_actions is not None:
         manifest["canonical_actions"] = corpus.canonical_actions
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
+
+
+def write_json(path: Path, obj) -> None:
+    """The one JSON artifact format: keys sorted, two-space indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 # Video ids name the files written per video, so each must be a plain file

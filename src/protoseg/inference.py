@@ -14,6 +14,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+# Affinity entries can be exactly zero after min/max inversion; floor them before a log.
 LOG_EPS = 1e-12
 
 

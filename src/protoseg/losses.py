@@ -9,11 +9,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .data import require_number
+from .inference import LOG_EPS
 
 # Softmax outputs can saturate numerically; clamp before logs.
 PROB_EPS = 1e-7
-# Affinity entries can be exactly zero after min/max inversion.
-LOG_EPS = 1e-12
 
 
 @dataclass

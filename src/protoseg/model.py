@@ -9,14 +9,15 @@ activity classifier head.  Only the mean of g is ever read, so it is
 computed in reassociated form and g itself is never built; the latent
 path then costs T·N·d + N·d² per video instead of T·N·d + 2·T·d².
 
-A training video records 6 tape operations: the fused embedding x·W + b,
-the fused affinity, V^p's time sum, the fused mean latent, and one fused
-softmax(v·W + b) per head; the losses add 8 more.  Inference runs the
-same records on constants: `infer` all of them, and `infer_affinity`
-only the embedding and the affinity, for the stages that label frames.
-Both embed a video and compare it to the prototypes one row block at a
-time, and read a video from its feature file one block at a time, so of
-the frame-sized arrays only the T x N affinity is ever whole.
+A training video records 6 tape operations: the fused embedding x·W + b
+(`ad.linear`), the fused affinity, V^p's time sum, the fused mean latent,
+and one fused softmax(v·W + b) per head; the losses add 8 more.
+Inference runs the same arithmetic on constants: `infer` all of it, and
+`infer_affinity` only the embedding and the affinity, for the stages
+that label frames.  Both embed a video with `linear`'s kernel,
+`ad._affine`, and compare it to the prototypes one row block at a time,
+and read a video from its feature file one block at a time, so of the
+frame-sized arrays only the T x N affinity is ever whole.
 """
 from __future__ import annotations
 
@@ -119,11 +120,6 @@ def forward(features: np.ndarray, bound: Dict[str, Var], cfg: ModelConfig) -> Fo
     """Run the full network for one video on the tape owning `bound`."""
     x = bound["embed_w"].tape.const(_frames(features))  # promoted to float64
     f = ad.linear(x, bound["embed_w"], bound["embed_b"])  # per frame: a width-1 convolution
-    return _from_embedding(f, bound, cfg)
-
-
-def _from_embedding(f: Var, bound: Dict[str, Var], cfg: ModelConfig) -> ForwardOutputs:
-    """The network after its embedding record, on the tape owning `f`."""
     return _from_affinity(ad.affinity(f, bound["prototypes"]), bound)  # distance, inversion, norm
 
 
@@ -161,20 +157,12 @@ def _row_blocks(n_frames: int, embed_dim: int):
     return zip(bounds, bounds[1:])
 
 
-def _embedding(features: np.ndarray, params: Dict[str, np.ndarray]) -> np.ndarray:
-    """x·W + b as a float64 array: x·W in the dtype of `params["embed_w"]`,
-    float32 or float64, with x cast to it, and promoted before the bias."""
-    x, w = _frames(features), params["embed_w"]
-    f = ad._checked("matmul", x.astype(w.dtype, copy=False) @ w).astype(np.float64, copy=False)
-    f += params["embed_b"]
-    return ad._checked("add", f)
-
-
 def _affinity(features, params: Dict[str, np.ndarray], p: Var) -> np.ndarray:
     """The T x N affinity of `features` to the prototypes `p`, one row block at a time.
 
     `features` is a T x d_in array, or a `FeatureSequence`, whose blocks
-    are read as stored.  Each block is embedded (`_embedding`) and run
+    are read as stored.  Each block is embedded by `linear`'s kernel,
+    `autodiff._affine`, in the dtype of `params["embed_w"]`, and run
     through the fused affinity record on `p`'s tape; every step is
     row-wise, so only the products' blocking could move a bit.
     """
@@ -185,7 +173,7 @@ def _affinity(features, params: Dict[str, np.ndarray], p: Var) -> np.ndarray:
         n_frames, read = len(x), lambda start, stop: x[start:stop]
     out = np.empty((n_frames, p.value.shape[0]))
     for start, stop in _row_blocks(n_frames, p.value.shape[1]):
-        f = p.tape.const(_embedding(read(start, stop), params))
+        f = p.tape.const(ad._affine(read(start, stop), params["embed_w"], params["embed_b"]))
         out[start:stop] = ad.affinity(f, p).value
         del f  # before the next block is embedded
     return out

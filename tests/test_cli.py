@@ -348,6 +348,28 @@ class TestInferenceBlocks:
         assert reads.count(nan) == -(-t // 5) >= 4  # every block, the last one failing
 
     @pytest.mark.parametrize("command", ["segment", "recognize"])
+    def test_frames_that_overflow_the_float32_embedding_name_their_file(
+        self, trained, tmp_path, capsys, command
+    ):
+        cfg_path, manifest, ckpt = trained
+        t = json.loads(manifest.read_text())["videos"][-1]["T"]
+        w = load_checkpoint(ckpt).params["embed_w"]
+        w = w[:, np.abs(w).sum(axis=0).argmax()]
+        values = np.ones((t, TINY_CONFIG["corpus"]["feature_dim"]))
+        # finite in float32, but the terms of one embedded value all take one
+        # sign, and their float32 sum overflows
+        values[0] = np.finfo(np.float32).max * np.sign(w)
+        assert np.abs(w).sum() > 1.0
+        bad, path = self._with_own_feature_file(trained, tmp_path, "big", values)
+        code = run([command, "--config", cfg_path, "--manifest", bad,
+                    "--out-dir", tmp_path / "new" / "out", "--checkpoint", ckpt])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: runtime: FloatingPointError: {path}: non-finite values produced by matmul\n"
+        )
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["segment", "recognize"])
     def test_file_cut_short_after_its_first_block_fails_as_before(
         self, trained, tmp_path, capsys, monkeypatch, small_blocks, command
     ):
@@ -595,6 +617,27 @@ class TestErrors:
                 f"error: runtime: ValueError: checkpoint {ckpt} takes feature dim 8, "
                 f"but manifest {wide} has feature dim 16\n"
             )
+
+    def test_recognize_refuses_a_checkpoint_of_another_activity_count(
+        self, trained, tmp_path, capsys
+    ):
+        cfg_path, manifest, ckpt = trained
+        text = json.loads(manifest.read_text())
+        text["C"] += 2
+        text["activity_names"] += ["held_out_1", "held_out_2"]
+        text["videos"][-1]["activity"] = text["C"]
+        wider = manifest.with_name(f"wider_{tmp_path.name}.json")
+        wider.write_text(json.dumps(text))
+        base = ["--config", cfg_path, "--manifest", wider, "--checkpoint", ckpt]
+        code = run(["recognize", *base, "--out-dir", tmp_path / "new" / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: runtime: ValueError: checkpoint {ckpt} scores 2 activities, "
+            f"but manifest {wider} has C=4\n"
+        )
+        assert not (tmp_path / "new").exists()
+        # labeling frames reads no head, so it stays legal on a held-out corpus
+        assert run(["segment", *base, "--out-dir", tmp_path / "held_out"]) == 0
 
     def test_bad_nprime_value(self, workdir):
         tmp_path, cfg_path = workdir

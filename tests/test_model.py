@@ -381,7 +381,7 @@ class TestInfer:
         tape = Tape()
         f = tape.var((x32 @ w32).astype(np.float64) + params["embed_b"])
         bound = {name: tape.var(arr) for name, arr in params.items()}
-        out = model_mod._from_embedding(f, bound, cfg)
+        out = model_mod._from_affinity(ad.affinity(f, bound["prototypes"]), bound)
         assert tape._records  # the oracle records, as training does
         a, yp, yg = model_mod.infer(x32, {**params, "embed_w": w32}, cfg)
         assert np.array_equal(a, out.affinity.value)
