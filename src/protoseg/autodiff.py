@@ -20,22 +20,22 @@ freed as soon as nothing else refers to it.
 `pairwise_distance` works in Gram form: its memory grows with
 T*N + (T+N)*D rather than T*N*D, and its arithmetic runs as matrix products.
 
-`linear`, `affinity`, `tmse`, `mean_latent`, `softmax_affine` and `bce`
-are fused chains: each is one tape record whose forward and backward run
-the arithmetic of the primitives it replaces, in the same order.  Where
-several of the chain's records add into one operand, the fused backward
-adds in their order, so its value and gradients are bitwise those of the
-chain.  A training video takes 14 records, among them the three `scale`
-and two `add` records (through `Var.__add__`) of `losses.total_loss`.
+`linear`, `affinity`, `tmse`, `mean_latent`, `softmax_affine`, `bce` and
+`weighted_sum` are fused chains: each is one tape record whose forward
+and backward run the arithmetic of the primitives it replaces, in the
+same order.  Where several of the chain's records add into one operand,
+the fused backward adds in their order, so its value and gradients are
+bitwise those of the chain.  A training video takes 10 records, the last
+of them `losses.total_loss`'s `weighted_sum`.
 
 `_affine` is the one frame embedding x·W + b: `linear` runs it on the
 tape, and `model.infer` and `model.infer_affinity` run it on each row
 block, in float32 when given a float32 W.
 
 `src/` no longer calls the standalone primitives `pairwise_distance`,
-`minmax_invert_rows`, `row_normalize`, `matmul`, `mul`, `relu`,
-`softmax`, `log`, `clamp`, `clamped_log`, `absval`, `time_diff` and
-`vsum`.  They stay because the benchmark's tracer wraps them by name and
+`minmax_invert_rows`, `row_normalize`, `matmul`, `add`, `mul`, `scale`,
+`relu`, `softmax`, `log`, `clamp`, `clamped_log`, `absval`, `time_diff`
+and `vsum`.  They stay because the benchmark's tracer wraps them by name and
 the tests compose them into the unfused chains that the fused records
 are checked against bitwise.
 """
@@ -387,6 +387,26 @@ def linear(x: Var, w: Var, b: Var) -> Var:
             w.accumulate(x.value.T @ g)
 
     return x.tape._record(value, (x, w, b), bw)
+
+
+def weighted_sum(terms, weights) -> Var:
+    """sum_i terms[i]·weights[i] over same-shaped Vars, added left to right, as
+    one record: a `scale` of each term, each added to the sum of those before.
+
+    Each operand's adjoint is g·w, as its `scale` record gives; the backward
+    adds them last term first, as the chain's records run.
+    """
+    scaled = [_scale_kernel(t.value, w) for t, w in zip(terms, weights)]
+    value = scaled[0][0]
+    for term_value, _ in scaled[1:]:
+        value = value + term_value
+
+    def bw(g):
+        for t, (_, vjp) in zip(reversed(terms), reversed(scaled)):
+            if t.needs_grad:
+                t.accumulate(vjp(g))
+
+    return terms[0].tape._record(_checked("add", value), terms, bw)
 
 
 def vsum(a: Var) -> Var:

@@ -3,7 +3,9 @@
 Feature files store float32 ("CADF"), ground truth stores u32 action ids
 with 0 = background ("CADG"); a JSON manifest ties a corpus together.
 A corpus read from a manifest reads each video's features, as the float32
-values stored, when they are used; training promotes them to float64.
+values stored, when they are used: training reads a video at its step,
+once per epoch, and promotes it to float64; inference reads it one row
+block at a time.
 """
 from __future__ import annotations
 
@@ -63,8 +65,9 @@ class FeatureSequence:
     `.features`, or of `read` for a range of rows, reads the file's
     float32 values, as stored, and nothing keeps them: a corpus read from
     a manifest holds only its ground truth.  Training holds a video's
-    features while it uses them; inference reads them one row block at a
-    time.  `n_frames` and `feature_dim` come from the header.
+    features from its step's read to its backward; inference reads them
+    one row block at a time.  `n_frames` and `feature_dim` come from the
+    header.
     """
 
     def __init__(self, video_id: str, activity: int, features, gt_actions=None):
@@ -311,6 +314,19 @@ def _write_array(path: Path, magic: bytes, array: np.ndarray, dtype: str) -> Non
         f.write(array.tobytes())
 
 
+def _read_at(fd: int, buffer: bytearray, offset: int) -> int:
+    """Read into `buffer` from byte `offset` of `fd` until it is full or the
+    file ends; the number of bytes read."""
+    view = memoryview(buffer)
+    done = 0
+    while done < len(view):
+        n = os.preadv(fd, [view[done:]], offset + done)
+        if n == 0:
+            break
+        done += n
+    return done
+
+
 def _read_array(
     path: Path, magic: bytes, dtype: str, ndim: int, what: str, rows: slice | None = slice(None)
 ):
@@ -320,20 +336,24 @@ def _read_array(
     the file's size against it, are checked either way; floating-point
     values read must be finite.  Each CorpusError names `path` first, and
     for a non-finite value gives its byte offset from the file's start.
+    Reads are unbuffered and positional: training calls this once per
+    video per epoch, and a read buffer would only add to each call.
     """
     header = f"<{1 + ndim}I"
     start = 4 + struct.calcsize(header)
     try:
-        f = open(path, "rb")
+        f = open(path, "rb", buffering=0)
     except FileNotFoundError:
         raise CorpusError(f"{path}: referenced by manifest but missing") from None
     with f:
-        size = os.fstat(f.fileno()).st_size
-        head = f.read(start)
+        fd = f.fileno()
+        size = os.fstat(fd).st_size
+        head = bytearray(start)
+        del head[_read_at(fd, head, 0):]
         if len(head) < 4:
             raise CorpusError(f"{path}: truncated while reading magic")
         if head[:4] != magic:
-            raise CorpusError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
+            raise CorpusError(f"{path}: bad magic {bytes(head[:4])!r}, expected {magic!r}")
         if len(head) < start:
             raise CorpusError(f"{path}: truncated while reading header")
         version, *shape = struct.unpack_from(header, head, 4)
@@ -349,9 +369,8 @@ def _read_array(
         lo, hi, _ = rows.indices(shape[0])
         n_rows = max(hi - lo, 0)
         start += lo * row_bytes
-        f.seek(start)
         data = bytearray(n_rows * row_bytes)  # a writable buffer, so the array is too
-        n_read = f.readinto(data)
+        n_read = _read_at(fd, data, start)
     if n_read != len(data):  # the file shrank since its size was taken
         raise CorpusError(f"{path}: truncated while reading {what}")
     array = np.frombuffer(data, dtype=dtype).reshape(n_rows, *shape[1:])

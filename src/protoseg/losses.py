@@ -73,8 +73,7 @@ def tmse_loss(affinity: Var, truncation: float) -> Var:
 
 
 def total_loss(loss_p: Var, loss_g: Var, loss_smooth: Var, cfg: LossConfig) -> Var:
-    return (
-        ad.scale(loss_p, cfg.alpha)
-        + ad.scale(loss_g, 1.0 - cfg.alpha)
-        + ad.scale(loss_smooth, cfg.smooth_weight)
+    """(loss_p·alpha + loss_g·(1 - alpha)) + loss_smooth·lambda, as one record."""
+    return ad.weighted_sum(
+        (loss_p, loss_g, loss_smooth), (cfg.alpha, 1.0 - cfg.alpha, cfg.smooth_weight)
     )

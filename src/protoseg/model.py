@@ -11,7 +11,7 @@ path then costs T·N·d + N·d² per video instead of T·N·d + 2·T·d².
 
 A training video records 6 tape operations: the fused embedding x·W + b
 (`ad.linear`), the fused affinity, V^p's time sum, the fused mean latent,
-and one fused softmax(v·W + b) per head; the losses add 8 more.
+and one fused softmax(v·W + b) per head; the losses add 4 more.
 Inference runs the same arithmetic on constants: `infer` all of it, and
 `infer_affinity` only the embedding and the affinity, for the stages
 that label frames.  Both embed a video with `linear`'s kernel,

@@ -10,7 +10,7 @@ from . import losses as losses_mod
 from . import model as model_mod
 from .model import ModelConfig
 from .autodiff import Tape
-from .data import FeatureSequence, require_int, require_number
+from .data import require_int, require_number
 from .losses import LossConfig
 from .rng import Xoshiro256StarStar
 
@@ -102,7 +102,7 @@ def train(
     Videos are shuffled every epoch with a seeded Fisher-Yates, grouped
     into batches, forwarded individually (lengths vary), and the batch's
     mean gradients feed one Adam step.  Each video's features are read
-    once, before the first epoch.
+    at its step, once per epoch, and dropped after its backward.
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
@@ -113,8 +113,6 @@ def train(
                 f"[1, {model_cfg.n_activities}]"
             )
 
-    # every epoch reads every video, so each video's features are read once
-    corpus = [FeatureSequence(v.video_id, v.activity, v.features) for v in corpus]
     params = model_mod.init_parameters(model_cfg, train_cfg.seed)
     state = AdamState.zeros_like(params)
     shuffler = Xoshiro256StarStar(train_cfg.seed)

@@ -202,6 +202,11 @@ GRADCHECK_CASES = [
         lambda t, v, w, b, r: _weighted(t, ad.softmax_affine(v, w, b), r),
     ),
     (
+        "weighted_sum",
+        lambda rng: [rng.normal(size=()), rng.normal(size=()), rng.normal(size=())],
+        lambda t, a, b, c: ad.weighted_sum((a, b, c), (0.3, 0.7, 0.15)),
+    ),
+    (
         # probabilities away from the clip bounds; target entries 0 and 1
         "bce",
         lambda rng: [rng.uniform(0.05, 0.95, size=5)],
@@ -270,6 +275,15 @@ def unfused_activity_loss(probs, target):
     target = np.asarray(target, dtype=np.float64)
     likelihood = ad.add(ad.mul(probs, 2.0 * target - 1.0), 1.0 - target)
     return ad.scale(ad.vsum(ad.clamped_log(likelihood, PROB_EPS, 1.0 - PROB_EPS)), -1.0)
+
+
+def unfused_total_loss(loss_p, loss_g, loss_smooth, cfg):
+    """Oracle: `losses.total_loss` as five records: three `scale`s and two `add`s."""
+    return (
+        ad.scale(loss_p, cfg.alpha)
+        + ad.scale(loss_g, 1.0 - cfg.alpha)
+        + ad.scale(loss_smooth, cfg.smooth_weight)
+    )
 
 
 def brute_force_assignment_value(counts: np.ndarray) -> float:

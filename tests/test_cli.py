@@ -292,39 +292,39 @@ class TestSegmentStreams:
             assert path.read_bytes() == (out2 / "segments" / path.name).read_bytes()
 
 
+def _with_own_feature_file(trained, tmp_path, name, values=None):
+    """A manifest whose last video reads a feature file of its own: `values`,
+    or a copy of its own file; returns the manifest and the file."""
+    _, manifest, _ = trained
+    text = json.loads(manifest.read_text())
+    entry = text["videos"][-1]  # of the last activity, so read last
+    path = manifest.parent / "features" / f"{name}_{tmp_path.name}.feat"
+    if values is None:
+        path.write_bytes((manifest.parent / entry["feature_file"]).read_bytes())
+    else:
+        _write_array(path, FEATURE_MAGIC, values, "<f4")
+    entry["feature_file"] = path.relative_to(manifest.parent).as_posix()
+    bad = manifest.with_name(f"{name}_{tmp_path.name}.json")
+    bad.write_text(json.dumps(text))
+    return bad, path
+
+
+def _record_reads(monkeypatch, after_read=lambda f: None):
+    reads, read = [], FeatureFile.read
+
+    def recording(f, *rows):
+        reads.append(f.path)
+        values = read(f, *rows)
+        after_read(f)
+        return values
+
+    monkeypatch.setattr(FeatureFile, "read", recording)
+    return reads
+
+
 class TestInferenceBlocks:
     """Inference reads each video one row block at a time (five frames here), and a
     fault found in a later block fails the stage as one whole-video read did."""
-
-    @staticmethod
-    def _with_own_feature_file(trained, tmp_path, name, values=None):
-        """A manifest whose last video reads a feature file of its own: `values`,
-        or a copy of its own file; returns the manifest and the file."""
-        _, manifest, _ = trained
-        text = json.loads(manifest.read_text())
-        entry = text["videos"][-1]  # of the last activity, so read last
-        path = manifest.parent / "features" / f"{name}_{tmp_path.name}.feat"
-        if values is None:
-            path.write_bytes((manifest.parent / entry["feature_file"]).read_bytes())
-        else:
-            _write_array(path, FEATURE_MAGIC, values, "<f4")
-        entry["feature_file"] = path.relative_to(manifest.parent).as_posix()
-        bad = manifest.with_name(f"{name}_{tmp_path.name}.json")
-        bad.write_text(json.dumps(text))
-        return bad, path
-
-    @staticmethod
-    def _record_reads(monkeypatch, after_read=lambda f: None):
-        reads, read = [], FeatureFile.read
-
-        def recording(f, *rows):
-            reads.append(f.path)
-            values = read(f, *rows)
-            after_read(f)
-            return values
-
-        monkeypatch.setattr(FeatureFile, "read", recording)
-        return reads
 
     @pytest.mark.parametrize("command", ["segment", "recognize"])
     def test_nan_in_the_last_block_fails_as_before(
@@ -334,8 +334,8 @@ class TestInferenceBlocks:
         t = json.loads(manifest.read_text())["videos"][-1]["T"]
         values = np.ones((t, TINY_CONFIG["corpus"]["feature_dim"]))
         values[-1, -1] = np.nan
-        bad, nan = self._with_own_feature_file(trained, tmp_path, "nan", values)
-        reads = self._record_reads(monkeypatch)
+        bad, nan = _with_own_feature_file(trained, tmp_path, "nan", values)
+        reads = _record_reads(monkeypatch)
         code = run([command, "--config", cfg_path, "--manifest", bad,
                     "--out-dir", tmp_path / "new" / "out", "--checkpoint", ckpt])
         assert code == 1
@@ -360,7 +360,7 @@ class TestInferenceBlocks:
         # sign, and their float32 sum overflows
         values[0] = np.finfo(np.float32).max * np.sign(w)
         assert np.abs(w).sum() > 1.0
-        bad, path = self._with_own_feature_file(trained, tmp_path, "big", values)
+        bad, path = _with_own_feature_file(trained, tmp_path, "big", values)
         code = run([command, "--config", cfg_path, "--manifest", bad,
                     "--out-dir", tmp_path / "new" / "out", "--checkpoint", ckpt])
         assert code == 1
@@ -374,13 +374,13 @@ class TestInferenceBlocks:
         self, trained, tmp_path, capsys, monkeypatch, small_blocks, command
     ):
         cfg_path, _, ckpt = trained
-        bad, cut = self._with_own_feature_file(trained, tmp_path, "cut")
+        bad, cut = _with_own_feature_file(trained, tmp_path, "cut")
 
         def cut_after_its_first_block(f):
             if f.path == cut and reads.count(cut) == 1:
                 cut.write_bytes(cut.read_bytes()[:-1])
 
-        reads = self._record_reads(monkeypatch, cut_after_its_first_block)
+        reads = _record_reads(monkeypatch, cut_after_its_first_block)
         code = run([command, "--config", cfg_path, "--manifest", bad,
                     "--out-dir", tmp_path / "new" / "out", "--checkpoint", ckpt])
         assert code == 1
@@ -408,6 +408,47 @@ class TestInferenceBlocks:
         assert "metrics_video.json" in {path.name for path in outputs[0]}
         assert outputs[0] == outputs[1]
 
+
+class TestTrainingReads:
+    """`train` reads each video at its step, once per epoch, so a fault that
+    `read_corpus`'s header and size checks cannot see fails it at that step,
+    with the error that reading every video up front gave."""
+
+    def test_nan_in_the_last_row_fails_with_its_offset(self, trained, tmp_path, capsys):
+        cfg_path, manifest, _ = trained
+        t = json.loads(manifest.read_text())["videos"][-1]["T"]
+        values = np.ones((t, TINY_CONFIG["corpus"]["feature_dim"]))
+        values[-1, -1] = np.nan
+        bad, nan = _with_own_feature_file(trained, tmp_path, "nan", values)
+        code = run(["train", "--config", cfg_path, "--manifest", bad,
+                    "--out-dir", tmp_path / "new" / "out"])
+        assert code == 1
+        offset = 16 + 4 * (values.size - 1)
+        assert capsys.readouterr().err == (
+            f"error: runtime: CorpusError: {nan}: non-finite value in "
+            f"feature values (byte offset {offset})\n"
+        )
+        assert not (tmp_path / "new").exists()
+
+    def test_file_cut_short_after_its_first_epoch_fails(
+        self, trained, tmp_path, capsys, monkeypatch
+    ):
+        cfg_path, _, _ = trained
+        bad, cut = _with_own_feature_file(trained, tmp_path, "cut")
+
+        def cut_after_its_first_read(f):
+            if f.path == cut and reads.count(cut) == 1:
+                cut.write_bytes(cut.read_bytes()[:-1])
+
+        reads = _record_reads(monkeypatch, cut_after_its_first_read)
+        code = run(["train", "--config", cfg_path, "--manifest", bad,
+                    "--out-dir", tmp_path / "new" / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: runtime: CorpusError: {cut}: truncated while reading feature values\n"
+        )
+        assert not (tmp_path / "new").exists()
+        assert reads.count(cut) == 2 == TINY_CONFIG["train"]["epochs"]
 
 class TestSha256File:
     @pytest.mark.parametrize("size", [0, 1, 1 << 20, (1 << 20) + 1])

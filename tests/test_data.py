@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 
@@ -396,6 +397,25 @@ class TestLazyFeatures:
         path.write_bytes(path.read_bytes()[:-1])  # cuts the last row
         with pytest.raises(CorpusError) as raised:
             video.read(0, 1)
+        assert str(raised.value) == f"{path}: truncated while reading feature values"
+
+    def test_short_reads_are_resumed_until_the_file_ends(self, tmp_path, monkeypatch):
+        _, video, path = self._corpus(tmp_path)
+        whole = video.features
+        preadv, offsets = os.preadv, []
+
+        def seven_bytes_at_a_time(fd, buffers, offset):
+            offsets.append(offset)
+            return preadv(fd, [memoryview(buffers[0])[:7]], offset)
+
+        monkeypatch.setattr(os, "preadv", seven_bytes_at_a_time)
+        assert video.features.tobytes() == whole.tobytes()
+        assert offsets == [0, 7, 14, *range(16, 16 + whole.size * 4, 7)]
+        # a file that ends early mid-read, as one that shrank would
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
+                            0 if offset >= 30 else seven_bytes_at_a_time(fd, buffers, offset))
+        with pytest.raises(CorpusError) as raised:
+            video.features
         assert str(raised.value) == f"{path}: truncated while reading feature values"
 
 

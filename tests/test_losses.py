@@ -8,7 +8,7 @@ from protoseg import losses as losses_mod
 from protoseg.autodiff import Tape
 from protoseg.losses import LossConfig, activity_loss, one_hot, tmse_loss, total_loss
 
-from conftest import finite_diff_check, two_log_bce
+from conftest import finite_diff_check, two_log_bce, unfused_total_loss
 
 
 class TestLossConfig:
@@ -159,6 +159,27 @@ class TestTotalLoss:
 
         err = finite_diff_check(fn, [np.array(1.3), np.array(0.4), np.array(2.2)])
         assert err <= 1e-4
+
+    # which leaf fills each term: one Var may fill several, and then its
+    # adjoints add in the chain's order
+    @pytest.mark.parametrize("leaves", [(0, 1, 2), (0, 0, 2), (0, 0, 0)])
+    def test_one_record_bitwise_the_scale_add_chain(self, leaves):
+        rng = np.random.default_rng(11)
+        values = rng.uniform(0.0, 5.0, size=3)
+        # (0.15 + 0.9) + 0.1 and (0.1 + 0.9) + 0.15 differ in the last bit
+        cfg = LossConfig(alpha=0.1, smooth_weight=0.15)
+        results = []
+        for combine in (total_loss, unfused_total_loss):
+            tape = Tape()
+            terms = [tape.var(v) for v in values]
+            terms = [terms[i] for i in leaves]
+            loss = combine(*terms, cfg)
+            records = len(tape._records)
+            tape.backward(loss)
+            results.append((records, loss.value.tobytes(), [t.grad.tobytes() for t in terms]))
+        (fused_records, *fused), (chain_records, *chain) = results
+        assert (fused_records, chain_records) == (1, 5)
+        assert fused == chain
 
 
 def test_loss_composition_gradients():

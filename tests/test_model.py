@@ -522,7 +522,7 @@ def test_training_tape_prunes_features_and_constants(made_vars):
     constants = [v for v in made_vars if not v.needs_grad]
     # the one-hot targets stay plain arrays inside the fused activity loss
     assert constants == [x] and x.grad is None
-    assert len(made_vars) == len(params) + 1 + 14  # leaves, then one Var per record
+    assert len(made_vars) == len(params) + 1 + 10  # leaves, then one Var per record
     for name, arr in params.items():
         assert bound[name].grad.shape == arr.shape
     assert tape._records == []

@@ -3,6 +3,7 @@ import gc
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from conftest import (
     unfused_mean_latent,
     unfused_softmax_affine,
     unfused_tmse,
+    unfused_total_loss,
 )
 
 
@@ -137,6 +139,7 @@ class TestTrain:
         monkeypatch.setattr(ad, "mean_latent", unfused_mean_latent)
         monkeypatch.setattr(ad, "softmax_affine", unfused_softmax_affine)  # each head
         monkeypatch.setattr(losses_mod, "activity_loss", unfused_activity_loss)
+        monkeypatch.setattr(losses_mod, "total_loss", unfused_total_loss)
         oracle = train(corpus, cfg, tc, LossConfig())
         for name, arr in fused.params.items():
             assert np.array_equal(arr, oracle.params[name])
@@ -173,7 +176,8 @@ class TestTrain:
         adam_step(params, grads, AdamState.zeros_like(params), TrainConfig(lr=1e-5))
         assert total(params) < before
 
-    def test_reads_each_feature_file_once(self, tmp_path, monkeypatch):
+    def test_reads_each_feature_file_once_per_epoch(self, tmp_path, monkeypatch):
+        # each step reads its video as stored; float32 promotes to float64 exactly
         spec = CorpusSpec(n_activities=2, n_actions=4, shared_actions=1, videos_per_activity=2,
                           frames_range=(5, 9), feature_dim=3)
         made = generate_corpus(spec)
@@ -186,9 +190,12 @@ class TestTrain:
         tc = TrainConfig(epochs=3, batch_size=2, seed=1)
         result = train(corpus.videos, toy_model_cfg(), tc, LossConfig())
         assert sorted(reads) == sorted(tmp_path / "features" / f"{v.video_id}.feat"
-                                       for v in made.videos)
+                                       for v in made.videos for _ in range(tc.epochs))
         monkeypatch.undo()
         in_memory = train(made.videos, toy_model_cfg(), tc, LossConfig())
+        assert list(result.params) == list(in_memory.params)
+        for name, arr in in_memory.params.items():
+            assert result.params[name].tobytes() == arr.tobytes()
         assert result.trace == in_memory.trace
 
     def test_empty_corpus_rejected(self):
@@ -204,6 +211,29 @@ class TestTrain:
         corpus = [FeatureSequence("bad_video", 1, np.full((4, 3), 1e200))]
         with np.errstate(all="ignore"), pytest.raises((NonFiniteLossError, FloatingPointError)):
             train(corpus, toy_model_cfg(), TrainConfig(epochs=1), LossConfig())
+
+
+class TestTrainingMemory:
+    def test_peak_does_not_grow_with_the_corpus(self, tmp_path):
+        # one epoch over N and 2N file-backed videos of 200 x 64 frames each
+        frames, dim = 200, 64
+        cfg = ModelConfig(input_dim=dim, n_activities=2, n_prototypes=4, embed_dim=4)
+        peaks = []
+        for per_activity in (2, 4):
+            spec = CorpusSpec(n_activities=2, n_actions=4, shared_actions=1,
+                              videos_per_activity=per_activity, frames_range=(frames, frames),
+                              feature_dim=dim)
+            manifest = write_corpus(generate_corpus(spec), tmp_path / f"n{per_activity}")
+            videos = read_corpus(manifest).videos
+            tracemalloc.start()
+            try:
+                train(videos, cfg, TrainConfig(epochs=1, batch_size=2), LossConfig())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_video = frames * dim * 8  # its features in float64
+        assert peaks[0] > one_video  # a step holds its video
+        assert abs(peaks[1] - peaks[0]) < one_video
 
 
 class TestGraphLifetime:
