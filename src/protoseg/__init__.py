@@ -23,6 +23,6 @@ from .matching import (
     match_at_level,
 )
 from .model import ForwardOutputs, ModelConfig, forward, infer, infer_affinity, init_parameters
-from .trainer import AdamState, NonFiniteLossError, TrainConfig, TrainResult, adam_step, train
+from .trainer import AdamState, TrainConfig, TrainResult, adam_step, train
 
 __version__ = "0.1.0"

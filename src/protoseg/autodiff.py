@@ -28,9 +28,11 @@ the fused backward adds in their order, so its value and gradients are
 bitwise those of the chain.  A training video takes 10 records, the last
 of them `losses.total_loss`'s `weighted_sum`.
 
-`_affine` is the one frame embedding x·W + b: `linear` runs it on the
-tape, and `model.infer` and `model.infer_affinity` run it on each row
-block, in float32 when given a float32 W.
+`_affine` is the one affine map x·W + b: `linear`, the inference row
+blocks (in float32 when given a float32 W), `mean_latent`'s two layers and
+`softmax_affine`'s logits run it.  `named_failures` is the one
+floating-point policy: training and inference run each video under it, so
+`_checked`'s error, with the video's label in front, is the only report.
 
 `src/` no longer calls the standalone primitives `pairwise_distance`,
 `minmax_invert_rows`, `row_normalize`, `matmul`, `add`, `mul`, `scale`,
@@ -41,6 +43,7 @@ are checked against bitwise.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -67,10 +70,6 @@ class Var:
         self.grad = None
         self.tape = tape
         self.needs_grad = needs_grad
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def accumulate(self, g) -> None:
         """Add adjoint `g` (broadcast to the value's shape) into `grad`."""
@@ -144,6 +143,17 @@ def _checked(name: str, value: np.ndarray) -> np.ndarray:
     if not np.isfinite(value).all():
         raise FloatingPointError(f"non-finite values produced by {name}")
     return value
+
+
+@contextmanager
+def named_failures(label: str):
+    """Turn numpy's overflow and invalid warnings off, since `_checked` fails on their
+    values, and put `label` in front of its error.  Each thread must enter it itself."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{label}: {exc}") from None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -362,10 +372,9 @@ def matmul(a: Var, b: Var) -> Var:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x·W + b in float64, the frame embedding of training and inference: x·W in
-    W's dtype, with x cast to it, promoted before the bias is added in place."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in `_checked`
-        product = x.astype(w.dtype, copy=False) @ w
+    """x·W + b in float64, the chain matmul -> add for a vector or a matrix x:
+    x·W in W's dtype, with x cast to it, promoted before the bias is added in place."""
+    product = x.astype(w.dtype, copy=False) @ w
     value = _checked("matmul", product).astype(np.float64, copy=False)
     value += b
     return _checked("add", value)
@@ -567,9 +576,7 @@ def mean_latent(a: Var, vp: Var, p: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> 
     av, pv, w1v, w2v = a.value, p.value, w1.value, w2.value
     c = 1.0 / av.shape[0]
     p_w1 = _checked("matmul", pv @ w1v)
-    pre = _checked("matmul", av @ p_w1)
-    pre += b1.value
-    _checked("add", pre)
+    pre = _affine(av, p_w1, b1.value)
     # relu, and the 1/T scale of a finite sum, keep finite values finite.
     # The relu overwrites `pre`, with +0.0 where pre <= 0, as `_relu_kernel` gives.
     mask = pre > 0.0
@@ -578,8 +585,7 @@ def mean_latent(a: Var, vp: Var, p: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> 
     vp_mean, vp_vjp = _scale_kernel(vp.value, c)
     g0 = _checked("matmul", _checked("scale", vp_mean) @ pv)
     hidden_mean, mean_vjp = _scale_kernel(_checked("axis0_sum", hidden.sum(axis=0)), c)
-    hb = _checked("add", _checked("matmul", hidden_mean @ w2v) + b2.value)
-    value = _checked("add", g0 + hb)
+    value = _checked("add", g0 + _affine(hidden_mean, w2v, b2.value))
 
     def bw(g):
         if b2.needs_grad:
@@ -613,7 +619,7 @@ def softmax_affine(v: Var, w: Var, b: Var) -> Var:
     if v.value.ndim != 1 or w.value.ndim != 2 or v.value.shape[0] != w.value.shape[0]:
         raise ValueError(f"softmax_affine needs a vector and a matching matrix: "
                          f"{v.value.shape} x {w.value.shape}")
-    logits = _checked("add", _checked("matmul", v.value @ w.value) + b.value)
+    logits = _affine(v.value, w.value, b.value)
     # softmax of finite logits is finite
     probs, softmax_vjp = _softmax_kernel(logits)
 

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import inference, matching, model as model_mod, trainer as trainer_mod
+from .autodiff import named_failures
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (Corpus, CorpusError, CorpusSpec, generate_corpus, read_corpus, require_number,
                    write_corpus, write_json)
@@ -71,6 +72,8 @@ def _nprime(value: str):
         raise argparse.ArgumentTypeError(f"must be an integer or 'gt', got {value!r}") from None
 
 
+_SCOPES = ["video", "activity", "global"]  # eval.scope's values
+
 # flag -> (config keys it sets, argparse keywords)
 _FLAGS = {
     "--manifest": (["paths.manifest"], {}),
@@ -80,7 +83,7 @@ _FLAGS = {
     "--threads": (["threads"], {"type": int}),
     "--alpha": (["loss.alpha"], {"type": float}),
     "--lambda": (["loss.lambda"], {"type": float}),
-    "--scope": (["eval.scope"], {"choices": ["video", "activity", "global"]}),
+    "--scope": (["eval.scope"], {"choices": _SCOPES}),
     "--sigma": (["infer.sigma"], {"type": float}),
     "--nprime": (["infer.nprime"], {"type": _nprime}),
     "--eta": (["infer.eta"], {"type": float}),
@@ -165,6 +168,12 @@ def _load_config(args) -> dict:
     for section, keys in (("infer", ("smooth", "decode")), ("eval", ("kl", "f1"))):
         if not all(type(cfg[section][key]) is bool for key in keys):
             raise ConfigError(f"{section}: {' and '.join(keys)} must be true or false")
+    if cfg["eval"]["scope"] not in _SCOPES:
+        raise ConfigError(f"eval: scope must be one of {_SCOPES}, got {cfg['eval']['scope']!r}")
+    for key, value in cfg["paths"].items():
+        if type(value) is not str and (key == "out_dir" or value is not None):
+            rule = "a string" if key == "out_dir" else "null or a string"
+            raise ConfigError(f"paths: {key} must be {rule}, got {value!r}")
     return cfg
 
 
@@ -254,15 +263,14 @@ def _infer_corpus(corpus: Corpus, threads: int, task):
     thread runs them on the calling thread: a single worker would add two
     thread switches per video, and a malloc arena of its own.
 
-    The parameters are finite, so a non-finite value in a task comes from
-    frames that overflow the float32 embedding: its error names their file.
+    Each task runs under `autodiff.named_failures`, on its own thread.  The
+    parameters are finite, so a non-finite value in a task comes from frames
+    that overflow the float32 embedding: its one error line names their file.
     """
 
     def named(video):
-        try:
+        with named_failures(str(video.path)):
             return task(video)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"{video.path}: {exc}") from None
 
     videos = iter(sorted(corpus.videos, key=lambda v: v.activity))  # stable
     threads = min(threads, len(corpus.videos))

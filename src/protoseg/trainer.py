@@ -9,7 +9,7 @@ import numpy as np
 from . import losses as losses_mod
 from . import model as model_mod
 from .model import ModelConfig
-from .autodiff import Tape
+from .autodiff import Tape, named_failures
 from .data import require_int, require_number
 from .losses import LossConfig
 from .rng import Xoshiro256StarStar
@@ -32,10 +32,6 @@ class TrainConfig:
         require_int("batch_size", self.batch_size, 1)
         require_int("seed", self.seed, 0)
         require_number("lr", self.lr, lambda x: x >= 0.0, ">= 0")
-
-
-class NonFiniteLossError(RuntimeError):
-    """Raised when a video produces a NaN/Inf loss; names the video."""
 
 
 @dataclass
@@ -103,6 +99,8 @@ def train(
     into batches, forwarded individually (lengths vary), and the batch's
     mean gradients feed one Adam step.  Each video's features are read
     at its step, once per epoch, and dropped after its backward.
+    A non-finite value in a video's forward or backward is one
+    FloatingPointError that names its feature file (or id) and the epoch.
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
@@ -127,12 +125,9 @@ def train(
             grads = {n: np.zeros_like(a) for n, a in params.items()}
             for idx in batch:
                 video = corpus[idx]
-                tape, loss, bound, terms = video_loss(video, params, model_cfg, loss_cfg)
-                if not np.isfinite(loss.value):
-                    raise NonFiniteLossError(
-                        f"non-finite loss on video {video.video_id!r} at epoch {epoch}"
-                    )
-                tape.backward(loss)
+                with named_failures(f"{video.path or repr(video.video_id)} at epoch {epoch}"):
+                    tape, loss, bound, terms = video_loss(video, params, model_cfg, loss_cfg)
+                    tape.backward(loss)
                 for name, grad in grads.items():
                     grad += bound[name].grad
                 epoch_terms += (float(loss.value), *terms)

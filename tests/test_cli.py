@@ -347,9 +347,10 @@ class TestInferenceBlocks:
         assert not (tmp_path / "new").exists()
         assert reads.count(nan) == -(-t // 5) >= 4  # every block, the last one failing
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("command", ["segment", "recognize"])
     def test_frames_that_overflow_the_float32_embedding_name_their_file(
-        self, trained, tmp_path, capsys, command
+        self, trained, tmp_path, capsys, command, threads
     ):
         cfg_path, manifest, ckpt = trained
         t = json.loads(manifest.read_text())["videos"][-1]["T"]
@@ -361,8 +362,14 @@ class TestInferenceBlocks:
         values[0] = np.finfo(np.float32).max * np.sign(w)
         assert np.abs(w).sum() > 1.0
         bad, path = _with_own_feature_file(trained, tmp_path, "big", values)
-        code = run([command, "--config", cfg_path, "--manifest", bad,
-                    "--out-dir", tmp_path / "new" / "out", "--checkpoint", ckpt])
+        # numpy's error state is per thread: each worker must turn the
+        # overflow warning off itself, or it would be the stage's error
+        with np.errstate(over="warn", invalid="warn"):
+            before = np.geterr()
+            code = run([command, "--config", cfg_path, "--manifest", bad,
+                        "--out-dir", tmp_path / "new" / "out", "--checkpoint", ckpt,
+                        "--threads", threads])
+            assert np.geterr() == before
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: runtime: FloatingPointError: {path}: non-finite values produced by matmul\n"
@@ -473,6 +480,14 @@ class TestSha256File:
         assert low <= peak < high
 
 
+def _leaf_keys(cfg, prefix=""):
+    """The dotted name of every key of `cfg` whose value is no section."""
+    keys = []
+    for name, value in cfg.items():
+        keys += _leaf_keys(value, f"{prefix}{name}.") if isinstance(value, dict) else [prefix + name]
+    return keys
+
+
 class TestErrors:
     def test_eval_without_checkpoint_is_config_error(self, workdir, capsys):
         # with kl on, eval runs the model, so it needs the checkpoint
@@ -515,6 +530,24 @@ class TestErrors:
         assert err.startswith(f"error: config: unparseable config {bad}: ")
         assert "utf-8" in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", _leaf_keys(cli.DEFAULT_CONFIG))
+    def test_every_leaf_key_refuses_a_list(self, tmp_path, capsys, monkeypatch, key):
+        # a list is no value of any key, so every key must be checked
+        # before generate writes anything
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        section, _, name = key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[name] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        # --out-dir would override paths.out_dir
+        out_dir = [] if key == "paths.out_dir" else ["--out-dir", tmp_path / "out"]
+        assert run(["generate", "--config", bad, *out_dir]) == 2
+        err = capsys.readouterr().err
+        named = f"{section}: " if section else f"{name} "
+        assert err.startswith(f"error: config: {named}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -637,6 +670,27 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"error: config: loss: {key} must be a number {rule}, got {got}\n"
         )
+
+    def test_diverging_train_names_the_video_and_the_epoch(self, trained, tmp_path, capsys):
+        _, manifest, _ = trained
+        cfg_path = tmp_path / "lr.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "train": {"lr": 1e200}}))
+        with np.errstate(over="warn", invalid="warn"):
+            before = np.geterr()
+            code = run(["train", "--config", cfg_path, "--manifest", manifest,
+                        "--out-dir", tmp_path / "new" / "out"])
+            assert np.geterr() == before
+        assert code == 1
+        # one line, with no RuntimeWarning from the overflow before it
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"error: runtime: FloatingPointError: (.+) at epoch (\d+): "
+                             r"non-finite values produced by \w+\n", err)
+        assert found, err
+        feature_files = {str(manifest.parent / entry["feature_file"])
+                         for entry in json.loads(manifest.read_text())["videos"]}
+        assert found[1] in feature_files
+        assert int(found[2]) < TINY_CONFIG["train"]["epochs"]
+        assert not (tmp_path / "new").exists()
 
     def test_checkpoint_of_another_feature_dim_names_both_files(self, workdir, capsys):
         tmp_path, cfg_path = workdir

@@ -99,6 +99,26 @@ class TestGaussianSmooth:
             out = gaussian_smooth(a, sigma)
             assert np.allclose(out.sum(axis=0), a.sum(axis=0), atol=1e-6)
 
+    def test_short_columns_reflect_again_and_again(self):
+        # below the radius ceil(4 sigma) = 20 a column reflects more than once
+        sigma = 5.0
+        kernel = gaussian_kernel(sigma)
+        radius = (len(kernel) - 1) // 2
+        rng = np.random.default_rng(3)
+        for t_total in range(1, 2 * radius + 3):
+            a = rng.uniform(size=(t_total, 3))
+            out = gaussian_smooth(a, sigma)
+            for col in range(a.shape[1]):
+                # c b a | a b c | c b a | a b c ...: the column, then mirror
+                # images of it, alternately reversed, outward on both sides
+                block, left, right = list(a[:, col]), [], []
+                while len(left) < radius:
+                    block = block[::-1]
+                    left, right = block + left, right + block
+                padded = np.array(left[len(left) - radius :] + list(a[:, col]) + right[:radius])
+                want = np.convolve(padded, kernel, mode="valid")
+                assert out[:, col].tobytes() == want.tobytes(), (t_total, col)
+
     def test_block_constant_labels_survive_smoothing(self):
         sigma = 2.0
         block = int(9 * sigma)
