@@ -1,10 +1,11 @@
 """Tape-based reverse-mode differentiation over dense float64 arrays.
 
 Only the primitives needed by the prototype segmentation network are
-provided.  Every primitive checks its output for NaN/Inf, records a
-backward rule on the tape owning its operands, and treats piecewise
-selectors (min/max, clamp, abs, relu) as fixed at their forward-time
-choice, with ties resolved toward the lowest index.
+provided.  A `Var` is plain data with no operators, so every record on a
+tape is a call to a named primitive.  Every primitive checks its output
+for NaN/Inf, records a backward rule on the tape owning its operands,
+and treats piecewise selectors (min/max, clamp, abs, relu) as fixed at
+their forward-time choice, with ties resolved toward the lowest index.
 
 Gradient work is done only where a gradient can reach a leaf made with
 `Tape.var`, such as a parameter.  Constant leaves (`Tape.const`, and the
@@ -78,14 +79,6 @@ class Var:
             self.grad[...] = g
         else:
             self.grad += g
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return f"Var(shape={self.value.shape})"
 
 
 class Tape:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import require_int
 from .losses import LossConfig
 from .model import ModelConfig, parameter_layout, validate_parameters
 from .trainer import TrainConfig
@@ -26,6 +27,7 @@ from .trainer import TrainConfig
 MAGIC = b"CADC"
 FORMAT_VERSION = 2
 _META_OFFSET = 12  # metadata JSON starts after magic, version and length
+# the metadata: `save_checkpoint` writes and `load_checkpoint` checks these `Checkpoint` fields
 _META_KEYS = ("model", "train", "loss", "epoch", "rng_digest")
 _META_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "loss": LossConfig}
 
@@ -53,13 +55,9 @@ class Checkpoint:
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     validate_parameters(ckpt.params, ckpt.model)
-    meta = {
-        "model": asdict(ckpt.model),
-        "train": asdict(ckpt.train),
-        "loss": asdict(ckpt.loss),
-        "epoch": ckpt.epoch,
-        "rng_digest": ckpt.rng_digest,
-    }
+    meta = {key: getattr(ckpt, key) for key in _META_KEYS}
+    for section in _META_SECTIONS:
+        meta[section] = asdict(meta[section])
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -122,7 +120,10 @@ def load_checkpoint(path) -> Checkpoint:
             model_cfg, train_cfg, loss_cfg = (
                 cls(**meta[section]) for section, cls in _META_SECTIONS.items()
             )
-            epoch, rng_digest = int(meta["epoch"]), str(meta["rng_digest"])
+            epoch, rng_digest = meta["epoch"], meta["rng_digest"]
+            require_int("epoch", epoch, 0)
+            if type(rng_digest) is not str:
+                raise ValueError(f"rng_digest must be a string, got {rng_digest!r}")
         except (TypeError, ValueError) as exc:
             raise CheckpointError(path, f"invalid metadata: {exc}", _META_OFFSET) from exc
 

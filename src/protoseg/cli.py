@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import inference, matching, model as model_mod, trainer as trainer_mod
-from .autodiff import named_failures
+from .autodiff import _checked, named_failures
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import (Corpus, CorpusError, CorpusSpec, generate_corpus, read_corpus, require_number,
                    write_corpus, write_json)
@@ -224,7 +224,8 @@ def _load_checkpoint_for(
     """Load a checkpoint for inference on the corpus, whose feature dimension it must take.
 
     Its `embed_w` is replaced by a float32 copy, so `model.infer` embeds
-    the frames in float32; the other parameters stay float64.  With
+    the frames in float32; the other parameters stay float64.  A weight
+    too large for float32 fails here, under the checkpoint's name.  With
     `affinity_only`, it keeps only `model.AFFINITY_PARAMETERS`, so a stage
     that only labels frames frees the latent path's and the heads' weights
     at once (17 MB at paper shape).  Without it the heads score the
@@ -243,7 +244,9 @@ def _load_checkpoint_for(
             f"checkpoint {ckpt_path} scores {ckpt.model.n_activities} activities, "
             f"but manifest {manifest} has C={corpus.n_activities}"
         )
-    ckpt.params["embed_w"] = ckpt.params["embed_w"].astype(np.float32)
+    with named_failures(str(ckpt_path)):  # finite in float64, it may overflow float32
+        embed_w = ckpt.params["embed_w"].astype(np.float32)
+        ckpt.params["embed_w"] = _checked("float32 cast", embed_w)
     if affinity_only:
         ckpt.params = {name: ckpt.params[name] for name in model_mod.AFFINITY_PARAMETERS}
     return ckpt
@@ -356,9 +359,16 @@ def _cmd_train(cfg: dict) -> None:
     )
 
 
-def _nprime_by_activity(cfg: dict, corpus: Corpus, manifest: Path):
-    if cfg["infer"]["nprime"] != "gt":
-        return cfg["infer"]["nprime"]
+def _nprime_by_activity(cfg: dict, corpus: Corpus, manifest: Path, ckpt_path: Path, n: int):
+    """`segment_corpus`'s `n_keep`: an integer nprime, or under 'gt' each activity's
+    action count; none may exceed the checkpoint's `n` prototypes."""
+    nprime = cfg["infer"]["nprime"]
+    if nprime != "gt":
+        if nprime > n:
+            raise ConfigError(
+                f"infer: nprime {nprime} exceeds the {n} prototypes of checkpoint {ckpt_path}"
+            )
+        return nprime
     counts = {}
     for video in corpus.videos:
         if video.gt_actions is None:
@@ -373,6 +383,12 @@ def _nprime_by_activity(cfg: dict, corpus: Corpus, manifest: Path):
             raise ConfigError(
                 f"nprime 'gt': activity {activity} has no action in the ground truth "
                 f"of {manifest}; use a fixed --nprime instead"
+            )
+        if len(actions) > n:
+            raise ConfigError(
+                f"infer: nprime 'gt': activity {activity} has {len(actions)} actions in "
+                f"the ground truth of {manifest}, more than the {n} prototypes of "
+                f"checkpoint {ckpt_path}"
             )
     return {activity: len(actions) for activity, actions in counts.items()}
 
@@ -392,8 +408,10 @@ def _cmd_segment(cfg: dict) -> None:
     if scope == "video":
         raise ConfigError("segment supports --scope global or activity")
     corpus = read_corpus(manifest)
-    n_keep = _nprime_by_activity(cfg, corpus, manifest) if scope == "activity" else None
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest, affinity_only=True)
+    n_keep = None
+    if scope == "activity":
+        n_keep = _nprime_by_activity(cfg, corpus, manifest, ckpt_path, ckpt.model.n_prototypes)
     smooth = scope == "activity" and cfg["infer"]["smooth"]
     decode = scope == "activity" and cfg["infer"]["decode"]
     labelings = {}

@@ -158,7 +158,10 @@ class CorpusSpec:
         require_int("shared_actions", self.shared_actions, 0)
         require_int("seed", self.seed, 0)
         for name in ("actions_per_activity", "frames_range"):
-            low, high = getattr(self, name)
+            pair = getattr(self, name)
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError(f"{name} must be a list of two integers, got {pair!r}")
+            low, high = pair
             require_int(f"{name} low", low, 1)
             require_int(f"{name} high", high, low)
         if self.shared_actions > self.n_actions:

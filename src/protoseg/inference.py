@@ -261,10 +261,12 @@ def segment_corpus(
     Global scope takes the naive argmax (optionally after smoothing the
     full affinity matrix).  Activity scope restricts each activity's
     videos to their `n_keep` busiest prototypes (int, or dict keyed by
-    activity), optionally smooths, then either relabels naively or runs
-    the ordered Viterbi decoding.  `eta` > 0 additionally masks low
-    affinity frames per prototype, computed on the full matrices; a
-    masked frame is labeled -1.
+    activity; None, or an activity the dict lacks, keeps all N),
+    optionally smooths, then either relabels naively or runs the ordered
+    Viterbi decoding.  An `n_keep` outside [1, N] is passed on as given,
+    and `activity_reduce` refuses it with a ValueError.  `eta` > 0
+    additionally masks low affinity frames per prototype, computed on the
+    full matrices; a masked frame is labeled -1.
     """
     if scope not in ("global", "activity"):
         raise ValueError(f"unknown segmentation scope {scope!r}")
@@ -283,7 +285,7 @@ def segment_corpus(
         for activity in sorted(by_activity):
             vids = by_activity[activity]
             keep = n_keep.get(activity) if isinstance(n_keep, dict) else n_keep
-            keep = n_total if keep is None else min(keep, n_total)
+            keep = n_total if keep is None else keep
             kept_ids, reduced = activity_reduce([affinities[v] for v in vids], keep)
             if smooth:
                 reduced = [gaussian_smooth(a, sigma) for a in reduced]

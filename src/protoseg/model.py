@@ -98,7 +98,6 @@ def init_parameters(cfg: ModelConfig, seed: int) -> Dict[str, np.ndarray]:
     for name, (shape, fan_in) in parameter_layout(cfg).items():
         bound = 1.0 / np.sqrt(fan_in)
         params[name] = rng.uniform(-bound, bound, size=shape)
-    validate_parameters(params, cfg)
     return params
 
 

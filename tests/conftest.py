@@ -238,7 +238,7 @@ def two_log_bce(probs, target):
 
 def unfused_linear(x, w, b):
     """Oracle: `autodiff.linear`, the input embedding, as two records: matmul -> add."""
-    return ad.matmul(x, w) + b
+    return ad.add(ad.matmul(x, w), b)
 
 
 def unfused_affinity(f, p):
@@ -258,16 +258,16 @@ def unfused_tmse(affinity, truncation):
 
 def unfused_mean_latent(a, vp, p, w1, b1, w2, b2):
     """Oracle: `autodiff.mean_latent` as eleven records."""
-    hidden = ad.relu(ad.matmul(a, ad.matmul(p, w1)) + b1)
+    hidden = ad.relu(ad.add(ad.matmul(a, ad.matmul(p, w1)), b1))
     g0 = ad.matmul(ad.scale(vp, 1.0 / a.value.shape[0]), p)
     hidden_mean = ad.scale(ad.axis0_sum(hidden), 1.0 / hidden.value.shape[0])
-    return g0 + (ad.matmul(hidden_mean, w2) + b2)
+    return ad.add(g0, ad.add(ad.matmul(hidden_mean, w2), b2))
 
 
 def unfused_softmax_affine(v, w, b):
     """Oracle: `autodiff.softmax_affine`, one activity head, as three records:
     matmul -> add -> softmax."""
-    return ad.softmax(ad.matmul(v, w) + b)
+    return ad.softmax(ad.add(ad.matmul(v, w), b))
 
 
 def unfused_activity_loss(probs, target):
@@ -279,10 +279,9 @@ def unfused_activity_loss(probs, target):
 
 def unfused_total_loss(loss_p, loss_g, loss_smooth, cfg):
     """Oracle: `losses.total_loss` as five records: three `scale`s and two `add`s."""
-    return (
-        ad.scale(loss_p, cfg.alpha)
-        + ad.scale(loss_g, 1.0 - cfg.alpha)
-        + ad.scale(loss_smooth, cfg.smooth_weight)
+    return ad.add(
+        ad.add(ad.scale(loss_p, cfg.alpha), ad.scale(loss_g, 1.0 - cfg.alpha)),
+        ad.scale(loss_smooth, cfg.smooth_weight),
     )
 
 

@@ -474,7 +474,7 @@ class TestTapeMechanics:
     def test_op_on_constants_records_nothing(self):
         tape = Tape()
         c = tape.const(np.ones((2, 3)))
-        out = ad.vsum(ad.relu(ad.matmul(c, ad._coerce(np.ones((3, 2)), tape)) + 1.0))
+        out = ad.vsum(ad.relu(ad.add(ad.matmul(c, ad._coerce(np.ones((3, 2)), tape)), 1.0)))
         assert tape._records == [] and not out.needs_grad
         a = tape.var(np.ones(2))
         ad.mul(a, out)

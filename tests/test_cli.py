@@ -14,7 +14,7 @@ import pytest
 
 from protoseg import cli
 from protoseg import model as model_mod
-from protoseg.checkpoint import load_checkpoint
+from protoseg.checkpoint import load_checkpoint, save_checkpoint
 from protoseg.cli import _read_segment_file, _write_segment_file, main
 from protoseg.data import (
     FEATURE_MAGIC, GT_MAGIC, CorpusError, FeatureFile, _write_array, read_corpus
@@ -739,6 +739,91 @@ class TestErrors:
         code = run(["segment", "--config", cfg_path, "--nprime", "many",
                     "--manifest", tmp_path / "m.json", "--out-dir", tmp_path / "out"])
         assert code == 2
+
+    @pytest.mark.parametrize("nprime", [5, 100])
+    def test_nprime_above_the_checkpoints_prototypes_is_refused(
+        self, trained, tmp_path, capsys, nprime
+    ):
+        cfg_path, manifest, ckpt = trained
+        base = ["--config", cfg_path, "--manifest", manifest, "--checkpoint", ckpt,
+                "--scope", "activity"]
+        code = run(["segment", *base, "--nprime", nprime, "--out-dir", tmp_path / "out"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: config: infer: nprime {nprime} exceeds the 4 prototypes "
+            f"of checkpoint {ckpt}\n"
+        )
+        assert not (tmp_path / "out").exists()
+        assert run(["segment", *base, "--nprime", 4, "--out-dir", tmp_path / "at_n"]) == 0
+
+    def test_nprime_gt_above_the_checkpoints_prototypes_is_refused(
+        self, trained, tmp_path, capsys
+    ):
+        cfg_path, manifest, _ = trained
+        narrow_cfg = tmp_path / "narrow.json"
+        narrow_cfg.write_text(json.dumps({**TINY_CONFIG, "model": {"n_prototypes": 1},
+                                          "train": {"epochs": 1}}))
+        narrow = tmp_path / "narrow.ckpt"
+        assert run(["train", "--config", narrow_cfg, "--manifest", manifest,
+                    "--out-dir", tmp_path / "train", "--checkpoint", narrow]) == 0
+        capsys.readouterr()
+        code = run(["segment", "--config", narrow_cfg, "--manifest", manifest,
+                    "--checkpoint", narrow, "--scope", "activity", "--nprime", "gt",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 2
+        err = capsys.readouterr().err
+        found = re.fullmatch(
+            rf"error: config: infer: nprime 'gt': activity 1 has (\d+) actions in the ground "
+            rf"truth of {re.escape(str(manifest))}, more than the 1 prototypes of checkpoint "
+            rf"{re.escape(str(narrow))}\n",
+            err,
+        )
+        assert found and int(found[1]) > 1, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [[], [1, 2, 3], 5])
+    @pytest.mark.parametrize("key", ["frames_range", "actions_per_activity"])
+    def test_malformed_pair_names_its_key(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"corpus": {key: value}}))
+        code = run(["generate", "--config", cfg_path, "--out-dir", tmp_path / "out"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: config: corpus: {key} must be a list of two integers, got {value!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["segment", "recognize", "eval"])
+    def test_embedding_weight_that_overflows_float32_names_the_checkpoint(
+        self, trained, tmp_path, capsys, command
+    ):
+        _, manifest, ckpt = trained
+        big = load_checkpoint(ckpt)
+        big.params["embed_w"][0, 0] = 1e39  # finite in float64, not in float32
+        big_path = tmp_path / "big.ckpt"
+        save_checkpoint(big, big_path)
+        cfg_path = tmp_path / "kl.json"
+        cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"kl": True}}))
+        out_dir = tmp_path / "new" / "out"
+        if command == "eval":  # eval reads the labelings of an earlier segment
+            (out_dir / "segments").mkdir(parents=True)
+            index = ckpt.parent / "segments" / "index.json"
+            (out_dir / "segments" / "index.json").write_bytes(index.read_bytes())
+        with np.errstate(over="warn", invalid="warn"):
+            before = np.geterr()
+            code = run([command, "--config", cfg_path, "--manifest", manifest,
+                        "--out-dir", out_dir, "--checkpoint", big_path])
+            assert np.geterr() == before
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: runtime: FloatingPointError: {big_path}: "
+                       f"non-finite values produced by float32 cast\n")
+        if command == "eval":  # no metrics written
+            new = tmp_path / "new"
+            assert sorted(p.relative_to(new).as_posix() for p in new.rglob("*")) == [
+                "out", "out/segments", "out/segments/index.json"]
+        else:
+            assert not (tmp_path / "new").exists()
 
 
 @pytest.fixture(scope="module")

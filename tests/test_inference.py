@@ -255,6 +255,14 @@ class TestViterbiBatch:
             for vid, a in zip(vids, reduced):
                 assert np.array_equal(got[vid], per_video_viterbi(a, order, kept))
 
+    @pytest.mark.parametrize("as_dict", [False, True])
+    def test_segment_corpus_refuses_more_kept_prototypes_than_n(self, as_dict):
+        affinities = {f"v{i}": np.full((5, 6), 1 / 6) for i in range(4)}
+        activities = {vid: 1 + i % 2 for i, vid in enumerate(affinities)}
+        n_keep = {1: 3, 2: 7} if as_dict else 7
+        with pytest.raises(ValueError, match=r"n_keep 7 outside \[1, 6\]"):
+            segment_corpus(affinities, activities, scope="activity", n_keep=n_keep)
+
 
 class TestBackgroundMask:
     def test_eta_zero_no_background(self):

@@ -406,6 +406,19 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match=r"n_prototypes.*\(byte offset 12\)$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epoch", 7.9), ("epoch", True), ("epoch", "12"), ("epoch", -3),
+         ("rng_digest", 123), ("rng_digest", None)],
+    )
+    def test_metadata_epoch_and_digest_are_checked_not_coerced(self, tmp_path, key, value):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._make(), path)
+        self._with_metadata(path, lambda meta: meta.update({key: value}))
+        want = f"{path}: invalid metadata: {key} must be "
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(want)}.*\(byte offset 12\)$"):
+            load_checkpoint(path)
+
     def test_nonfinite_value_errors_with_its_offset(self, tmp_path):
         ckpt = self._make()
         path = tmp_path / "model.ckpt"
