@@ -51,6 +51,8 @@ import numpy as np
 
 # Keeps the gradient of the distance finite at coincident points.
 DISTANCE_EPS = 1e-12
+# Affinity entries can be exactly zero after min/max inversion; floor them before a log.
+LOG_EPS = 1e-12
 
 
 class Var:

@@ -259,12 +259,11 @@ def _infer_corpus(corpus: Corpus, threads: int, task):
     order.  A task gets the video, not its features: `model.infer` and
     `model.infer_affinity` read them one row block at a time, so a video
     in flight holds one block, and the caller holds only the results it
-    keeps.  With
-    more than one thread, a pool of `threads` workers runs the tasks with
-    at most `threads` videos in flight, across activity boundaries, and
-    starts the next video only once the oldest one's result is taken.  One
-    thread runs them on the calling thread: a single worker would add two
-    thread switches per video, and a malloc arena of its own.
+    keeps.  With more than one thread, a pool of `threads` workers runs the
+    tasks with at most `threads` videos in flight, across activity
+    boundaries, and starts the next video only once the oldest one's result
+    is taken.  One thread runs them on the calling thread: a single worker
+    would add two thread switches per video, and a malloc arena of its own.
 
     Each task runs under `autodiff.named_failures`, on its own thread.  The
     parameters are finite, so a non-finite value in a task comes from frames
@@ -399,8 +398,9 @@ def _cmd_segment(cfg: dict) -> None:
     Activity by activity, it computes each video's affinity matrix
     (`model.infer_affinity`: no V^g and no classifier head), labels the
     activity's videos, and drops their affinities, so it holds one
-    activity's affinities and every video's labels.  The output directory
-    is made only after the last feature file is read.
+    activity's affinities and every video's labels, and records each
+    activity's naive `prototype_usage` for `eval`'s KL sharing analysis.
+    The output directory is made only after the last feature file is read.
     """
     manifest = _require_path(cfg, "manifest")
     ckpt_path = _require_path(cfg, "checkpoint")
@@ -409,12 +409,17 @@ def _cmd_segment(cfg: dict) -> None:
         raise ConfigError("segment supports --scope global or activity")
     corpus = read_corpus(manifest)
     ckpt = _load_checkpoint_for(ckpt_path, corpus, manifest, affinity_only=True)
+    n_prototypes = ckpt.model.n_prototypes
     n_keep = None
     if scope == "activity":
-        n_keep = _nprime_by_activity(cfg, corpus, manifest, ckpt_path, ckpt.model.n_prototypes)
-    smooth = scope == "activity" and cfg["infer"]["smooth"]
-    decode = scope == "activity" and cfg["infer"]["decode"]
-    labelings = {}
+        n_keep = _nprime_by_activity(cfg, corpus, manifest, ckpt_path, n_prototypes)
+    settings = {  # `segment_corpus`'s, as the index records them
+        "smooth": scope == "activity" and cfg["infer"]["smooth"],
+        "decode": scope == "activity" and cfg["infer"]["decode"],
+        "sigma": cfg["infer"]["sigma"],
+        "eta": cfg["infer"]["eta"],
+    }
+    labelings, usage = {}, {}
     # hashlib releases the GIL on large updates, so the digests are taken
     # on a worker thread while inference runs
     with ThreadPoolExecutor(max_workers=1) as hasher:
@@ -424,17 +429,12 @@ def _cmd_segment(cfg: dict) -> None:
         )
         for activity, group in itertools.groupby(stream, key=lambda pair: pair[0].activity):
             affinities = {video.video_id: a for video, a in group}
+            usage[str(activity)] = inference.prototype_usage(
+                map(inference.naive_labels, affinities.values()), n_prototypes
+            ).tolist()
+            activities = dict.fromkeys(affinities, activity)
             labelings.update(
-                inference.segment_corpus(
-                    affinities,
-                    dict.fromkeys(affinities, activity),
-                    scope=scope,
-                    smooth=smooth,
-                    sigma=cfg["infer"]["sigma"],
-                    decode=decode,
-                    n_keep=n_keep,
-                    eta=cfg["infer"]["eta"],
-                )
+                inference.segment_corpus(affinities, activities, scope, n_keep=n_keep, **settings)
             )
             del affinities  # before the next activity's arrive
         manifest_sha256, checkpoint_sha256 = digests
@@ -445,17 +445,17 @@ def _cmd_segment(cfg: dict) -> None:
         _write_segment_file(seg_dir / f"{vid}.seg.txt", labels)
     index = {
         "scope": scope,
-        "smooth": smooth,
-        "decode": decode,
-        "sigma": cfg["infer"]["sigma"],
-        "eta": cfg["infer"]["eta"],
+        **settings,
         "nprime": cfg["infer"]["nprime"] if scope == "activity" else None,
         "manifest_sha256": manifest_sha256,
         "checkpoint_sha256": checkpoint_sha256,
+        "prototype_usage": usage,
         "videos": sorted(labelings),
     }
     write_json(seg_dir / "index.json", index)
-    print(f"segmented {len(labelings)} videos into {seg_dir} (scope={scope})")
+    idle = sum(not any(counts) for counts in zip(*usage.values()))
+    print(f"segmented {len(labelings)} videos into {seg_dir} (scope={scope}); "
+          f"{idle} of {n_prototypes} prototypes won no frame")
 
 
 def _write_segment_file(path: Path, labels: np.ndarray) -> None:
@@ -485,35 +485,44 @@ def _read_segment_file(path: Path) -> np.ndarray:
     return np.fromstring(data, dtype=np.int64, sep="\n")
 
 
-def _segment_index(index_path: Path, manifest: Path, checkpoint: Path | None) -> dict:
-    """`segments/index.json`, once its digests match the manifest and any checkpoint given."""
+def _segment_index(index_path: Path, manifest: Path) -> dict:
+    """`segments/index.json`, once its manifest digest matches the manifest given."""
     try:
         index = json.loads(index_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{index_path}: unparseable segmentation index: {exc}") from None
-    inputs = {"manifest_sha256": manifest, "checkpoint_sha256": checkpoint}
-    if not isinstance(index, dict) or not all(key in index for key in inputs):
-        raise ValueError(f"{index_path}: segmentation index lacks {' or '.join(inputs)}")
-    for key, path in inputs.items():
-        if path is not None and index[key] != _sha256_file(path):
-            raise ValueError(f"{index_path}: {key} does not match {path}; rerun segment")
+    if not isinstance(index, dict) or not {"manifest_sha256", "checkpoint_sha256"} <= index.keys():
+        raise ValueError(f"{index_path}: segmentation index lacks manifest_sha256 or "
+                         "checkpoint_sha256")
+    if index["manifest_sha256"] != _sha256_file(manifest):
+        raise ValueError(f"{index_path}: manifest_sha256 does not match {manifest}; rerun segment")
     return index
+
+
+def _usage_by_activity(index_path: Path, index: dict, activities) -> dict:
+    """The index's `prototype_usage` of each of `activities`: N JSON integers >= 0 each."""
+    usage = index.get("prototype_usage")
+    rows = [usage.get(str(a)) for a in activities] if isinstance(usage, dict) else [None]
+    if not all(isinstance(row, list) and row and len(row) == len(rows[0]) and
+               all(type(count) is int and count >= 0 for count in row) for row in rows):
+        raise ValueError(f"{index_path}: prototype_usage must give each activity of the corpus "
+                         f"the same number of integer counts >= 0; rerun segment")
+    return dict(zip(activities, rows))
 
 
 def _cmd_eval(cfg: dict) -> None:
     manifest = _require_path(cfg, "manifest")
-    # only the KL diagnostics run the model
-    ckpt_path = _require_path(cfg, "checkpoint") if cfg["eval"]["kl"] else None
     out = Path(cfg["paths"]["out_dir"])  # segment made it
     seg_dir = out / "segments"
-    if not (seg_dir / "index.json").exists():
+    index_path = seg_dir / "index.json"
+    if not index_path.exists():
         raise ConfigError(f"no segmentation index under {seg_dir}; run segment first")
     corpus = read_corpus(manifest)
     scope = cfg["eval"]["scope"]
-    ckpt = (
-        _load_checkpoint_for(ckpt_path, corpus, manifest, affinity_only=True) if ckpt_path else None
-    )
-    index = _segment_index(seg_dir / "index.json", manifest, ckpt_path)
+    index = _segment_index(index_path, manifest)
+    # the KL sharing analysis reads the prototype usage that segment counted
+    activities = sorted({video.activity for video in corpus.videos})
+    usage = _usage_by_activity(index_path, index, activities) if cfg["eval"]["kl"] else None
 
     videos = []
     for video in corpus.videos:
@@ -534,31 +543,16 @@ def _cmd_eval(cfg: dict) -> None:
     }
     if cfg["eval"]["f1"]:
         report["f1"] = matching.corpus_f1(videos, result.mapped)
-    if ckpt is not None:
-        # each video's naive labels; its affinity is not kept
-        stream = _infer_corpus(
-            corpus,
-            cfg["threads"],
-            lambda v: inference.naive_labels(model_mod.infer_affinity(v, ckpt.params)),
-        )
-        labels = {video.video_id: naive for video, naive in stream}
-        by_activity = {}
-        for video in videos:
-            by_activity.setdefault(video.activity, []).append(video)
-        sharing, activity_ids = matching.kl_prototype_sharing(
-            {a: [labels[v.video_id] for v in group] for a, group in by_activity.items()},
-            ckpt.model.n_prototypes,
-        )
+    if cfg["eval"]["kl"]:
         action_kl = {}
-        for activity, group in sorted(by_activity.items()):
+        for activity in activities:
+            group = [video for video in videos if video.activity == activity]
             pred_vs_gt, gt_vs_pred = matching.kl_action_distribution(group, result.mapped)
             action_kl[str(activity)] = {"pred_vs_gt": pred_vs_gt, "gt_vs_pred": gt_vs_pred}
+        sharing, activity_ids = matching.kl_usage_sharing(usage)
         report["kl"] = {
             "action_distribution": action_kl,
-            "prototype_sharing": {
-                "activities": activity_ids,
-                "matrix": sharing.tolist(),
-            },
+            "prototype_sharing": {"activities": activity_ids, "matrix": sharing.tolist()},
         }
     report_path = out / f"metrics_{scope}.json"
     write_json(report_path, report)

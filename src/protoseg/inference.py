@@ -10,12 +10,11 @@ Viterbi decoding runs over all of an activity's videos at once
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-# Affinity entries can be exactly zero after min/max inversion; floor them before a log.
-LOG_EPS = 1e-12
+from .autodiff import LOG_EPS
 
 
 def naive_labels(affinity: np.ndarray) -> np.ndarray:
@@ -24,12 +23,20 @@ def naive_labels(affinity: np.ndarray) -> np.ndarray:
     return np.argmax(affinity, axis=1).astype(np.int64) + 1
 
 
+def prototype_usage(labelings: Iterable[np.ndarray], n_prototypes: int) -> np.ndarray:
+    """N int64 counts: the frames each prototype wins in some 1-based labelings, pooled."""
+    counts = np.zeros(n_prototypes, dtype=np.int64)
+    for labels in labelings:
+        counts += np.bincount(np.asarray(labels, dtype=np.int64) - 1, minlength=n_prototypes)
+    return counts
+
+
 def activity_reduce(
     affinities: Sequence[np.ndarray], n_keep: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Restrict same-activity affinity matrices to their most used prototypes.
 
-    Occurrence is counted from naive labels pooled over all given videos;
+    Occurrence is the `prototype_usage` of all given videos' naive labels;
     ties keep the lower prototype id.  Rows are re-normalized to sum 1
     (uniform if a row loses all mass).  Returns (kept 1-based ids, reduced
     matrices with columns in kept order).
@@ -39,11 +46,9 @@ def activity_reduce(
     n_total = affinities[0].shape[1]
     if not 1 <= n_keep <= n_total:
         raise ValueError(f"n_keep {n_keep} outside [1, {n_total}]")
-    counts = np.zeros(n_total, dtype=np.int64)
-    for a in affinities:
-        if a.shape[1] != n_total:
-            raise ValueError("affinity matrices disagree on prototype count")
-        counts += np.bincount(naive_labels(a) - 1, minlength=n_total)
+    if any(a.shape[1] != n_total for a in affinities):
+        raise ValueError("affinity matrices disagree on prototype count")
+    counts = prototype_usage(map(naive_labels, affinities), n_total)
     # stable sort on (-count, id) keeps the lower id on ties
     kept = np.lexsort((np.arange(n_total), -counts))[:n_keep]
     kept = np.sort(kept)
@@ -281,11 +286,10 @@ def segment_corpus(
         by_activity: Dict[int, list[str]] = {}
         for vid in ids:
             by_activity.setdefault(activities[vid], []).append(vid)
-        n_total = next(iter(affinities.values())).shape[1]
         for activity in sorted(by_activity):
             vids = by_activity[activity]
             keep = n_keep.get(activity) if isinstance(n_keep, dict) else n_keep
-            keep = n_total if keep is None else keep
+            keep = affinities[vids[0]].shape[1] if keep is None else keep
             kept_ids, reduced = activity_reduce([affinities[v] for v in vids], keep)
             if smooth:
                 reduced = [gaussian_smooth(a, sigma) for a in reduced]

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
+from .autodiff import LOG_EPS, Var
 from .data import require_number
-from .inference import LOG_EPS
 
 # Softmax outputs can saturate numerically; clamp before logs.
 PROB_EPS = 1e-7

@@ -14,9 +14,12 @@ runs once per unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Dict, Sequence
 
 import numpy as np
+
+from .inference import prototype_usage
 
 KL_SMOOTHING = 1e-8
 
@@ -379,23 +382,20 @@ def kl_action_distribution(
 def kl_prototype_sharing(
     labelings_by_activity: Dict[int, Sequence[np.ndarray]], n_prototypes: int
 ) -> tuple[np.ndarray, list[int]]:
-    """Pairwise divergences of per-activity prototype usage distributions.
+    """`kl_usage_sharing` of each activity's `prototype_usage` in its labelings."""
+    by_activity = labelings_by_activity.items()
+    return kl_usage_sharing({a: prototype_usage(ls, n_prototypes) for a, ls in by_activity})
 
-    Entry (i, j) is D(p_i || p_j) over the full prototype bank; both
-    directions are present and the diagonal is exactly zero.
+
+def kl_usage_sharing(usage_by_activity: Dict[int, Sequence[int]]) -> tuple[np.ndarray, list[int]]:
+    """Pairwise divergences of per-activity prototype usage over the full bank.
+
+    Entry (i, j) is D(p_i || p_j) of the smoothed usage distributions of
+    the i-th and j-th activities in ascending order; the diagonal is zero.
     """
-    activities = sorted(labelings_by_activity)
-    dists = []
-    for activity in activities:
-        counts = np.zeros(n_prototypes, dtype=np.float64)
-        for labels in labelings_by_activity[activity]:
-            labels = np.asarray(labels, dtype=np.int64)
-            counts += np.bincount(labels - 1, minlength=n_prototypes)
-        dists.append(smoothed_distribution(counts))
-    c = len(activities)
-    matrix = np.zeros((c, c))
-    for i in range(c):
-        for j in range(c):
-            if i != j:
-                matrix[i, j] = kl_divergence(dists[i], dists[j])
+    activities = sorted(usage_by_activity)
+    dists = [smoothed_distribution(usage_by_activity[a]) for a in activities]
+    matrix = np.zeros((len(dists), len(dists)))
+    for i, j in permutations(range(len(dists)), 2):
+        matrix[i, j] = kl_divergence(dists[i], dists[j])
     return matrix, activities

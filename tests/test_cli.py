@@ -207,6 +207,26 @@ class TestPipeline:
             "activities": activities, "matrix": sharing.tolist()
         }
 
+    @pytest.mark.parametrize("scope", ["global", "activity"])
+    def test_segment_records_each_activitys_naive_prototype_usage(
+        self, trained, tmp_path, capsys, scope
+    ):
+        cfg_path, manifest, ckpt = trained
+        out_dir = tmp_path / "out"
+        assert run(["segment", "--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                    "--checkpoint", ckpt, "--scope", scope]) == 0
+        corpus = read_corpus(manifest)
+        params = cli._load_checkpoint_for(ckpt, corpus, manifest).params
+        expected = {}
+        for video in corpus.videos:
+            labels = naive_labels(model_mod.infer_affinity(video, params))
+            counts = expected.setdefault(str(video.activity), np.zeros(4, dtype=np.int64))
+            counts += np.bincount(labels - 1, minlength=4)
+        index = json.loads((out_dir / "segments" / "index.json").read_text())
+        assert index["prototype_usage"] == {a: c.tolist() for a, c in expected.items()}
+        idle = int(np.sum(sum(expected.values()) == 0))
+        assert capsys.readouterr().out.endswith(f"; {idle} of 4 prototypes won no frame\n")
+
 
 class TestSegmentStreams:
     """`segment` runs one activity at a time and writes its files at the end."""
@@ -489,18 +509,6 @@ def _leaf_keys(cfg, prefix=""):
 
 
 class TestErrors:
-    def test_eval_without_checkpoint_is_config_error(self, workdir, capsys):
-        # with kl on, eval runs the model, so it needs the checkpoint
-        tmp_path, _ = workdir
-        cfg_path = tmp_path / "kl.json"
-        cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"kl": True}}))
-        code = run(["eval", "--config", cfg_path, "--manifest", cfg_path,
-                    "--out-dir", tmp_path / "out"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: config: paths.checkpoint is required for this command\n"
-        assert not (tmp_path / "out").exists()
-
     def test_eval_before_segment_is_config_error(self, trained, tmp_path, capsys):
         cfg_path, manifest, _ = trained
         code = run(["eval", "--config", cfg_path, "--manifest", manifest,
@@ -697,13 +705,12 @@ class TestErrors:
         out_dir, _, ckpt = _pipeline(tmp_path, cfg_path)
         wide_cfg = tmp_path / "wide.json"
         corpus = {**TINY_CONFIG["corpus"], "feature_dim": 16}
-        wide_cfg.write_text(json.dumps({**TINY_CONFIG, "corpus": corpus,
-                                        "eval": {"kl": True}}))
+        wide_cfg.write_text(json.dumps({**TINY_CONFIG, "corpus": corpus}))
         wide = tmp_path / "wide" / "manifest.json"
         assert run(["generate", "--config", wide_cfg, "--manifest", wide,
                     "--out-dir", tmp_path / "gen"]) == 0
         capsys.readouterr()
-        for command in ("segment", "recognize", "eval"):
+        for command in ("segment", "recognize"):
             code = run([command, "--config", wide_cfg, "--manifest", wide,
                         "--out-dir", out_dir, "--checkpoint", ckpt])
             assert code == 1
@@ -793,22 +800,16 @@ class TestErrors:
         )
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["segment", "recognize", "eval"])
+    @pytest.mark.parametrize("command", ["segment", "recognize"])
     def test_embedding_weight_that_overflows_float32_names_the_checkpoint(
         self, trained, tmp_path, capsys, command
     ):
-        _, manifest, ckpt = trained
+        cfg_path, manifest, ckpt = trained
         big = load_checkpoint(ckpt)
         big.params["embed_w"][0, 0] = 1e39  # finite in float64, not in float32
         big_path = tmp_path / "big.ckpt"
         save_checkpoint(big, big_path)
-        cfg_path = tmp_path / "kl.json"
-        cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"kl": True}}))
         out_dir = tmp_path / "new" / "out"
-        if command == "eval":  # eval reads the labelings of an earlier segment
-            (out_dir / "segments").mkdir(parents=True)
-            index = ckpt.parent / "segments" / "index.json"
-            (out_dir / "segments" / "index.json").write_bytes(index.read_bytes())
         with np.errstate(over="warn", invalid="warn"):
             before = np.geterr()
             code = run([command, "--config", cfg_path, "--manifest", manifest,
@@ -818,12 +819,7 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == (f"error: runtime: FloatingPointError: {big_path}: "
                        f"non-finite values produced by float32 cast\n")
-        if command == "eval":  # no metrics written
-            new = tmp_path / "new"
-            assert sorted(p.relative_to(new).as_posix() for p in new.rglob("*")) == [
-                "out", "out/segments", "out/segments/index.json"]
-        else:
-            assert not (tmp_path / "new").exists()
+        assert not (tmp_path / "new").exists()
 
 
 @pytest.fixture(scope="module")
@@ -1195,43 +1191,31 @@ def _without(key):
 class TestProvenance:
     @pytest.fixture
     def segmented(self, tmp_path):
-        """Labelings from checkpoint A (train seed 11); B (seed 12) is trained too."""
+        """A config with `eval.kl` on, a corpus, and its labelings by a trained checkpoint."""
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(SMALL_CONFIG))
         manifest = tmp_path / "corpus" / "manifest.json"
-        assert run(["generate", "--config", cfg_path, "--manifest", manifest,
-                    "--out-dir", tmp_path / "gen"]) == 0
-        ckpts = {}
-        for seed in (11, 12):
-            ckpts[seed] = tmp_path / f"seed{seed}.ckpt"
-            assert run(["train", "--config", cfg_path, "--manifest", manifest, "--seed", seed,
-                        "--out-dir", tmp_path / "train", "--checkpoint", ckpts[seed]]) == 0
+        ckpt = tmp_path / "model.ckpt"
+        base = ["--config", cfg_path, "--manifest", manifest, "--checkpoint", ckpt]
+        assert run(["generate", *base, "--out-dir", tmp_path / "gen"]) == 0
+        assert run(["train", *base, "--out-dir", tmp_path / "train"]) == 0
         out_dir = tmp_path / "out"
-        assert run(["segment", "--config", cfg_path, "--manifest", manifest,
-                    "--out-dir", out_dir, "--checkpoint", ckpts[11]]) == 0
-        return cfg_path, manifest, ckpts, out_dir
+        assert run(["segment", *base, "--out-dir", out_dir]) == 0
+        return cfg_path, manifest, out_dir
 
-    def test_eval_refuses_labelings_of_another_checkpoint(self, segmented, capsys):
-        cfg_path, manifest, ckpts, out_dir = segmented
-        base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
-                "--scope", "activity"]
-        capsys.readouterr()
-        assert run(["eval", *base, "--checkpoint", ckpts[12]]) == 1
-        index = out_dir / "segments" / "index.json"
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: runtime: ValueError: {index}: checkpoint_sha256 ")
-        assert str(ckpts[12]) in err and err.count("\n") == 1
-        assert not (out_dir / "metrics_activity.json").exists()
-
-        assert run(["eval", *base, "--checkpoint", ckpts[11]]) == 0
+    def test_metrics_copy_the_index(self, segmented):
+        cfg_path, manifest, out_dir = segmented
+        assert run(["eval", "--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir,
+                    "--scope", "activity"]) == 0
         report = json.loads((out_dir / "metrics_activity.json").read_text())
-        recorded = json.loads(index.read_text())
+        recorded = json.loads((out_dir / "segments" / "index.json").read_text())
         del recorded["videos"]
         assert report["segments"] == recorded and "kl" in report
+        assert set(recorded["prototype_usage"]) == {"1", "2"}
 
     def test_failed_eval_leaves_every_output_file(self, segmented, capsys):
-        cfg_path, manifest, ckpts, out_dir = segmented
-        base = ["--config", cfg_path, "--out-dir", out_dir, "--checkpoint", ckpts[11]]
+        cfg_path, manifest, out_dir = segmented
+        base = ["--config", cfg_path, "--out-dir", out_dir]
         assert run(["eval", *base, "--manifest", manifest, "--scope", "activity"]) == 0
         written = {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
         # the same corpus under other bytes, so only the digest check fails
@@ -1243,14 +1227,14 @@ class TestProvenance:
         assert {p: p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()} == written
 
     def test_eval_refuses_labelings_of_another_manifest(self, segmented, capsys):
-        cfg_path, manifest, ckpts, out_dir = segmented
+        cfg_path, manifest, out_dir = segmented
         before = manifest.read_bytes()
         assert run(["generate", "--config", cfg_path, "--manifest", manifest,
                     "--out-dir", out_dir.parent / "gen", "--seed", 13]) == 0
         assert manifest.read_bytes() != before
         capsys.readouterr()
         assert run(["eval", "--config", cfg_path, "--manifest", manifest,
-                    "--out-dir", out_dir, "--checkpoint", ckpts[11]]) == 1
+                    "--out-dir", out_dir]) == 1
         index = out_dir / "segments" / "index.json"
         err = capsys.readouterr().err
         assert err.startswith(f"error: runtime: ValueError: {index}: manifest_sha256 ")
@@ -1273,6 +1257,71 @@ class TestProvenance:
         capsys.readouterr()
         assert run(["eval", *base]) == 1
         _one_line_runtime_error(capsys, "ValueError", index)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda usage: None,
+            lambda usage: list(usage.values()),
+            lambda usage: {"1": usage["1"]},
+            lambda usage: {**usage, "2": usage["2"] + [0]},
+            lambda usage: {"1": [], "2": []},
+            lambda usage: {**usage, "1": sum(usage["1"])},
+            *(lambda usage, bad=bad: {**usage, "1": [bad, *usage["1"][1:]]}
+              for bad in (1.0, True, -1, "3")),
+        ],
+        ids=["missing", "not-an-object", "activity-missing", "unequal-lengths", "empty",
+             "not-a-list", "float", "boolean", "negative", "string"],
+    )
+    def test_bad_prototype_usage_is_refused_with_kl(self, segmented, capsys, edit):
+        cfg_path, manifest, out_dir = segmented
+        index_path = out_dir / "segments" / "index.json"
+        index = json.loads(index_path.read_text())
+        usage = edit(index.pop("prototype_usage"))
+        index_path.write_text(json.dumps(index if usage is None
+                                         else {**index, "prototype_usage": usage}))
+        capsys.readouterr()
+        base = ["--manifest", manifest, "--out-dir", out_dir, "--scope", "activity"]
+        assert run(["eval", "--config", cfg_path, *base]) == 1
+        _one_line_runtime_error(capsys, "ValueError", index_path)
+        assert not (out_dir / "metrics_activity.json").exists()
+        # only the KL sharing analysis reads the usage
+        no_kl = cfg_path.with_name("no_kl.json")
+        no_kl.write_text(json.dumps({**SMALL_CONFIG, "eval": {"f1": True}}))
+        assert run(["eval", "--config", no_kl, *base]) == 0
+
+
+def _segment_with_kl(trained, tmp_path):
+    """`trained`'s labelings at scope activity, and eval's arguments with `eval.kl` on."""
+    _, manifest, ckpt = trained
+    cfg_path = tmp_path / "kl.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"kl": True, "f1": True}}))
+    out_dir = tmp_path / "out"
+    base = ["--config", cfg_path, "--manifest", manifest, "--out-dir", out_dir]
+    assert run(["segment", *base, "--checkpoint", ckpt, "--scope", "activity"]) == 0
+    return out_dir, base
+
+
+def test_eval_with_kl_needs_no_checkpoint(trained, tmp_path):
+    out_dir, base = _segment_with_kl(trained, tmp_path)
+    outputs = [out_dir / "metrics_activity.json", out_dir / "per_video_mof_activity.tsv"]
+    assert run(["eval", *base, "--checkpoint", trained[2], "--scope", "activity"]) == 0
+    with_ckpt = [p.read_bytes() for p in outputs]
+    assert "prototype_sharing" in json.loads(with_ckpt[0])["kl"]
+    assert run(["eval", *base, "--scope", "activity"]) == 0
+    assert [p.read_bytes() for p in outputs] == with_ckpt
+
+
+def test_eval_with_kl_reads_no_feature_values(trained, tmp_path, monkeypatch):
+    out_dir, base = _segment_with_kl(trained, tmp_path)
+
+    def fail(f, *rows):
+        raise AssertionError(f"eval read {f.path}")
+
+    monkeypatch.setattr(FeatureFile, "read", fail)
+    for scope in ("video", "activity", "global"):
+        assert run(["eval", *base, "--checkpoint", trained[2], "--scope", scope]) == 0
+        assert "kl" in json.loads((out_dir / f"metrics_{scope}.json").read_text())
 
 
 def test_eval_without_kl_needs_no_checkpoint(trained, tmp_path):
@@ -1422,16 +1471,13 @@ class TestKeepFreedHeap:
                     "--out-dir", tmp_path, "--checkpoint", tmp_path / "m.ckpt"]) == 0
         assert events == ["mallopt", "train"]
 
-    @pytest.mark.parametrize("command", ["segment", "eval", "recognize"])
+    @pytest.mark.parametrize("command", ["segment", "recognize"])
     def test_inference_stages_set_them_before_reading_features(
         self, trained, tmp_path, monkeypatch, command
     ):
-        _, manifest, ckpt = trained
-        cfg_path = tmp_path / "kl.json"
-        cfg_path.write_text(json.dumps({**TINY_CONFIG, "eval": {"kl": True}}))
+        cfg_path, manifest, ckpt = trained
         argv = ["--config", cfg_path, "--manifest", manifest, "--out-dir", tmp_path,
                 "--checkpoint", ckpt]
-        assert run(["segment", *argv]) == 0  # eval reads its labelings
         events, read = [], FeatureFile.read
         monkeypatch.setattr(cli, "_keep_freed_heap", lambda: events.append("mallopt"))
         monkeypatch.setattr(FeatureFile, "read",

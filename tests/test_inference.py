@@ -11,6 +11,7 @@ from protoseg.inference import (
     gaussian_kernel,
     gaussian_smooth,
     naive_labels,
+    prototype_usage,
     recognize_activity,
     segment_corpus,
     viterbi_decode,
@@ -30,6 +31,11 @@ class TestNaiveLabels:
 
     def test_tie_takes_lowest_index(self):
         assert naive_labels(np.array([[0.5, 0.5]]))[0] == 1
+
+
+def test_prototype_usage_pools_every_labeling():
+    usage = prototype_usage([np.array([2, 2, 4]), np.array([4, 1])], 5)
+    assert usage.dtype == np.int64 and usage.tolist() == [1, 2, 0, 2, 0]
 
 
 class TestActivityReduce:
@@ -323,6 +329,10 @@ class TestSegmentCorpus:
             affinities[f"v{i}"] = raw / raw.sum(axis=1, keepdims=True)
             activities[f"v{i}"] = 1 + i % 2
         return affinities, activities
+
+    @pytest.mark.parametrize("scope", ["global", "activity"])
+    def test_no_videos_give_no_labelings(self, scope):
+        assert segment_corpus({}, {}, scope=scope) == {}
 
     def test_global_is_naive(self):
         affinities, activities = self._affinities()
