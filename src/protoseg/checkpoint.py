@@ -6,12 +6,12 @@ Layout (all integers little-endian u32):
   float64 little-endian values.
 
 The tensors carry no headers: their shapes follow from the metadata's
-model section through `model.parameter_layout`.
+model section through `model.parameter_layout`.  Every field and tensor
+is read through `data.read_values`, the corpus files' positional reader.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import require_int
+from .data import read_values, require_int
 from .losses import LossConfig
 from .model import ModelConfig, parameter_layout, validate_parameters
 from .trainer import TrainConfig
@@ -82,23 +82,22 @@ def _check_keys(path: Path, found, expected, what: str) -> None:
         )
 
 
-def _read_exact(f, n: int, what: str, path: Path, into=bytearray):
-    """The next `n` bytes of the checkpoint `f` at `path`, read into `into(n)`, a new
-    writable buffer of n bytes; a CheckpointError if `f` holds fewer."""
-    offset = f.tell()
-    data = into(n if n <= os.fstat(f.fileno()).st_size - offset else 0)
-    if f.readinto(data) != n:
-        raise CheckpointError(path, f"truncated checkpoint while reading {what}", offset)
-    return data
-
-
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
-    with open(path, "rb") as f:
-        magic = bytes(_read_exact(f, 4, "magic", path))
+    with open(path, "rb", buffering=0) as f:
+        fd = f.fileno()
+        size = os.fstat(fd).st_size
+
+        def read(what, offset, shape, dtype="u1", name=None):
+            truncated = CheckpointError(path, f"truncated checkpoint while reading {what}", offset)
+            invalid = f"invalid checkpoint contents: {name} contains non-finite values"
+            return read_values(fd, size, offset, shape, dtype, truncated,
+                               lambda at: CheckpointError(path, invalid, at))
+
+        magic = read("magic", 0, (4,)).tobytes()
         if magic != MAGIC:
             raise CheckpointError(path, f"bad magic {magic!r}, expected {MAGIC!r}", 0)
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version", path))
+        version = int(read("version", 4, (), "<u4"))
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 path,
@@ -106,8 +105,8 @@ def load_checkpoint(path) -> Checkpoint:
                 f"this build reads version {FORMAT_VERSION}",
                 4,
             )
-        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length", path))
-        meta_bytes = _read_exact(f, meta_len, "metadata", path)
+        meta_len = int(read("metadata length", 8, (), "<u4"))
+        meta_bytes = read("metadata", _META_OFFSET, (meta_len,)).tobytes()
         try:
             meta = json.loads(meta_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -127,23 +126,10 @@ def load_checkpoint(path) -> Checkpoint:
         except (TypeError, ValueError) as exc:
             raise CheckpointError(path, f"invalid metadata: {exc}", _META_OFFSET) from exc
 
-        tensors, starts = {}, {}
+        tensors, offset = {}, _META_OFFSET + meta_len
         for name, (shape, _) in parameter_layout(model_cfg).items():
-            starts[name] = f.tell()
-            # read into the array itself, so nothing is copied
-            values = _read_exact(
-                f, 8 * math.prod(shape), f"{name} values", path, lambda n: np.empty(n // 8, "<f8")
-            )
-            tensors[name] = values.reshape(shape)
-        if f.read(1):
-            raise CheckpointError(path, "trailing bytes after last tensor", f.tell() - 1)
-
-    for name, values in tensors.items():
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise CheckpointError(
-                path,
-                f"invalid checkpoint contents: {name} contains non-finite values",
-                starts[name] + 8 * int(bad[0]),
-            )
+            tensors[name] = read(f"{name} values", offset, shape, "<f8", name)
+            offset += tensors[name].nbytes
+        if size > offset:
+            raise CheckpointError(path, "trailing bytes after last tensor", offset)
     return Checkpoint(tensors, model_cfg, train_cfg, loss_cfg, epoch, rng_digest)

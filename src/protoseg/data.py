@@ -5,7 +5,8 @@ with 0 = background ("CADG"); a JSON manifest ties a corpus together.
 A corpus read from a manifest reads each video's features, as the float32
 values stored, when they are used: training reads a video at its step,
 once per epoch, and promotes it to float64; inference reads it one row
-block at a time.
+block at a time.  `read_values` is the one positional reader of binary
+values: these files and the checkpoint both go through it.
 """
 from __future__ import annotations
 
@@ -317,17 +318,31 @@ def _write_array(path: Path, magic: bytes, array: np.ndarray, dtype: str) -> Non
         f.write(array.tobytes())
 
 
-def _read_at(fd: int, buffer: bytearray, offset: int) -> int:
-    """Read into `buffer` from byte `offset` of `fd` until it is full or the
-    file ends; the number of bytes read."""
-    view = memoryview(buffer)
+def read_values(fd: int, size: int, offset: int, shape: tuple, dtype: str, truncated: Exception,
+                non_finite=None) -> np.ndarray:
+    """The `shape` array of `dtype` values stored from byte `offset` of `fd`,
+    a file of `size` bytes: the one reader of every binary file's values.
+
+    Raises `truncated` if the file, by its size or by a short read, ends
+    before the values do; the size is checked before anything is
+    allocated.  Floating-point values must be finite, else it raises
+    `non_finite(byte offset of the first bad value)`.  Reads are
+    positional and unbuffered: training calls this once per video per
+    epoch, and a read buffer would only add to each call.
+    """
+    if offset + math.prod(shape) * np.dtype(dtype).itemsize > size:
+        raise truncated
+    array = np.empty(shape, dtype)
+    view = memoryview(array.reshape(-1).view(np.uint8))
     done = 0
     while done < len(view):
         n = os.preadv(fd, [view[done:]], offset + done)
-        if n == 0:
-            break
+        if n == 0:  # the file shrank since its size was taken
+            raise truncated
         done += n
-    return done
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        raise non_finite(offset + int(np.flatnonzero(~np.isfinite(array))[0]) * array.itemsize)
+    return array
 
 
 def _read_array(
@@ -335,15 +350,18 @@ def _read_array(
 ):
     """The shape of the `ndim`-d array `_write_array` wrote, and its `rows`.
 
-    `rows` slices the first axis; None reads no values.  The header, and
-    the file's size against it, are checked either way; floating-point
-    values read must be finite.  Each CorpusError names `path` first, and
-    for a non-finite value gives its byte offset from the file's start.
-    Reads are unbuffered and positional: training calls this once per
-    video per epoch, and a read buffer would only add to each call.
+    `rows` slices the first axis; None reads no values.  The header (one
+    `read_values` call at offset 0), and the file's size against it, are
+    checked either way; the values read go through `read_values` too.
+    Each CorpusError names `path` first, and for a non-finite value gives
+    its byte offset from the file's start.
     """
     header = f"<{1 + ndim}I"
     start = 4 + struct.calcsize(header)
+
+    def truncated(part):
+        return CorpusError(f"{path}: truncated while reading {part}")
+
     try:
         f = open(path, "rb", buffering=0)
     except FileNotFoundError:
@@ -351,38 +369,28 @@ def _read_array(
     with f:
         fd = f.fileno()
         size = os.fstat(fd).st_size
-        head = bytearray(start)
-        del head[_read_at(fd, head, 0):]
+        head = read_values(fd, size, 0, (min(size, start),), "u1", truncated("header")).tobytes()
         if len(head) < 4:
-            raise CorpusError(f"{path}: truncated while reading magic")
+            raise truncated("magic")
         if head[:4] != magic:
-            raise CorpusError(f"{path}: bad magic {bytes(head[:4])!r}, expected {magic!r}")
+            raise CorpusError(f"{path}: bad magic {head[:4]!r}, expected {magic!r}")
         if len(head) < start:
-            raise CorpusError(f"{path}: truncated while reading header")
+            raise truncated("header")
         version, *shape = struct.unpack_from(header, head, 4)
         if version != FORMAT_VERSION:
             raise CorpusError(f"{path}: unsupported {magic.decode()} format version {version}")
         row_bytes = math.prod(shape[1:]) * np.dtype(dtype).itemsize
         if size < start + shape[0] * row_bytes:
-            raise CorpusError(f"{path}: truncated while reading {what}")
+            raise truncated(what)
         if size > start + shape[0] * row_bytes:
             raise CorpusError(f"{path}: trailing bytes after {what}")
         if rows is None:
             return tuple(shape), None
         lo, hi, _ = rows.indices(shape[0])
-        n_rows = max(hi - lo, 0)
-        start += lo * row_bytes
-        data = bytearray(n_rows * row_bytes)  # a writable buffer, so the array is too
-        n_read = _read_at(fd, data, start)
-    if n_read != len(data):  # the file shrank since its size was taken
-        raise CorpusError(f"{path}: truncated while reading {what}")
-    array = np.frombuffer(data, dtype=dtype).reshape(n_rows, *shape[1:])
-    # a float64 sum of float32 values overflows only past 10**270 of them,
-    # so it is finite exactly when they all are
-    if array.dtype.kind == "f" and not math.isfinite(array.sum(dtype=np.float64)):
-        bad = int(np.flatnonzero(~np.isfinite(array))[0])
-        offset = start + bad * array.itemsize
-        raise CorpusError(f"{path}: non-finite value in {what} (byte offset {offset})")
+        array = read_values(
+            fd, size, start + lo * row_bytes, (max(hi - lo, 0), *shape[1:]), dtype, truncated(what),
+            lambda at: CorpusError(f"{path}: non-finite value in {what} (byte offset {at})"),
+        )
     return tuple(shape), array
 
 

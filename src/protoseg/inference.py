@@ -24,10 +24,19 @@ def naive_labels(affinity: np.ndarray) -> np.ndarray:
 
 
 def prototype_usage(labelings: Iterable[np.ndarray], n_prototypes: int) -> np.ndarray:
-    """N int64 counts: the frames each prototype wins in some 1-based labelings, pooled."""
+    """N int64 counts: the frames each prototype wins in some 1-based labelings, pooled.
+
+    A background frame (-1) counts for no prototype; any other label
+    outside [1, N] is a ValueError.
+    """
     counts = np.zeros(n_prototypes, dtype=np.int64)
     for labels in labelings:
-        counts += np.bincount(np.asarray(labels, dtype=np.int64) - 1, minlength=n_prototypes)
+        labels = np.asarray(labels, dtype=np.int64)
+        labels = labels[labels != -1]
+        bad = labels[(labels < 1) | (labels > n_prototypes)]
+        if bad.size:
+            raise ValueError(f"prototype label {bad[0]} outside [1, {n_prototypes}]")
+        counts += np.bincount(labels - 1, minlength=n_prototypes)
     return counts
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from protoseg.data import (
     write_corpus,
 )
 from protoseg.losses import LossConfig
-from protoseg.model import ModelConfig, init_parameters
+from protoseg.model import ModelConfig, init_parameters, parameter_layout
 from protoseg.trainer import TrainConfig
 
 
@@ -455,3 +456,119 @@ def test_truncated_or_extended_file_is_a_named_error(tmp_path, kind):
         path.write_bytes(damaged)
         with pytest.raises((CorpusError, CheckpointError), match=re.escape(str(path)) + ": "):
             load()
+
+
+def _checkpoint_pieces(path):
+    """The tiny checkpoint's bytes, and each tensor's name, byte offset and value count."""
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", blob[8:12])
+    meta = json.loads(blob[12 : 12 + meta_len])
+    tensors, offset = [], 12 + meta_len
+    for name, (shape, _) in parameter_layout(ModelConfig(**meta["model"])).items():
+        size = int(np.prod(shape))
+        tensors.append((name, offset, size))
+        offset += 8 * size
+    assert offset == len(blob)
+    return blob, meta_len, tensors
+
+
+def test_each_checkpoint_damage_has_its_message(tmp_path):
+    path, load = _tiny_file("CADC", tmp_path)
+    blob, meta_len, tensors = _checkpoint_pieces(path)
+
+    def message(damaged):
+        path.write_bytes(damaged)
+        with pytest.raises(CheckpointError) as raised:
+            load()
+        return str(raised.value)
+
+    def truncated(what, offset):
+        return f"{path}: truncated checkpoint while reading {what} (byte offset {offset})"
+
+    pieces = [("magic", 0, 4), ("version", 4, 8), ("metadata length", 8, 12),
+              ("metadata", 12, 12 + meta_len)]
+    pieces += [(f"{name} values", start, start + 8 * size) for name, start, size in tensors]
+    for what, start, stop in pieces:
+        for cut in range(start, stop):
+            assert message(blob[:cut]) == truncated(what, start)
+    assert message(blob + b"\0") == (
+        f"{path}: trailing bytes after last tensor (byte offset {len(blob)})"
+    )
+    assert message(b"NOPE" + blob[4:]) == (
+        f"{path}: bad magic b'NOPE', expected b'CADC' (byte offset 0)"
+    )
+    assert message(blob[:4] + struct.pack("<I", 3) + blob[8:]) == (
+        f"{path}: incompatible checkpoint format version 3, this build reads version 2 "
+        "(byte offset 4)"
+    )
+    assert message(blob[:8] + struct.pack("<I", 0xFFFFFFFF) + blob[12:]) == (
+        truncated("metadata", 12)
+    )
+    for name, start, size in tensors:
+        for i in range(size):
+            at = start + 8 * i
+            assert message(blob[:at] + struct.pack("<d", np.nan) + blob[at + 8 :]) == (
+                f"{path}: invalid checkpoint contents: {name} contains non-finite values "
+                f"(byte offset {at})"
+            )
+
+
+def test_checkpoint_faults_are_reported_in_file_order(tmp_path):
+    path, load = _tiny_file("CADC", tmp_path)
+    blob, _, tensors = _checkpoint_pieces(path)
+    (first, start, _), (_, last_start, _) = tensors[0], tensors[-1]
+    nan = blob[:start] + struct.pack("<d", np.nan) + blob[start + 8 :]
+    for damaged in (nan + b"\0", nan[: last_start + 1]):
+        path.write_bytes(damaged)
+        with pytest.raises(CheckpointError) as raised:
+            load()
+        assert str(raised.value) == (
+            f"{path}: invalid checkpoint contents: {first} contains non-finite values "
+            f"(byte offset {start})"
+        )
+    path.write_bytes(nan[: start + 4])  # the tensor holding the value is cut
+    with pytest.raises(CheckpointError) as raised:
+        load()
+    assert str(raised.value) == (
+        f"{path}: truncated checkpoint while reading {first} values (byte offset {start})"
+    )
+
+
+def test_short_reads_of_a_checkpoint_are_resumed_until_the_file_ends(tmp_path, monkeypatch):
+    path, load = _tiny_file("CADC", tmp_path)
+    blob, meta_len, tensors = _checkpoint_pieces(path)
+    whole = load().params
+    preadv, offsets = os.preadv, []
+
+    def seven_bytes_at_a_time(fd, buffers, offset):
+        offsets.append(offset)
+        return preadv(fd, [memoryview(buffers[0])[:7]], offset)
+
+    monkeypatch.setattr(os, "preadv", seven_bytes_at_a_time)
+    params = load().params
+    assert list(params) == list(whole)
+    assert all(params[name].tobytes() == whole[name].tobytes() for name in whole)
+    pieces = [(0, 4), (4, 4), (8, 4), (12, meta_len)]
+    pieces += [(start, 8 * size) for _, start, size in tensors]
+    assert offsets == [at for start, n in pieces for at in range(start, start + n, 7)]
+    # a file that ends early mid-read, as one that shrank would
+    name, start, size = tensors[2]
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
+                        0 if offset >= start + 4 * size else seven_bytes_at_a_time(fd, buffers, offset))
+    with pytest.raises(CheckpointError) as raised:
+        load()
+    assert str(raised.value) == (
+        f"{path}: truncated checkpoint while reading {name} values (byte offset {start})"
+    )
+
+
+def test_finite_values_whose_sum_overflows_load_bitwise(tmp_path):
+    cfg = ModelConfig(input_dim=2, n_activities=2, n_prototypes=2, embed_dim=2)
+    params = init_parameters(cfg, 0)
+    params["embed_w"][:] = np.finfo(np.float64).max
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Checkpoint(params, cfg, TrainConfig(), LossConfig(), 1, "00"), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_checkpoint(path).params
+    assert all(loaded[name].tobytes() == params[name].tobytes() for name in params)

@@ -436,6 +436,20 @@ class TestKL:
         matrix, _ = kl_prototype_sharing({1: [np.array([1, 2])]}, 3)
         assert matrix.shape == (1, 1) and matrix[0, 0] == 0.0
 
+    def test_background_frames_count_for_no_prototype(self):
+        masked = {1: [np.array([-1, 1, 1, -1, 2])], 2: [np.array([3, -1]), np.array([-1, -1])]}
+        kept = {1: [np.array([1, 1, 2])], 2: [np.array([3])]}
+        matrix, ids = kl_prototype_sharing(masked, 3)
+        expected, expected_ids = kl_prototype_sharing(kept, 3)
+        assert ids == expected_ids and matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("label", [0, -2, 4])
+    def test_label_outside_the_bank_is_named(self, label):
+        labelings = {1: [np.array([1, 2])], 2: [np.array([-1, 3, label, 1])]}
+        with pytest.raises(ValueError) as raised:
+            kl_prototype_sharing(labelings, 3)
+        assert str(raised.value) == f"prototype label {label} outside [1, 3]"
+
 
 PROTOTYPE_999 = 999999999999999999
 
